@@ -1,4 +1,7 @@
-"""Command line interface: build | densify | sample | train | serve | refresh | bench.
+"""Command line interface: build | densify | sample | train | serve | refresh.
+
+Benchmarks are not a subcommand: ``python3 perfbench/run.py`` is the one
+seeded benchmark (see ``perfbench/README.md``).
 
 A ``--config`` file of key=value lines overrides parsed flags (file wins).
 ``LIGNN_LOG`` sets the log level.
@@ -311,47 +314,6 @@ def cmd_refresh(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from .pipeline import prefetch_pipeline
-
-    graph, _ = _load(args)
-    seeds = [(t, int(i)) for t in graph.node_types for i in graph.node_ids(t)[:50]]
-    t0 = time.perf_counter()
-    sample_random_multihop(graph, seeds, [10, 10], rng_seed=1)
-    t_random = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    cfg = PPRConfig(alpha=0.15, r_max=1e-4, top_k=50)
-    ppr_forward_push_batch(graph, seeds[:20], cfg)
-    t_push = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    for seed in seeds[:20]:
-        ppr_two_hop_random_walk(graph, seed, WalkConfig(num_walks=5000, top_k=50, rng_seed=1))
-    t_walk = time.perf_counter() - t0
-
-    def producer(shard, index):
-        return index if index < 2500 else None
-
-    t0 = time.perf_counter()
-    pipe = prefetch_pipeline(producer, PrefetchQueueConfig(capacity=10, producers=4))
-    count = sum(1 for _ in pipe)
-    t_queue = time.perf_counter() - t0
-
-    print(
-        json.dumps(
-            {
-                "random_multihop_seeds_per_s": round(len(seeds) / t_random, 1),
-                "ppr_push_seeds_per_s": round(20 / t_push, 1),
-                "ppr_2hop_seeds_per_s": round(20 / t_walk, 1),
-                "prefetch_batches_per_s": round(count / t_queue, 1),
-                "prefetch_max_depth": pipe.max_observed_depth,
-            }
-        )
-    )
-    return 0
-
-
 # -- parser ---------------------------------------------------------------------------
 
 
@@ -447,10 +409,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--topk", type=int, default=50)
     p.add_argument("--rng-seed", type=int, default=0)
     p.set_defaults(fn=cmd_refresh)
-
-    p = sub.add_parser("bench", help="micro-benchmarks on a built graph")
-    _add_graph_args(p)
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

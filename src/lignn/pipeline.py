@@ -416,9 +416,3 @@ class PrefetchPipeline:
         if self._errors:
             shard, exc = self._errors[0]
             raise ProducerError(f"producer {shard} failed: {exc!r}") from exc
-
-
-def prefetch_pipeline(
-    producer_fn: Callable[[int, int], object], config: PrefetchQueueConfig
-) -> PrefetchPipeline:
-    return PrefetchPipeline(producer_fn, config)

@@ -7,7 +7,6 @@ from .client import (
     RemoteStatusError,
     RetriesExhausted,
     RetryPolicy,
-    client_call,
     fan_out_sample,
 )
 from .nearline import (
@@ -34,7 +33,6 @@ __all__ = [
     "RemoteStatusError",
     "RetriesExhausted",
     "RetryPolicy",
-    "client_call",
     "fan_out_sample",
     "nearline_refresh",
     "parse_events",

@@ -90,7 +90,8 @@ class RetryPolicy:
 
 
 class _TCPTransport:
-    """One pooled connection to one address."""
+    """One connection to one address. It is not thread-safe: the client's
+    pool lends it to one call at a time."""
 
     def __init__(self, address: str, timeout: float):
         host, port = address.rsplit(":", 1)
@@ -112,7 +113,15 @@ def tcp_connector(timeout: float = 5.0) -> Callable[[str], _TCPTransport]:
 
 
 class GraphEngineClient:
-    """Thread-safe client over a PartitionMap with retry semantics."""
+    """Thread-safe client over a PartitionMap with retry semantics.
+
+    Connections are pooled per address and checked out for one call at a
+    time, so concurrent calls never share a socket. A call reuses an idle
+    connection when there is one (one caller thread keeps using one socket)
+    and opens a new one otherwise. A connection whose round trip raised is
+    closed, not returned. ``close()`` closes every idle connection, and a
+    connection in use when it runs is closed when its call ends.
+    """
 
     def __init__(
         self,
@@ -126,24 +135,30 @@ class GraphEngineClient:
         self.policy.validate()
         self._connector = connector or tcp_connector()
         self._sleep = sleep
-        self._pool: dict[str, _TCPTransport] = {}
+        self._idle: dict[str, list[_TCPTransport]] = {}
+        self._generation = 0  # bumped by close(); older connections are not pooled
         self._lock = threading.Lock()
 
     # -- transport with retry --------------------------------------------------
 
-    def _transport(self, address: str) -> _TCPTransport:
+    def _round_trip(self, address: str, frame: bytes) -> bytes:
         with self._lock:
-            conn = self._pool.get(address)
-            if conn is None:
-                conn = self._connector(address)
-                self._pool[address] = conn
-            return conn
-
-    def _drop(self, address: str) -> None:
-        with self._lock:
-            conn = self._pool.pop(address, None)
-        if conn is not None:
+            idle = self._idle.get(address)
+            conn = idle.pop() if idle else None
+            generation = self._generation
+        if conn is None:
+            conn = self._connector(address)
+        try:
+            payload = conn.request(frame)
+        except BaseException:
             conn.close()
+            raise
+        with self._lock:
+            if generation == self._generation:
+                self._idle.setdefault(address, []).append(conn)
+                return payload
+        conn.close()
+        return payload
 
     def call_address(self, address: str, request) -> object:
         frame = wire.encode_request(request)
@@ -152,12 +167,9 @@ class GraphEngineClient:
             if attempt > 0:
                 self._sleep(self.policy.backoff_ms(attempt - 1) / 1000.0)
             try:
-                conn = self._transport(address)
-                payload = conn.request(frame)
-                response = wire.decode_response(payload)
+                response = wire.decode_response(self._round_trip(address, frame))
             except RETRYABLE_EXCEPTIONS as exc:
                 last = exc
-                self._drop(address)
                 logger.debug("attempt %d to %s failed: %r", attempt + 1, address, exc)
                 continue
             except wire.WireError as exc:
@@ -199,18 +211,11 @@ class GraphEngineClient:
 
     def close(self) -> None:
         with self._lock:
-            for conn in self._pool.values():
-                conn.close()
-            self._pool.clear()
-
-
-def client_call(request, pmap: PartitionMap, policy: RetryPolicy, **kw):
-    """One-shot convenience wrapper around GraphEngineClient.call."""
-    client = GraphEngineClient(pmap, policy, **kw)
-    try:
-        return client.call(request)
-    finally:
-        client.close()
+            conns = [conn for idle in self._idle.values() for conn in idle]
+            self._idle.clear()
+            self._generation += 1
+        for conn in conns:
+            conn.close()
 
 
 # -- remote adjacency provider ------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..graph import HeteroGraph, mix64
+from ..graph import mix64
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,3 @@ def shard_edge_lines(lines, pmap: PartitionMap, shard: int):
             continue
         if pmap.owner(node) == shard:
             yield raw
-
-
-def owns_node(graph: HeteroGraph, pmap: PartitionMap, shard: int, node) -> bool:
-    return pmap.owner(node) == shard

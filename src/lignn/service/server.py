@@ -88,16 +88,17 @@ class GraphEngineServer:
         try:
             request = wire.decode_request(payload)
         except wire.WireError as exc:
-            resp = wire.SampleResponse(
-                wire.Opcode.SAMPLE_NEIGHBORS, wire.Status.BAD_REQUEST, error=str(exc)
+            # the opcode may be unreadable, so the reply names SAMPLE_NEIGHBORS
+            return wire.encode_response(
+                wire.error_response(wire.Opcode.SAMPLE_NEIGHBORS, wire.Status.BAD_REQUEST, str(exc))
             )
-            return wire.encode_response(resp)
         try:
             return wire.encode_response(self._dispatch(request))
         except Exception as exc:  # an unexpected bug, not a bad request
             logger.exception("internal error")
-            resp = wire.SampleResponse(request.opcode, wire.Status.INTERNAL, error=repr(exc))
-            return wire.encode_response(resp)
+            return wire.encode_response(
+                wire.error_response(request.opcode, wire.Status.INTERNAL, repr(exc))
+            )
 
     def _owned(self, node) -> bool:
         return self.pmap.owner(node) == self.shard_index
@@ -110,10 +111,7 @@ class GraphEngineServer:
             return self._ppr_push_batch(request)
         node = request.seed if op == wire.Opcode.SAMPLE_NEIGHBORS else request.node
         if not self._owned(node):
-            kind = wire._RESPONSE_TYPES[op]
-            if kind is wire.SampleResponse:
-                return wire.SampleResponse(op, wire.Status.NOT_OWNED, error="not owned")
-            return kind(status=wire.Status.NOT_OWNED, error="not owned")
+            return wire.error_response(op, wire.Status.NOT_OWNED, "not owned")
         if op == wire.Opcode.SAMPLE_NEIGHBORS:
             return self._sample_neighbors(request)
         if op == wire.Opcode.GET_FEATURES:
@@ -136,21 +134,6 @@ class GraphEngineServer:
             edges.append((et, count))
         return wire.HealthResponse(wire.Status.OK, nodes, tuple(edges))
 
-    def _entries_to_wire(self, sample) -> wire.SampleResponse:
-        if sample.error is not None:
-            return wire.SampleResponse(
-                wire.Opcode.SAMPLE_NEIGHBORS, wire.Status.BAD_REQUEST, error=sample.error
-            )
-        entries = tuple(
-            wire.WireEntry(
-                wire.WireNode(e.node.node_type, e.node.node_id), e.score, min(255, e.hop)
-            )
-            for e in sample.entries
-        )
-        return wire.SampleResponse(
-            wire.Opcode.SAMPLE_NEIGHBORS, wire.Status.OK, entries, sample.truncated
-        )
-
     def _sample_neighbors(self, req: wire.SampleNeighborsRequest) -> wire.SampleResponse:
         fanouts = [
             (self.graph.num_nodes() if f == wire.FANOUT_ALL else f) for f in req.fanouts
@@ -163,30 +146,16 @@ class GraphEngineServer:
                 self.graph, [req.seed], fanouts, multipliers, req.rng_seed
             )
         else:
-            return wire.SampleResponse(
-                wire.Opcode.SAMPLE_NEIGHBORS,
-                wire.Status.BAD_REQUEST,
-                error=f"unknown strategy {req.strategy}",
+            return wire.error_response(
+                req.opcode, wire.Status.BAD_REQUEST, f"unknown strategy {req.strategy}"
             )
-        if hops[0].error is not None:
-            return self._entries_to_wire(hops[0])
-        entries = []
-        for hop_sample in hops:
-            for e in hop_sample.entries:
-                entries.append(
-                    wire.WireEntry(
-                        wire.WireNode(e.node.node_type, e.node.node_id),
-                        e.score,
-                        min(255, e.hop),
-                    )
-                )
-        return wire.SampleResponse(wire.Opcode.SAMPLE_NEIGHBORS, wire.Status.OK, tuple(entries))
+        return _sample_reply(req.opcode, hops)
 
     def _get_features(self, req: wire.GetFeaturesRequest) -> wire.FeaturesResponse:
         try:
             ref = self.graph.resolve(req.node)
         except MissingNodeError as exc:
-            return wire.FeaturesResponse(wire.Status.BAD_REQUEST, error=str(exc))
+            return wire.error_response(req.opcode, wire.Status.BAD_REQUEST, str(exc))
         vec = self.graph.features_of(ref)
         values = () if vec is None else tuple(float(x) for x in vec)
         return wire.FeaturesResponse(wire.Status.OK, values)
@@ -195,45 +164,49 @@ class GraphEngineServer:
         cfg = WalkConfig(
             num_walks=req.num_walks, alpha=req.alpha, top_k=req.top_k, rng_seed=req.rng_seed
         )
-        sample = ppr_two_hop_random_walk(self.graph, req.node, cfg)
-        resp = self._entries_to_wire(sample)
-        return wire.SampleResponse(
-            wire.Opcode.PPR_2HOP, resp.status, resp.entries, resp.truncated, resp.error
-        )
+        return _sample_reply(req.opcode, [ppr_two_hop_random_walk(self.graph, req.node, cfg)])
 
     def _ppr_push_batch(self, req: wire.PPRPushBatchRequest) -> wire.SampleBatchResponse:
         if not req.seeds:
-            return wire.SampleBatchResponse(wire.Status.BAD_REQUEST, error="empty batch")
+            return wire.error_response(req.opcode, wire.Status.BAD_REQUEST, "empty batch")
         not_owned = [s for s in req.seeds if not self._owned(s)]
         if not_owned:
-            return wire.SampleBatchResponse(
-                wire.Status.NOT_OWNED, error=f"{len(not_owned)} seeds not owned"
+            return wire.error_response(
+                req.opcode, wire.Status.NOT_OWNED, f"{len(not_owned)} seeds not owned"
             )
         cfg = PPRConfig(alpha=req.alpha, r_max=req.r_max, top_k=req.top_k)
         samples = ppr_forward_push_batch(self.graph, list(req.seeds), cfg)
-        results = []
-        for sample in samples:
-            sub = self._entries_to_wire(sample)
-            results.append(
-                wire.SampleResponse(
-                    wire.Opcode.PPR_PUSH_BATCH, sub.status, sub.entries, sub.truncated, sub.error
-                )
-            )
-        return wire.SampleBatchResponse(wire.Status.OK, tuple(results))
+        results = tuple(_sample_reply(req.opcode, [sample]) for sample in samples)
+        return wire.SampleBatchResponse(wire.Status.OK, results)
 
     def _temporal(self, req: wire.TemporalLastNRequest) -> wire.TemporalResponse:
         before = math.inf if req.before_ts == wire.TS_MAX else req.before_ts
         n = None if req.n == wire.COUNT_ALL else req.n
         try:
             events = sample_temporal_last_n(self.graph, req.node, req.edge_type, before, n)
-        except MissingNodeError as exc:
-            return wire.TemporalResponse(wire.Status.BAD_REQUEST, error=str(exc))
-        except ValueError as exc:
-            return wire.TemporalResponse(wire.Status.BAD_REQUEST, error=str(exc))
+        except (MissingNodeError, ValueError) as exc:
+            return wire.error_response(req.opcode, wire.Status.BAD_REQUEST, str(exc))
         out = tuple(
             wire.WireEvent(wire.WireNode(ref.node_type, ref.node_id), ts) for ref, ts in events
         )
         return wire.TemporalResponse(wire.Status.OK, out)
+
+
+def _sample_reply(opcode: wire.Opcode, samples) -> wire.SampleResponse:
+    """The reply (or one batch result) for the per-hop samples of one seed.
+
+    A failed seed has one sample carrying the error; otherwise the entries of
+    all hops are concatenated in hop order.
+    """
+    if samples[0].error is not None:
+        return wire.SampleResponse(opcode, wire.Status.BAD_REQUEST, error=samples[0].error)
+    entries = tuple(
+        wire.WireEntry(wire.WireNode(e.node.node_type, e.node.node_id), e.score, min(255, e.hop))
+        for sample in samples
+        for e in sample.entries
+    )
+    truncated = any(sample.truncated for sample in samples)
+    return wire.SampleResponse(opcode, wire.Status.OK, entries, truncated)
 
 
 def serve(

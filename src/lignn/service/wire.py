@@ -4,14 +4,28 @@ Everything is little-endian. A frame is ``u32 payload_length`` followed by
 the payload; a request payload starts with ``u8 opcode``, a response payload
 with ``u8 opcode, u8 status``. Node addresses travel as (u16 node_type,
 u64 node_id); internal dense indices never cross the wire.
+
+The rest of the payload is laid out by the ``layout`` table of its message
+class: (field name, field codec) pairs in wire order. A field codec is one
+fixed-size struct (``_Struct``: a scalar such as ``_U32``, or ``_NODE``), a
+counted sequence of one fixed-size struct (``_Seq``), or the per-seed
+results of a ``PPR_PUSH_BATCH`` reply (``_Results``). One encoder
+(``_pack``) and one decoder (``_unpack``) walk these tables; no message
+class encodes itself.
+
+A response whose status is not OK has no layout body. Its body is the error
+message: ``u32 byte_length`` followed by that many bytes of UTF-8. The rule
+holds for each per-seed result of a batch reply too (``_reply_layout``).
+Decoding raises only ``WireError`` on malformed bytes.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 FANOUT_ALL = 0xFFFFFFFF  # enumeration sentinel: return every neighbor
 COUNT_ALL = 0xFFFFFFFF
@@ -43,38 +57,113 @@ class WireNode(NamedTuple):
     node_id: int
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+class WireEntry(NamedTuple):
+    node: WireNode
+    score: float
+    hop: int
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
+
+class WireEvent(NamedTuple):
+    node: WireNode
+    timestamp: int
+
+
+# -- field codecs ------------------------------------------------------------------
+
+_LEN = struct.Struct("<I")
+
+
+class _Struct:
+    """A fixed-size field. ``load`` builds it from the unpacked values and
+    ``dump`` turns it back into them; without ``dump`` it is the one value."""
+
+    def __init__(self, code: str, load: Callable = itemgetter(0), dump: Callable | None = None):
+        self.struct = struct.Struct("<" + code)
+        self.load, self.dump = load, dump
+
+    def pack(self, value, out: list) -> None:
+        dump = self.dump
+        out.append(self.struct.pack(value) if dump is None else self.struct.pack(*dump(value)))
+
+    def unpack(self, data, pos: int):
+        return self.load(self.struct.unpack_from(data, pos)), pos + self.struct.size
+
+
+class _Seq:
+    """A ``count`` struct code, then that many ``item``s read with ``iter_unpack``."""
+
+    def __init__(self, count: str, item: _Struct):
+        self.count, self.item = struct.Struct("<" + count), item
+
+    def pack(self, values, out: list) -> None:
+        out.append(self.count.pack(len(values)))
+        pack, dump = self.item.struct.pack, self.item.dump
+        out.extend(map(pack, values) if dump is None else (pack(*dump(v)) for v in values))
+
+    def unpack(self, data, pos: int):
+        (n,) = self.count.unpack_from(data, pos)
+        start = pos + self.count.size
+        end = start + n * self.item.struct.size
+        if end > len(data):
             raise WireError("truncated payload")
-        out = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return out
+        return tuple(map(self.item.load, self.item.struct.iter_unpack(data[start:end]))), end
 
-    def take_bytes(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+
+class _Text:
+    """u32 byte length, then UTF-8."""
+
+    def pack(self, text: str, out: list) -> None:
+        raw = text.encode("utf-8")
+        out += (_LEN.pack(len(raw)), raw)
+
+    def unpack(self, data, pos: int):
+        (n,) = _LEN.unpack_from(data, pos)
+        start, end = pos + _LEN.size, pos + _LEN.size + n
+        if end > len(data):
             raise WireError("truncated payload")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise WireError(f"{len(self.data) - self.pos} trailing bytes")
+        try:
+            return str(data[start:end], "utf-8"), end
+        except UnicodeDecodeError:
+            raise WireError("error message is not UTF-8") from None
 
 
-def _pack_node(node) -> bytes:
-    return struct.pack("<HQ", node[0], node[1])
+class _Results:
+    """u32 count, then per seed: u8 status, u32 body length and the body of a
+    ``SampleResponse`` with that status."""
+
+    head = struct.Struct("<BI")
+
+    def pack(self, results, out: list) -> None:
+        out.append(_LEN.pack(len(results)))
+        for res in results:
+            body: list = []
+            _pack(res, _reply_layout(SampleResponse, res.status), body)
+            body_bytes = b"".join(body)
+            out += (self.head.pack(res.status, len(body_bytes)), body_bytes)
+
+    def unpack(self, data, pos: int):
+        (n,) = _LEN.unpack_from(data, pos)
+        pos += _LEN.size
+        results = []
+        for _ in range(n):
+            st, size = self.head.unpack_from(data, pos)
+            start, pos = pos + self.head.size, pos + self.head.size + size
+            if pos > len(data):
+                raise WireError("truncated payload")
+            sub = data[:pos]  # the body must end exactly at its length
+            results.append(_unpack_reply(SampleResponse, Opcode.PPR_PUSH_BATCH, st, sub, start))
+        return tuple(results), pos
 
 
-def _read_node(r: _Reader) -> WireNode:
-    t, i = r.take("<HQ")
-    return WireNode(t, i)
+_U8, _U16, _U32, _U64, _I64, _F64, _BOOL = map(_Struct, "BHIQqd?")
+_NODE = _Struct("HQ", WireNode._make, tuple)
+_PAIR = _Struct("Hd", tuple, tuple)
+_COUNT = _Struct("HQ", tuple, tuple)
+_ENTRY = _Struct("HQdB", lambda v: WireEntry(WireNode(v[0], v[1]), v[2], v[3]),
+                 lambda e: (e.node[0], e.node[1], e.score, e.hop))
+_EVENT = _Struct("HQq", lambda v: WireEvent(WireNode(v[0], v[1]), v[2]),
+                 lambda e: (e.node[0], e.node[1], e.timestamp))
+_ERROR_LAYOUT = (("error", _Text()),)
 
 
 # -- requests --------------------------------------------------------------------
@@ -89,28 +178,8 @@ class SampleNeighborsRequest:
     multipliers: tuple[tuple[int, float], ...] = ()  # (edge_type, multiplier)
 
     opcode = Opcode.SAMPLE_NEIGHBORS
-
-    def encode_body(self) -> bytes:
-        out = [struct.pack("<B", self.strategy), _pack_node(self.seed)]
-        out.append(struct.pack("<Q", self.rng_seed))
-        out.append(struct.pack("<B", len(self.fanouts)))
-        for f in self.fanouts:
-            out.append(struct.pack("<I", f))
-        out.append(struct.pack("<H", len(self.multipliers)))
-        for et, m in self.multipliers:
-            out.append(struct.pack("<Hd", et, m))
-        return b"".join(out)
-
-    @classmethod
-    def decode_body(cls, r: _Reader) -> "SampleNeighborsRequest":
-        (strategy,) = r.take("<B")
-        seed = _read_node(r)
-        (rng_seed,) = r.take("<Q")
-        (n_hops,) = r.take("<B")
-        fanouts = tuple(r.take("<I")[0] for _ in range(n_hops))
-        (n_mult,) = r.take("<H")
-        multipliers = tuple(r.take("<Hd") for _ in range(n_mult))
-        return cls(seed, strategy, fanouts, rng_seed, multipliers)
+    layout = (("strategy", _U8), ("seed", _NODE), ("rng_seed", _U64),
+              ("fanouts", _Seq("B", _U32)), ("multipliers", _Seq("H", _PAIR)))
 
 
 @dataclass(frozen=True)
@@ -118,13 +187,7 @@ class GetFeaturesRequest:
     node: WireNode
 
     opcode = Opcode.GET_FEATURES
-
-    def encode_body(self) -> bytes:
-        return _pack_node(self.node)
-
-    @classmethod
-    def decode_body(cls, r: _Reader) -> "GetFeaturesRequest":
-        return cls(_read_node(r))
+    layout = (("node", _NODE),)
 
 
 @dataclass(frozen=True)
@@ -136,17 +199,8 @@ class PPR2HopRequest:
     rng_seed: int = 0
 
     opcode = Opcode.PPR_2HOP
-
-    def encode_body(self) -> bytes:
-        return _pack_node(self.node) + struct.pack(
-            "<dIIQ", self.alpha, self.num_walks, self.top_k, self.rng_seed
-        )
-
-    @classmethod
-    def decode_body(cls, r: _Reader) -> "PPR2HopRequest":
-        node = _read_node(r)
-        alpha, walks, top_k, rng = r.take("<dIIQ")
-        return cls(node, alpha, walks, top_k, rng)
+    layout = (("node", _NODE), ("alpha", _F64), ("num_walks", _U32), ("top_k", _U32),
+              ("rng_seed", _U64))
 
 
 @dataclass(frozen=True)
@@ -157,19 +211,7 @@ class PPRPushBatchRequest:
     top_k: int = 200
 
     opcode = Opcode.PPR_PUSH_BATCH
-
-    def encode_body(self) -> bytes:
-        out = [struct.pack("<I", len(self.seeds))]
-        out.extend(_pack_node(s) for s in self.seeds)
-        out.append(struct.pack("<ddI", self.alpha, self.r_max, self.top_k))
-        return b"".join(out)
-
-    @classmethod
-    def decode_body(cls, r: _Reader) -> "PPRPushBatchRequest":
-        (count,) = r.take("<I")
-        seeds = tuple(_read_node(r) for _ in range(count))
-        alpha, r_max, top_k = r.take("<ddI")
-        return cls(seeds, alpha, r_max, top_k)
+    layout = (("seeds", _Seq("I", _NODE)), ("alpha", _F64), ("r_max", _F64), ("top_k", _U32))
 
 
 @dataclass(frozen=True)
@@ -180,86 +222,27 @@ class TemporalLastNRequest:
     n: int = COUNT_ALL
 
     opcode = Opcode.TEMPORAL_LAST_N
-
-    def encode_body(self) -> bytes:
-        return _pack_node(self.node) + struct.pack(
-            "<HqI", self.edge_type, self.before_ts, self.n
-        )
-
-    @classmethod
-    def decode_body(cls, r: _Reader) -> "TemporalLastNRequest":
-        node = _read_node(r)
-        et, ts, n = r.take("<HqI")
-        return cls(node, et, ts, n)
+    layout = (("node", _NODE), ("edge_type", _U16), ("before_ts", _I64), ("n", _U32))
 
 
 @dataclass(frozen=True)
 class HealthRequest:
     opcode = Opcode.HEALTH
-
-    def encode_body(self) -> bytes:
-        return b""
-
-    @classmethod
-    def decode_body(cls, r: _Reader) -> "HealthRequest":
-        return cls()
-
-
-_REQUEST_TYPES = {
-    Opcode.SAMPLE_NEIGHBORS: SampleNeighborsRequest,
-    Opcode.GET_FEATURES: GetFeaturesRequest,
-    Opcode.PPR_2HOP: PPR2HopRequest,
-    Opcode.PPR_PUSH_BATCH: PPRPushBatchRequest,
-    Opcode.TEMPORAL_LAST_N: TemporalLastNRequest,
-    Opcode.HEALTH: HealthRequest,
-}
+    layout = ()
 
 
 # -- responses --------------------------------------------------------------------
 
 
-class WireEntry(NamedTuple):
-    node: WireNode
-    score: float
-    hop: int
-
-
-def _encode_entries(entries) -> bytes:
-    out = [struct.pack("<I", len(entries))]
-    for e in entries:
-        out.append(_pack_node(e.node) + struct.pack("<dB", e.score, e.hop))
-    return b"".join(out)
-
-
-def _decode_entries(r: _Reader) -> tuple[WireEntry, ...]:
-    (count,) = r.take("<I")
-    entries = []
-    for _ in range(count):
-        node = _read_node(r)
-        score, hop = r.take("<dB")
-        entries.append(WireEntry(node, score, hop))
-    return tuple(entries)
-
-
 @dataclass(frozen=True)
 class SampleResponse:
-    opcode: Opcode
+    opcode: Opcode  # answers SAMPLE_NEIGHBORS, PPR_2HOP and each PPR_PUSH_BATCH seed
     status: Status = Status.OK
     entries: tuple[WireEntry, ...] = ()
     truncated: bool = False
     error: str = ""
 
-    def encode_body(self) -> bytes:
-        if self.status != Status.OK:
-            return _encode_error(self.error)
-        return struct.pack("<B", int(self.truncated)) + _encode_entries(self.entries)
-
-    @classmethod
-    def decode_body(cls, opcode: Opcode, status: Status, r: _Reader) -> "SampleResponse":
-        if status != Status.OK:
-            return cls(opcode, status, error=_decode_error(r))
-        (truncated,) = r.take("<B")
-        return cls(opcode, status, _decode_entries(r), bool(truncated))
+    layout = (("truncated", _BOOL), ("entries", _Seq("I", _ENTRY)))
 
 
 @dataclass(frozen=True)
@@ -269,28 +252,7 @@ class SampleBatchResponse:
     error: str = ""
 
     opcode = Opcode.PPR_PUSH_BATCH
-
-    def encode_body(self) -> bytes:
-        if self.status != Status.OK:
-            return _encode_error(self.error)
-        out = [struct.pack("<I", len(self.results))]
-        for res in self.results:
-            body = res.encode_body()
-            out.append(struct.pack("<BI", int(res.status), len(body)))
-            out.append(body)
-        return b"".join(out)
-
-    @classmethod
-    def decode_body(cls, opcode: Opcode, status: Status, r: _Reader) -> "SampleBatchResponse":
-        if status != Status.OK:
-            return cls(status, error=_decode_error(r))
-        (count,) = r.take("<I")
-        results = []
-        for _ in range(count):
-            st, size = r.take("<BI")
-            sub = _Reader(r.take_bytes(size))
-            results.append(SampleResponse.decode_body(Opcode.PPR_PUSH_BATCH, Status(st), sub))
-        return cls(status, tuple(results))
+    layout = (("results", _Results()),)
 
 
 @dataclass(frozen=True)
@@ -300,26 +262,7 @@ class FeaturesResponse:
     error: str = ""
 
     opcode = Opcode.GET_FEATURES
-
-    def encode_body(self) -> bytes:
-        if self.status != Status.OK:
-            return _encode_error(self.error)
-        return struct.pack("<I", len(self.values)) + struct.pack(
-            f"<{len(self.values)}d", *self.values
-        )
-
-    @classmethod
-    def decode_body(cls, opcode: Opcode, status: Status, r: _Reader) -> "FeaturesResponse":
-        if status != Status.OK:
-            return cls(status, error=_decode_error(r))
-        (dim,) = r.take("<I")
-        values = r.take(f"<{dim}d") if dim else ()
-        return cls(status, tuple(values))
-
-
-class WireEvent(NamedTuple):
-    node: WireNode
-    timestamp: int
+    layout = (("values", _Seq("I", _F64)),)
 
 
 @dataclass(frozen=True)
@@ -329,26 +272,7 @@ class TemporalResponse:
     error: str = ""
 
     opcode = Opcode.TEMPORAL_LAST_N
-
-    def encode_body(self) -> bytes:
-        if self.status != Status.OK:
-            return _encode_error(self.error)
-        out = [struct.pack("<I", len(self.events))]
-        for node, ts in self.events:
-            out.append(_pack_node(node) + struct.pack("<q", ts))
-        return b"".join(out)
-
-    @classmethod
-    def decode_body(cls, opcode: Opcode, status: Status, r: _Reader) -> "TemporalResponse":
-        if status != Status.OK:
-            return cls(status, error=_decode_error(r))
-        (count,) = r.take("<I")
-        events = []
-        for _ in range(count):
-            node = _read_node(r)
-            (ts,) = r.take("<q")
-            events.append(WireEvent(node, ts))
-        return cls(status, tuple(events))
+    layout = (("events", _Seq("I", _EVENT)),)
 
 
 @dataclass(frozen=True)
@@ -359,29 +283,17 @@ class HealthResponse:
     error: str = ""
 
     opcode = Opcode.HEALTH
-
-    def encode_body(self) -> bytes:
-        if self.status != Status.OK:
-            return _encode_error(self.error)
-        out = [struct.pack("<H", len(self.node_counts))]
-        for t, c in self.node_counts:
-            out.append(struct.pack("<HQ", t, c))
-        out.append(struct.pack("<H", len(self.edge_counts)))
-        for t, c in self.edge_counts:
-            out.append(struct.pack("<HQ", t, c))
-        return b"".join(out)
-
-    @classmethod
-    def decode_body(cls, opcode: Opcode, status: Status, r: _Reader) -> "HealthResponse":
-        if status != Status.OK:
-            return cls(status, error=_decode_error(r))
-        (n,) = r.take("<H")
-        nodes = tuple(r.take("<HQ") for _ in range(n))
-        (m,) = r.take("<H")
-        edges = tuple(r.take("<HQ") for _ in range(m))
-        return cls(status, nodes, edges)
+    layout = (("node_counts", _Seq("H", _COUNT)), ("edge_counts", _Seq("H", _COUNT)))
 
 
+_REQUEST_TYPES = {
+    Opcode.SAMPLE_NEIGHBORS: SampleNeighborsRequest,
+    Opcode.GET_FEATURES: GetFeaturesRequest,
+    Opcode.PPR_2HOP: PPR2HopRequest,
+    Opcode.PPR_PUSH_BATCH: PPRPushBatchRequest,
+    Opcode.TEMPORAL_LAST_N: TemporalLastNRequest,
+    Opcode.HEALTH: HealthRequest,
+}
 _RESPONSE_TYPES = {
     Opcode.SAMPLE_NEIGHBORS: SampleResponse,
     Opcode.GET_FEATURES: FeaturesResponse,
@@ -392,60 +304,92 @@ _RESPONSE_TYPES = {
 }
 
 
-def _encode_error(msg: str) -> bytes:
-    raw = msg.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
+def error_response(opcode: Opcode, status: Status, message: str):
+    """The reply to an ``opcode`` request that failed with a non-OK ``status``."""
+    return _reply(_RESPONSE_TYPES[opcode], opcode, status=status, error=message)
 
 
-def _decode_error(r: _Reader) -> str:
-    (n,) = r.take("<I")
-    return r.take_bytes(n).decode("utf-8")
+def _reply(cls, opcode: Opcode, **fields):
+    if cls is SampleResponse:
+        fields["opcode"] = opcode
+    return cls(**fields)
+
+
+# -- the codec ---------------------------------------------------------------------
+
+_REQUEST_HEAD = struct.Struct("<B")
+_RESPONSE_HEAD = struct.Struct("<BB")
+_STATUSES = {int(s): s for s in Status}
+
+
+def _reply_layout(cls, status: Status):
+    return cls.layout if status == Status.OK else _ERROR_LAYOUT
+
+
+def _pack(msg, layout, out: list) -> None:
+    for name, codec in layout:
+        codec.pack(getattr(msg, name), out)
+
+
+def _unpack(layout, data, pos: int, fields: dict) -> dict:
+    for name, codec in layout:
+        fields[name], pos = codec.unpack(data, pos)
+    if pos != len(data):
+        raise WireError(f"{len(data) - pos} trailing bytes")
+    return fields
+
+
+def _unpack_reply(cls, opcode: Opcode, st: int, data, pos: int):
+    status = _STATUSES.get(st)
+    if status is None:
+        raise WireError(f"unknown status {st}")
+    fields = _unpack(_reply_layout(cls, status), data, pos, {"status": status})
+    return _reply(cls, opcode, **fields)
+
+
+def _frame(head: bytes, msg, layout) -> bytes:
+    out = [b"", head]
+    _pack(msg, layout, out)
+    out[0] = _LEN.pack(sum(map(len, out)))
+    return b"".join(out)
+
+
+def encode_request(request) -> bytes:
+    return _frame(_REQUEST_HEAD.pack(request.opcode), request, request.layout)
+
+
+def encode_response(response) -> bytes:
+    head = _RESPONSE_HEAD.pack(response.opcode, response.status)
+    return _frame(head, response, _reply_layout(type(response), response.status))
+
+
+def decode_request(payload: bytes):
+    return _decode(payload, _REQUEST_HEAD, _REQUEST_TYPES,
+                   lambda cls, opcode, data, pos: cls(**_unpack(cls.layout, data, pos, {})))
+
+
+def decode_response(payload: bytes):
+    return _decode(payload, _RESPONSE_HEAD, _RESPONSE_TYPES, _unpack_reply)
+
+
+def _decode(payload: bytes, head: struct.Struct, types: dict, build: Callable):
+    """Read the head, then ``build(cls, opcode, *rest_of_head, data, pos)``."""
+    data = memoryview(payload)
+    try:
+        op, *rest = head.unpack_from(data)
+        if op not in types:
+            raise WireError(f"unknown opcode {op:#x}")
+        return build(types[op], Opcode(op), *rest, data, head.size)
+    except struct.error:
+        raise WireError("truncated payload") from None
 
 
 # -- framing -----------------------------------------------------------------------
 
 
-def encode_request(request) -> bytes:
-    body = struct.pack("<B", int(request.opcode)) + request.encode_body()
-    return struct.pack("<I", len(body)) + body
-
-
-def decode_request(payload: bytes):
-    r = _Reader(payload)
-    (op,) = r.take("<B")
-    try:
-        opcode = Opcode(op)
-    except ValueError:
-        raise WireError(f"unknown opcode {op:#x}") from None
-    req = _REQUEST_TYPES[opcode].decode_body(r)
-    r.done()
-    return req
-
-
-def encode_response(response) -> bytes:
-    body = (
-        struct.pack("<BB", int(response.opcode), int(response.status))
-        + response.encode_body()
-    )
-    return struct.pack("<I", len(body)) + body
-
-
-def decode_response(payload: bytes):
-    r = _Reader(payload)
-    op, st = r.take("<BB")
-    try:
-        opcode = Opcode(op)
-        status = Status(st)
-    except ValueError:
-        raise WireError("bad opcode/status") from None
-    resp = _RESPONSE_TYPES[opcode].decode_body(opcode, status, r)
-    r.done()
-    return resp
-
-
 def read_frame(sock) -> bytes:
     header = _read_exact(sock, 4)
-    (length,) = struct.unpack("<I", header)
+    (length,) = _LEN.unpack(header)
     if length > 64 * 1024 * 1024:
         raise WireError("frame too large")
     return _read_exact(sock, length)

@@ -288,7 +288,7 @@ class Trainer:
 
                 if s.prefetch is not None:
                     pipe = PrefetchPipeline(
-                        self._make_producer(grouped, s.prefetch.producers, count), s.prefetch
+                        self._make_producer(grouped, s.prefetch.producers), s.prefetch
                     )
                     for batch in pipe:
                         run_batch(batch)
@@ -320,7 +320,7 @@ class Trainer:
             self.settings = replace(s, adaptive=adaptive)
         return self.history
 
-    def _make_producer(self, grouped: list[GroupedBatch], producers: int, count: int):
+    def _make_producer(self, grouped: list[GroupedBatch], producers: int):
         """Deterministic (shard, index) -> GroupedBatch partitioning."""
 
         def producer_fn(shard: int, index: int):

@@ -190,15 +190,6 @@ class TestRefresh:
         assert dumps[0] == dumps[1]
 
 
-class TestBench:
-    def test_bench_runs(self, workdir, capsys):
-        rc = main(["bench", *graph_flags(workdir)])
-        assert rc == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["prefetch_max_depth"] <= 10
-        assert stats["random_multihop_seeds_per_s"] > 0
-
-
 class TestConfigFileErrors:
     def test_unknown_key_rejected(self, workdir):
         cfg = workdir / "bad.cfg"

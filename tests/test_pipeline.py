@@ -29,7 +29,6 @@ from lignn.pipeline import (
     local_gradient_aggregate,
     mlp_init,
     parse_records,
-    prefetch_pipeline,
 )
 from lignn.training import GraphSampler, Trainer, TrainSettings, binary_auc, data_parallel_step
 
@@ -340,7 +339,7 @@ class TestPrefetch:
         def producer(shard, index):
             return index if index < 20 else None
 
-        pipe = prefetch_pipeline(producer, PrefetchQueueConfig(capacity=1, producers=1))
+        pipe = PrefetchPipeline(producer, PrefetchQueueConfig(capacity=1, producers=1))
         assert list(pipe) == list(range(20))
 
     def test_multiset_with_four_producers(self):
@@ -349,7 +348,7 @@ class TestPrefetch:
                 return None
             return (shard, index)
 
-        pipe = prefetch_pipeline(producer, PrefetchQueueConfig(capacity=10, producers=4))
+        pipe = PrefetchPipeline(producer, PrefetchQueueConfig(capacity=10, producers=4))
         got = sorted(pipe)
         expected = sorted((s, i) for s in range(4) for i in range(250))
         assert got == expected
@@ -359,7 +358,7 @@ class TestPrefetch:
             return index if index < 60 else None
 
         cfg = PrefetchQueueConfig(capacity=3, producers=2)
-        pipe = prefetch_pipeline(producer, cfg)
+        pipe = PrefetchPipeline(producer, cfg)
         seen = 0
         for _ in pipe:
             seen += 1
@@ -373,7 +372,7 @@ class TestPrefetch:
                 raise RuntimeError("boom")
             return index if index < 10 else None
 
-        pipe = prefetch_pipeline(producer, PrefetchQueueConfig(capacity=4, producers=2))
+        pipe = PrefetchPipeline(producer, PrefetchQueueConfig(capacity=4, producers=2))
         delivered = []
         with pytest.raises(ProducerError):
             for item in pipe:
@@ -393,7 +392,7 @@ class TestPrefetch:
             refs.append(weakref.ref(p))
             return p
 
-        pipe = prefetch_pipeline(producer, PrefetchQueueConfig(capacity=2, producers=1))
+        pipe = PrefetchPipeline(producer, PrefetchQueueConfig(capacity=2, producers=1))
         from collections import deque
 
         deque(pipe, maxlen=0)  # consume without binding any payload
@@ -413,7 +412,7 @@ class TestPrefetch:
             return index
 
         cfg = PrefetchQueueConfig(capacity=2, producers=1)
-        pipe = prefetch_pipeline(producer, cfg)
+        pipe = PrefetchPipeline(producer, cfg)
         started.wait(timeout=2)
         time.sleep(0.05)  # give the producer time to fill the queue
         # producer cannot be far ahead of consumption: queue + one in flight

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lignn.samplers import PPRConfig, WalkConfig, ppr_forward_push, ppr_two_hop_random_walk, sample_random_multihop
 from lignn.service import (
+    ClientError,
     FanOutError,
     GraphEngineClient,
     PartitionMap,
@@ -132,6 +134,163 @@ class TestCodec:
         req = wire.HealthRequest()
         with pytest.raises(wire.WireError):
             wire.decode_request(wire.encode_request(req)[4:] + b"\x00")
+
+
+W, E = wire.WireNode, wire.WireEntry
+OP, ST = wire.Opcode, wire.Status
+
+# One frame per message kind with non-default values, OK and error bodies and
+# empty sequences. The hex was taken from the per-message codec this module
+# replaced, so any change to these bytes is a change to the protocol.
+GOLDEN_REQUESTS = [
+    (wire.SampleNeighborsRequest(W(3, 0x0102030405060708), 1, (7, wire.FANOUT_ALL), 99,
+                                 ((2, 0.5), (9, 2.0))),
+     "3300000001010300080706050403020163000000000000000207000000ffffffff0200"
+     "0200000000000000e03f09000000000000000040"),
+    (wire.SampleNeighborsRequest(W(1, 2), 0, (), 0, ()),
+     "170000000100010002000000000000000000000000000000000000"),
+    (wire.GetFeaturesRequest(W(0xFFFF, 2**64 - 1)), "0b00000002ffffffffffffffffffff"),
+    (wire.PPR2HopRequest(W(2, 40), 0.25, 1234, 17, 5),
+     "230000000302002800000000000000000000000000d03fd2040000110000000500000000000000"),
+    (wire.PPRPushBatchRequest((W(0, 1), W(1, 300)), 0.2, 1e-3, 9),
+     "2d00000004020000000000010000000000000001002c010000000000009a9999999999c93f"
+     "fca9f1d24d62503f09000000"),
+    (wire.PPRPushBatchRequest((), 0.5, 0.125, 1),
+     "190000000400000000000000000000e03f000000000000c03f01000000"),
+    (wire.TemporalLastNRequest(W(4, 8), 6, -3, 12),
+     "1900000005040008000000000000000600fdffffffffffffff0c000000"),
+    (wire.HealthRequest(), "0100000006"),
+]
+
+GOLDEN_RESPONSES = [
+    (wire.SampleResponse(OP.SAMPLE_NEIGHBORS, ST.OK, (E(W(1, 2), 0.75, 1), E(W(0, 9), -1.5, 255)),
+                         True),
+     "2d0000000100010200000001000200000000000000000000000000e83f01000009000000"
+     "00000000000000000000f8bfff"),
+    (wire.SampleResponse(OP.PPR_2HOP, ST.OK, (), False), "0700000003000000000000"),
+    (wire.SampleResponse(OP.SAMPLE_NEIGHBORS, ST.NOT_OWNED, error="not owned"),
+     "0f0000000101090000006e6f74206f776e6564"),
+    (wire.SampleResponse(OP.PPR_2HOP, ST.INTERNAL, error="b\u00e4d"),
+     "0a00000003030400000062c3a464"),
+    (wire.SampleBatchResponse(ST.OK, (
+        wire.SampleResponse(OP.PPR_PUSH_BATCH, ST.OK, (E(W(5, 6), 0.5, 2),), True),
+        wire.SampleResponse(OP.PPR_PUSH_BATCH, ST.BAD_REQUEST, error="no node"),
+        wire.SampleResponse(OP.PPR_PUSH_BATCH, ST.OK, (), False),
+    )),
+     "3d0000000400030000000018000000010100000005000600000000000000000000000000"
+     "e03f02020b000000070000006e6f206e6f646500050000000000000000"),
+    (wire.SampleBatchResponse(ST.OK, ()), "06000000040000000000"),
+    (wire.SampleBatchResponse(ST.NOT_OWNED, error="2 seeds not owned"),
+     "1700000004011100000032207365656473206e6f74206f776e6564"),
+    (wire.FeaturesResponse(ST.OK, (1.0, -0.5, 3.25)),
+     "1e000000020003000000000000000000f03f000000000000e0bf0000000000000a40"),
+    (wire.FeaturesResponse(ST.OK, ()), "06000000020000000000"),
+    (wire.FeaturesResponse(ST.BAD_REQUEST, error=""), "06000000020200000000"),
+    (wire.TemporalResponse(ST.OK, (wire.WireEvent(W(1, 7), 100), wire.WireEvent(W(1, 8), -2))),
+     "2a00000005000200000001000700000000000000640000000000000001000800000000000000"
+     "feffffffffffffff"),
+    (wire.TemporalResponse(ST.BAD_REQUEST, error="x"), "0700000005020100000078"),
+    (wire.HealthResponse(ST.OK, ((0, 60), (1, 3)), ((0, 240),)),
+     "240000000600020000003c000000000000000100030000000000000001000000f000000000000000"),
+    (wire.HealthResponse(ST.OK, (), ()), "06000000060000000000"),
+    (wire.HealthResponse(ST.INTERNAL, error="boom"), "0a000000060304000000626f6f6d"),
+]
+
+
+class TestGoldenFrames:
+    @pytest.mark.parametrize("request_, hexed", GOLDEN_REQUESTS)
+    def test_request_bytes(self, request_, hexed):
+        frame = bytes.fromhex(hexed)
+        assert wire.encode_request(request_) == frame
+        assert wire.decode_request(frame[4:]) == request_
+
+    @pytest.mark.parametrize("response, hexed", GOLDEN_RESPONSES)
+    def test_response_bytes(self, response, hexed):
+        frame = bytes.fromhex(hexed)
+        assert wire.encode_response(response) == frame
+        assert wire.decode_response(frame[4:]) == response
+
+
+# Malformed replies a peer can send: an error message that is not UTF-8, and a
+# batch reply whose first per-seed result has status 9.
+MALFORMED_REPLIES = [
+    b"\x01\x02" + (2).to_bytes(4, "little") + b"\xff\xfe",
+    b"\x04\x00" + (1).to_bytes(4, "little") + b"\x09" + (0).to_bytes(4, "little"),
+]
+
+
+OK_HEALTH = wire.encode_response(wire.HealthResponse(wire.Status.OK))[4:]
+
+
+class FakeTransport:
+    """A connection that answers every request with ``payload``, or raises
+    ``fail``; ``during`` runs inside each round trip."""
+
+    def __init__(self, payload: bytes = OK_HEALTH, fail: BaseException | None = None,
+                 during=None):
+        self.payload, self.fail, self.during = payload, fail, during
+        self.calls, self.closed = 0, False
+
+    def request(self, frame: bytes) -> bytes:
+        self.calls += 1
+        if self.during is not None:
+            self.during()
+        if self.fail is not None:
+            raise self.fail
+        return self.payload
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class TestMalformedReplies:
+    @pytest.mark.parametrize("payload", MALFORMED_REPLIES)
+    def test_client_raises_client_error(self, payload):
+        client = GraphEngineClient(PartitionMap(("fake:1",)), RetryPolicy(max_attempts=1),
+                                   connector=lambda address: FakeTransport(payload))
+        with pytest.raises(ClientError):
+            client.call_address("fake:1", wire.HealthRequest())
+        client.close()
+
+
+# Arbitrary bytes, and arbitrary bytes behind a valid opcode and a small status
+# so that most payloads get past the header.
+payloads_st = st.one_of(
+    st.binary(max_size=80),
+    st.builds(lambda op, status, rest: bytes([op, status]) + rest,
+              st.sampled_from([int(o) for o in wire.Opcode]), st.integers(0, 4),
+              st.binary(max_size=80)),
+)
+
+
+@pytest.fixture(scope="module")
+def empty_server():
+    """A shard with no nodes: every decodable request fails fast, so no fuzzed
+    parameter (num_walks up to 2**32, say) can start real sampling work."""
+    graph, _ = build([], [])
+    server = serve(graph, "127.0.0.1:0", PartitionMap(("127.0.0.1:0",)), 0)
+    yield server
+    server.stop()
+
+
+class TestFuzz:
+    @given(payloads_st)
+    @example(MALFORMED_REPLIES[0])
+    @example(MALFORMED_REPLIES[1])
+    @settings(max_examples=400, deadline=None)
+    def test_decoders_raise_only_wire_error(self, payload):
+        for decode in (wire.decode_request, wire.decode_response):
+            try:
+                decode(payload)
+            except wire.WireError:
+                pass
+
+    @given(payloads_st)
+    @settings(max_examples=200, deadline=None)
+    def test_server_always_answers_with_a_frame(self, empty_server, payload):
+        frame = empty_server.handle_payload(payload)
+        assert int.from_bytes(frame[:4], "little") == len(frame) - 4
+        wire.decode_response(frame[4:])
 
 
 class TestRetryPolicy:
@@ -256,6 +415,76 @@ class TestServer:
         resp = client.call(wire.TemporalLastNRequest(wire.WireNode(0, 5), 0))
         assert resp.status == wire.Status.OK
         client.close()
+
+
+class TestClientThreads:
+    def test_shared_client_answers_each_caller(self, single_server):
+        graph, _, server, pmap = single_server
+        client = make_client(pmap)
+        wrong, raised = [], []
+
+        def hammer(worker: int) -> None:
+            for k in range(200):
+                node = (worker * 7 + k) % 60
+                try:
+                    resp = client.call(wire.GetFeaturesRequest(wire.WireNode(0, node)))
+                except Exception as exc:  # recorded, asserted below
+                    raised.append(exc)
+                    continue
+                if resp.values != tuple(graph.features_of(graph.node_ref(0, node))):
+                    wrong.append(node)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            client.close()
+        assert not any(t.is_alive() for t in threads)
+        assert raised == [] and wrong == []
+
+
+class TestClientPool:
+    def make(self, transports):
+        made = []
+
+        def connector(address):
+            made.append(transports.pop(0))
+            return made[-1]
+
+        client = GraphEngineClient(PartitionMap(("fake:1",)),
+                                   RetryPolicy(max_attempts=2, initial_backoff_ms=1.0),
+                                   connector=connector, sleep=lambda s: None)
+        return client, made
+
+    def test_one_caller_reuses_one_connection(self):
+        client, made = self.make([FakeTransport()])
+        for _ in range(5):
+            client.health("fake:1")
+        assert len(made) == 1 and made[0].calls == 5
+        client.close()
+        assert made[0].closed
+
+    def test_failed_connection_is_dropped(self):
+        client, made = self.make([FakeTransport(fail=ConnectionResetError("reset")),
+                                  FakeTransport()])
+        client.health("fake:1")
+        client.health("fake:1")
+        assert made[0].closed and made[0].calls == 1
+        assert not made[1].closed and made[1].calls == 2
+        client.close()
+
+    def test_close_during_a_call_closes_its_connection(self):
+        transports = []
+        client, made = self.make(transports)
+        transports.append(FakeTransport(during=client.close))
+        client.health("fake:1")
+        assert made[0].closed  # not returned to the pool once close() has run
 
 
 class FlakyConnector:

@@ -4,7 +4,6 @@ link-prediction GNN trainer with a nearline embedding refresher."""
 __version__ = "0.1.0"
 
 from .graph import (
-    EdgeClass,
     EdgeKind,
     GraphBuildReport,
     GraphSchema,
@@ -17,7 +16,6 @@ from .graph import (
 )
 
 __all__ = [
-    "EdgeClass",
     "EdgeKind",
     "GraphBuildReport",
     "GraphSchema",

@@ -22,7 +22,7 @@ import numpy as np
 from .densify import DensifyConfig, ExternalEmbeddingTable, densify
 from .graph import GraphSchema, load_graph
 from .model import DecoderKind, ModelConfig, ParamStore, TemporalConfig
-from .pipeline import AdaptiveState, PrefetchQueueConfig, parse_records
+from .pipeline import AdaptiveState, parse_records
 from .samplers import (
     PPRConfig,
     WalkConfig,
@@ -256,11 +256,6 @@ def cmd_train(args) -> int:
         adaptive=adaptive,
         mlp_init_epochs=args.mlp_init_epochs,
         metrics_path=args.metrics,
-        prefetch=(
-            PrefetchQueueConfig(capacity=args.queue_capacity, producers=args.prefetch)
-            if args.prefetch > 0
-            else None
-        ),
         activity_edge_type=args.edge_type,
     )
     trainer = Trainer(graph, config, settings)
@@ -384,8 +379,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--adaptive-start", type=int, default=2)
     p.add_argument("--adaptive-stride", type=int, default=20)
     p.add_argument("--mlp-init-epochs", type=int, default=0)
-    p.add_argument("--prefetch", type=int, default=0, help="producer count (0=off)")
-    p.add_argument("--queue-capacity", type=int, default=10)
     p.add_argument("--edge-type", type=int, default=0, help="activity edge type")
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--metrics", default=None, help="JSON-lines metrics path")

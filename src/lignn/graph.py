@@ -78,12 +78,6 @@ _KIND_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class EdgeClass:
-    edge_type: int
-    kind: EdgeKind
-
-
 @dataclass
 class GraphSchema:
     """Edge-type kind registry plus declared feature dims per node type."""
@@ -295,12 +289,6 @@ class HeteroGraph:
         if mask is None or not mask[ref.index]:
             return None
         return self._features[ref.node_type][ref.index]
-
-    def feature_matrix(self, node_type: int) -> np.ndarray:
-        return self._features[node_type]
-
-    def feature_coverage(self, node_type: int) -> np.ndarray:
-        return self._feature_mask[node_type]
 
     # -- adjacency ----------------------------------------------------------
 

@@ -322,10 +322,6 @@ class SageEncoder:
         return emb[(0, cfg.hops)]
 
 
-def taped_params(store: ParamStore) -> dict[str, ag.Tensor]:
-    return {name: ag.parameter(arr) for name, arr in store.items()}
-
-
 def sage_encode(
     graph: HeteroGraph,
     seed: NodeRef | tuple[int, int],

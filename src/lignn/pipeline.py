@@ -1,12 +1,10 @@
 """Training-throughput machinery: grouping & slicing of member/item records,
-the adaptive neighbor-count controller, MLP-init, local gradient aggregation,
-and the bounded multi-producer prefetch queue."""
+the adaptive neighbor-count controller, MLP-init and local gradient
+aggregation."""
 
 from __future__ import annotations
 
-import threading
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -312,107 +310,3 @@ def local_gradient_aggregate(
             acc += (size / total) * g
         out[name] = acc
     return out
-
-
-# -- prefetch pipeline ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrefetchQueueConfig:
-    capacity: int = 10
-    producers: int = 1
-
-    def validate(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if self.producers < 1:
-            raise ValueError("need at least one producer")
-
-
-class ProducerError(RuntimeError):
-    pass
-
-
-class _BoundedQueue:
-    """Blocking bounded FIFO with a high-water-mark counter."""
-
-    def __init__(self, capacity: int):
-        self._capacity = capacity
-        self._items: deque = deque()
-        self._lock = threading.Lock()
-        self._not_full = threading.Condition(self._lock)
-        self._not_empty = threading.Condition(self._lock)
-        self.max_depth = 0
-
-    def put(self, item) -> None:
-        with self._not_full:
-            while len(self._items) >= self._capacity:
-                self._not_full.wait()
-            self._items.append(item)
-            self.max_depth = max(self.max_depth, len(self._items))
-            self._not_empty.notify()
-
-    def get(self):
-        with self._not_empty:
-            while not self._items:
-                self._not_empty.wait()
-            item = self._items.popleft()
-            self._not_full.notify()
-            return item
-
-
-_DONE = object()
-
-
-class PrefetchPipeline:
-    """Multi-producer, single-consumer batch prefetcher with backpressure.
-
-    ``producer_fn(shard, index)`` must be a deterministic function returning
-    the batch at that coordinate or None when the shard is exhausted. Each
-    producer walks its own shard; the consumer iterates delivered batches.
-    Producer failures surface as ProducerError after in-flight batches drain.
-    """
-
-    def __init__(self, producer_fn: Callable[[int, int], object], config: PrefetchQueueConfig):
-        config.validate()
-        self._queue = _BoundedQueue(config.capacity)
-        self._config = config
-        self._errors: list[tuple[int, BaseException]] = []
-        self._threads = [
-            threading.Thread(target=self._produce, args=(producer_fn, s), daemon=True)
-            for s in range(config.producers)
-        ]
-        for t in self._threads:
-            t.start()
-
-    def _produce(self, producer_fn, shard: int) -> None:
-        try:
-            index = 0
-            while True:
-                batch = producer_fn(shard, index)
-                if batch is None:
-                    break
-                self._queue.put(batch)
-                index += 1
-        except BaseException as exc:  # propagate to the consumer
-            self._errors.append((shard, exc))
-        finally:
-            self._queue.put(_DONE)
-
-    @property
-    def max_observed_depth(self) -> int:
-        return self._queue.max_depth
-
-    def __iter__(self):
-        done = 0
-        while done < self._config.producers:
-            item = self._queue.get()
-            if item is _DONE:
-                done += 1
-                continue
-            yield item
-        for t in self._threads:
-            t.join()
-        if self._errors:
-            shard, exc = self._errors[0]
-            raise ProducerError(f"producer {shard} failed: {exc!r}") from exc

@@ -406,26 +406,6 @@ def _apply_push(
     state.pushes += 1
 
 
-def _advance_one_push(
-    state: _PushState,
-    provider: Provider,
-    ref_of: dict[tuple[int, int], NodeRef],
-    config: PPRConfig,
-) -> NodeRef | None:
-    """Pop the next push target, honoring the max_pushes budget.
-
-    Returns the target to push, or None when the seed is settled (all
-    residuals under threshold) or just got truncated.
-    """
-    target = _pop_push_target(state, ref_of)
-    if target is None:
-        return None
-    if state.pushes >= config.max_pushes:
-        state.truncated = True
-        return None
-    return target
-
-
 def _hop_labels(
     seed_ref: NodeRef, keys: list[tuple[int, int]], provider: Provider
 ) -> dict[tuple[int, int], int]:
@@ -464,22 +444,7 @@ def ppr_forward_push(
     rest spreads over out-neighbors proportional to edge weight. Stops early
     at max_pushes with the truncated flag set.
     """
-    config.validate()
-    provider, resolve = _as_provider(graph_or_provider, config)
-    try:
-        seed_ref = resolve(seed)
-    except MissingNodeError as exc:
-        return NeighborSample((seed[0], seed[1]), (), "ppr-push", error=str(exc))
-    state = _PushState(seed_ref)
-    ref_of = {seed_ref.ext(): seed_ref}
-    _, sweights = provider.neighbors(seed_ref)
-    _maybe_enqueue(state, seed_ref, _wdeg(sweights), config.r_max)
-    while True:
-        target = _advance_one_push(state, provider, ref_of, config)
-        if target is None:
-            break
-        _apply_push(state, target, provider, ref_of, config.alpha, config.r_max)
-    return _finalize_push(state, provider, ref_of, config)
+    return ppr_forward_push_batch(graph_or_provider, [seed], config)[0]
 
 
 def _finalize_push(
@@ -502,7 +467,7 @@ def _finalize_push(
 
 
 def _as_provider(
-    graph_or_provider: HeteroGraph | Provider, config: PPRConfig
+    graph_or_provider: HeteroGraph | Provider, config: PPRConfig | WalkConfig
 ) -> tuple[Provider, Callable]:
     if isinstance(graph_or_provider, HeteroGraph):
         provider = LocalAdjacency(graph_or_provider, weighted=config.weighted)
@@ -516,13 +481,13 @@ def ppr_forward_push_batch(
     seeds: Sequence[NodeRef | tuple[int, int]],
     config: PPRConfig,
 ) -> list[NeighborSample]:
-    """Consolidated-push batch variant; per-seed results are bit-identical
-    to sequential ``ppr_forward_push``.
+    """Forward push for many seeds at once; each seed's result is
+    bit-identical to pushing that seed alone (``ppr_forward_push``).
 
     Each round advances every active seed by one push; the distinct push
     targets of a round share one adjacency fetch. Per-seed push order (and
-    therefore floating-point arithmetic order) matches the sequential path
-    exactly.
+    therefore floating-point arithmetic order) does not depend on the other
+    seeds.
     """
     if not seeds:
         raise ValueError("seeds must be non-empty")
@@ -549,8 +514,11 @@ def ppr_forward_push_batch(
         targets: list[tuple[_PushState, NodeRef]] = []
         still = []
         for st in active:
-            tgt = _advance_one_push(st, provider, ref_of, config)
+            tgt = _pop_push_target(st, ref_of)
             if tgt is None:
+                continue
+            if st.pushes >= config.max_pushes:
+                st.truncated = True
                 continue
             targets.append((st, tgt))
             still.append(st)
@@ -632,12 +600,7 @@ def ppr_two_hop_random_walk(
     among ball nodes are returned.
     """
     config.validate()
-    if isinstance(graph_or_provider, HeteroGraph):
-        provider = LocalAdjacency(graph_or_provider, weighted=config.weighted)
-        resolve = graph_or_provider.resolve
-    else:
-        provider = graph_or_provider
-        resolve = provider.resolve
+    provider, resolve = _as_provider(graph_or_provider, config)
     try:
         seed_ref = resolve(seed)
     except MissingNodeError as exc:

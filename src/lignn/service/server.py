@@ -22,6 +22,9 @@ from .partition import PartitionMap
 
 logger = logging.getLogger("lignn.server")
 
+# The walk sampler holds one position per walk: bound what a request can ask for.
+MAX_WALKS = 1 << 20
+
 
 class GraphEngineServer:
     """One shard instance. Requests for nodes it does not own get NOT_OWNED
@@ -94,6 +97,10 @@ class GraphEngineServer:
             )
         try:
             return wire.encode_response(self._dispatch(request))
+        except (MissingNodeError, ValueError) as exc:  # the request names invalid input
+            return wire.encode_response(
+                wire.error_response(request.opcode, wire.Status.BAD_REQUEST, str(exc))
+            )
         except Exception as exc:  # an unexpected bug, not a bad request
             logger.exception("internal error")
             return wire.encode_response(
@@ -152,15 +159,15 @@ class GraphEngineServer:
         return _sample_reply(req.opcode, hops)
 
     def _get_features(self, req: wire.GetFeaturesRequest) -> wire.FeaturesResponse:
-        try:
-            ref = self.graph.resolve(req.node)
-        except MissingNodeError as exc:
-            return wire.error_response(req.opcode, wire.Status.BAD_REQUEST, str(exc))
-        vec = self.graph.features_of(ref)
+        vec = self.graph.features_of(self.graph.resolve(req.node))
         values = () if vec is None else tuple(float(x) for x in vec)
         return wire.FeaturesResponse(wire.Status.OK, values)
 
     def _ppr_2hop(self, req: wire.PPR2HopRequest) -> wire.SampleResponse:
+        if req.num_walks > MAX_WALKS:
+            return wire.error_response(
+                req.opcode, wire.Status.BAD_REQUEST, f"num_walks over {MAX_WALKS}"
+            )
         cfg = WalkConfig(
             num_walks=req.num_walks, alpha=req.alpha, top_k=req.top_k, rng_seed=req.rng_seed
         )
@@ -182,10 +189,7 @@ class GraphEngineServer:
     def _temporal(self, req: wire.TemporalLastNRequest) -> wire.TemporalResponse:
         before = math.inf if req.before_ts == wire.TS_MAX else req.before_ts
         n = None if req.n == wire.COUNT_ALL else req.n
-        try:
-            events = sample_temporal_last_n(self.graph, req.node, req.edge_type, before, n)
-        except (MissingNodeError, ValueError) as exc:
-            return wire.error_response(req.opcode, wire.Status.BAD_REQUEST, str(exc))
+        events = sample_temporal_last_n(self.graph, req.node, req.edge_type, before, n)
         out = tuple(
             wire.WireEvent(wire.WireNode(ref.node_type, ref.node_id), ts) for ref, ts in events
         )

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -15,9 +15,6 @@ from .model import LinkPredictionModel, ModelConfig, PairBatch, ParamStore
 from .model.encoder import HopEntry, hops_from_samples
 from .pipeline import (
     AdaptiveState,
-    GroupedBatch,
-    PrefetchPipeline,
-    PrefetchQueueConfig,
     TrainingRecord,
     adaptive_step,
     group_and_slice,
@@ -61,7 +58,7 @@ def binary_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 class GraphSampler:
     """Neighborhood sampler with per-role query/fetch counters.
 
-    Counters are locked so prefetch producer threads may share an instance.
+    Counters are locked so threads may share an instance.
     Evaluation queries are tracked separately and excluded from the
     training fetch totals.
     """
@@ -143,7 +140,6 @@ class TrainSettings:
     val_fraction: float = 0.2
     eval_neighbor_count: int | None = None
     activity_edge_type: int = 0
-    prefetch: PrefetchQueueConfig | None = None
     metrics_path: str | None = None
     shuffle: bool = True
 
@@ -153,7 +149,6 @@ class EpochMetrics:
     epoch: int
     auc: float
     neighbor_count: int
-    queue_depth_max: int
     ge_queries: int
     train_loss: float
 
@@ -163,7 +158,6 @@ class EpochMetrics:
                 "epoch": self.epoch,
                 "auc": self.auc,
                 "neighbor_count": self.neighbor_count,
-                "queue_depth_max": self.queue_depth_max,
                 "ge_queries": self.ge_queries,
                 "train_loss": self.train_loss,
             }
@@ -261,7 +255,7 @@ class Trainer:
         )
         rng = np.random.default_rng(s.rng_seed)
         metrics_fh = open(s.metrics_path, "w", encoding="utf-8") if s.metrics_path else None
-        temporal = self.config.temporal is not None
+        activity_fn = self._activities_for if self.config.temporal is not None else None
         try:
             for epoch in range(1, s.epochs + 1):
                 count = adaptive.current_count if adaptive else s.neighbor_count
@@ -269,33 +263,19 @@ class Trainer:
                 if s.shuffle:
                     order = rng.permutation(len(epoch_recs))
                     epoch_recs = [epoch_recs[i] for i in order]
-                grouped = list(group_and_slice(epoch_recs, s.group_size))
-                queue_depth = 0
                 losses: list[float] = []
-
-                def run_batch(batch: GroupedBatch) -> None:
-                    activity_fn = self._activities_for if temporal else None
-                    sub = grouped_step(
-                        self.model,
-                        batch,
-                        s.gradient_step,
-                        s.lr,
-                        lambda ref, role: self.sampler.fetch(ref, count, role),
-                        flat_attach=self.sampler.flat_attach,
-                        activity_fn=activity_fn,
+                for batch in group_and_slice(epoch_recs, s.group_size):
+                    losses.extend(
+                        grouped_step(
+                            self.model,
+                            batch,
+                            s.gradient_step,
+                            s.lr,
+                            lambda ref, role: self.sampler.fetch(ref, count, role),
+                            flat_attach=self.sampler.flat_attach,
+                            activity_fn=activity_fn,
+                        )
                     )
-                    losses.extend(sub)
-
-                if s.prefetch is not None:
-                    pipe = PrefetchPipeline(
-                        self._make_producer(grouped, s.prefetch.producers), s.prefetch
-                    )
-                    for batch in pipe:
-                        run_batch(batch)
-                    queue_depth = pipe.max_observed_depth
-                else:
-                    for batch in grouped:
-                        run_batch(batch)
 
                 auc = self.validation_auc(val_recs, eval_count)
                 if adaptive is not None:
@@ -304,7 +284,6 @@ class Trainer:
                     epoch=epoch,
                     auc=auc,
                     neighbor_count=count,
-                    queue_depth_max=queue_depth,
                     ge_queries=sum(
                         v for k, v in self.sampler.queries.items() if k != "eval"
                     ),
@@ -319,17 +298,6 @@ class Trainer:
         if adaptive is not None:
             self.settings = replace(s, adaptive=adaptive)
         return self.history
-
-    def _make_producer(self, grouped: list[GroupedBatch], producers: int):
-        """Deterministic (shard, index) -> GroupedBatch partitioning."""
-
-        def producer_fn(shard: int, index: int):
-            pos = shard + index * producers
-            if pos >= len(grouped):
-                return None
-            return grouped[pos]
-
-        return producer_fn
 
 
 def data_parallel_step(

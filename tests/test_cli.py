@@ -132,7 +132,23 @@ class TestTrain:
         assert ckpt.exists() and (workdir / "model.lgnn.json").exists()
         rows = [json.loads(l) for l in metrics.read_text().splitlines()]
         assert len(rows) == 2
-        assert {"epoch", "auc", "neighbor_count", "queue_depth_max", "ge_queries"} <= set(rows[0])
+        assert {"epoch", "auc", "neighbor_count", "ge_queries", "train_loss"} <= set(rows[0])
+
+    def test_same_rng_seed_reproduces_metrics_and_checkpoint(self, workdir, capsys):
+        runs = []
+        for run in range(2):
+            ckpt = workdir / f"repro{run}.lgnn"
+            metrics = workdir / f"repro{run}.jsonl"
+            rc = main([
+                "train", *graph_flags(workdir), "--records", str(workdir / "records.tsv"),
+                "--epochs", "2", "--neighbors", "5", "--out-dim", "8",
+                "--out", str(ckpt), "--metrics", str(metrics), "--rng-seed", "1",
+            ])
+            assert rc == 0
+            printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("{")]
+            runs.append((printed, metrics.read_text(), ckpt.read_bytes()))
+        assert len(runs[0][0]) == 2
+        assert runs[0] == runs[1]
 
     def test_config_file_overrides_flags(self, workdir, capsys):
         cfg = workdir / "train.cfg"

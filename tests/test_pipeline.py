@@ -1,11 +1,7 @@
-"""Grouping & slicing, adaptive schedule, MLP-init, LGA, prefetch queue."""
+"""Grouping & slicing, adaptive schedule, MLP-init, LGA, data parallelism, AUC."""
 
 from __future__ import annotations
 
-import gc
-import threading
-import time
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -18,9 +14,6 @@ from lignn.pipeline import (
     DUMMY_ITEM_ID,
     AdaptiveState,
     GroupedBatch,
-    PrefetchPipeline,
-    PrefetchQueueConfig,
-    ProducerError,
     TrainingRecord,
     adaptive_step,
     engine_query_count,
@@ -332,92 +325,6 @@ class TestLocalGradientAggregate:
         _, gc, _ = model.loss_and_grads(batch_for(pairs))
         for name in agg:
             np.testing.assert_allclose(agg[name], gc[name], atol=1e-12)
-
-
-class TestPrefetch:
-    def test_single_producer_order_preserved(self):
-        def producer(shard, index):
-            return index if index < 20 else None
-
-        pipe = PrefetchPipeline(producer, PrefetchQueueConfig(capacity=1, producers=1))
-        assert list(pipe) == list(range(20))
-
-    def test_multiset_with_four_producers(self):
-        def producer(shard, index):
-            if index >= 250:
-                return None
-            return (shard, index)
-
-        pipe = PrefetchPipeline(producer, PrefetchQueueConfig(capacity=10, producers=4))
-        got = sorted(pipe)
-        expected = sorted((s, i) for s in range(4) for i in range(250))
-        assert got == expected
-
-    def test_bounded_depth_with_slow_consumer(self):
-        def producer(shard, index):
-            return index if index < 60 else None
-
-        cfg = PrefetchQueueConfig(capacity=3, producers=2)
-        pipe = PrefetchPipeline(producer, cfg)
-        seen = 0
-        for _ in pipe:
-            seen += 1
-            time.sleep(0.001)
-        assert seen == 120
-        assert pipe.max_observed_depth <= cfg.capacity
-
-    def test_producer_error_propagates_after_drain(self):
-        def producer(shard, index):
-            if shard == 1 and index == 5:
-                raise RuntimeError("boom")
-            return index if index < 10 else None
-
-        pipe = PrefetchPipeline(producer, PrefetchQueueConfig(capacity=4, producers=2))
-        delivered = []
-        with pytest.raises(ProducerError):
-            for item in pipe:
-                delivered.append(item)
-        assert len(delivered) >= 5  # batches before the failure still arrive
-
-    def test_consumed_payloads_are_released(self):
-        class Payload:
-            pass
-
-        refs = []
-
-        def producer(shard, index):
-            if index >= 8:
-                return None
-            p = Payload()
-            refs.append(weakref.ref(p))
-            return p
-
-        pipe = PrefetchPipeline(producer, PrefetchQueueConfig(capacity=2, producers=1))
-        from collections import deque
-
-        deque(pipe, maxlen=0)  # consume without binding any payload
-        gc.collect()
-        assert len(refs) == 8
-        assert all(r() is None for r in refs)  # nothing retained after consumption
-
-    def test_backpressure_blocks_producers(self):
-        started = threading.Event()
-        produced = []
-
-        def producer(shard, index):
-            if index >= 10:
-                return None
-            produced.append(index)
-            started.set()
-            return index
-
-        cfg = PrefetchQueueConfig(capacity=2, producers=1)
-        pipe = PrefetchPipeline(producer, cfg)
-        started.wait(timeout=2)
-        time.sleep(0.05)  # give the producer time to fill the queue
-        # producer cannot be far ahead of consumption: queue + one in flight
-        assert len(produced) <= cfg.capacity + 1
-        assert list(pipe) == list(range(10))
 
 
 class TestDataParallel:

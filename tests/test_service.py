@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import socket
 import sys
 import threading
@@ -11,7 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lignn.samplers import PPRConfig, WalkConfig, ppr_forward_push, ppr_two_hop_random_walk, sample_random_multihop
+from lignn.samplers import (
+    NeighborSample,
+    PPRConfig,
+    WalkConfig,
+    ppr_forward_push,
+    ppr_two_hop_random_walk,
+    sample_random_multihop,
+)
 from lignn.service import (
     ClientError,
     FanOutError,
@@ -24,6 +32,7 @@ from lignn.service import (
     serve,
     shard_edge_lines,
 )
+from lignn.service import server as server_mod
 from lignn.service import wire
 from lignn.service.client import tcp_connector
 
@@ -415,6 +424,46 @@ class TestServer:
         resp = client.call(wire.TemporalLastNRequest(wire.WireNode(0, 5), 0))
         assert resp.status == wire.Status.OK
         client.close()
+
+
+SEED = wire.WireNode(0, 5)
+INVALID_REQUESTS = {
+    "push-r_max-0": wire.PPRPushBatchRequest((SEED,), r_max=0.0),
+    "push-alpha-1": wire.PPRPushBatchRequest((SEED,), alpha=1.0),
+    "push-top_k-0": wire.PPRPushBatchRequest((SEED,), top_k=0),
+    "2hop-num_walks-0": wire.PPR2HopRequest(SEED, num_walks=0),
+    "2hop-top_k-0": wire.PPR2HopRequest(SEED, top_k=0),
+    "negative-multiplier": wire.SampleNeighborsRequest(
+        SEED, strategy=1, fanouts=(3,), multipliers=((0, -1.0),)
+    ),
+    "empty-fanouts": wire.SampleNeighborsRequest(SEED, fanouts=()),
+}
+
+
+class TestInvalidRequests:
+    @pytest.mark.parametrize("name", sorted(INVALID_REQUESTS))
+    def test_answered_bad_request_without_traceback(self, single_server, caplog, name):
+        _, _, server, _ = single_server
+        with caplog.at_level(logging.ERROR, logger="lignn.server"):
+            frame = server.handle_payload(wire.encode_request(INVALID_REQUESTS[name])[4:])
+        assert wire.decode_response(frame[4:]).status == wire.Status.BAD_REQUEST
+        assert not caplog.records
+
+    @pytest.mark.parametrize("num_walks,served", [(1 << 20, True), (2**32 - 1, False)])
+    def test_walk_count_is_bounded(self, single_server, monkeypatch, num_walks, served):
+        _, _, server, _ = single_server
+        calls = []
+
+        def record(graph, seed, cfg):
+            calls.append(cfg.num_walks)
+            return NeighborSample(seed, (), "ppr-2hop")
+
+        monkeypatch.setattr(server_mod, "ppr_two_hop_random_walk", record)
+        request = wire.PPR2HopRequest(SEED, num_walks=num_walks)
+        frame = server.handle_payload(wire.encode_request(request)[4:])
+        status = wire.decode_response(frame[4:]).status
+        assert calls == ([num_walks] if served else [])
+        assert status == (wire.Status.OK if served else wire.Status.BAD_REQUEST)
 
 
 class TestClientThreads:

@@ -3,13 +3,15 @@
 Nodes are addressed externally by (node_type, node_id) and internally by a
 dense per-type index. Edges live in per (src_type, edge_type) CSR blocks
 whose per-node runs are sorted by timestamp, so temporal prefix queries are
-binary searches. The graph never mutates after construction; the nearline
-refresher produces new graph objects through a copy-on-write run overlay
-(see ``with_updated_run``).
+binary searches. Nodes and edges never change after construction (only a
+memo of derived neighbour views fills in); the nearline refresher produces
+new graph objects through a copy-on-write run overlay (see
+``with_updated_run``).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -19,6 +21,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 MASK64 = (1 << 64) - 1
+# Node identity range for the graph and the wire: node types fit the int16
+# dst_type column, and node id MASK64 is reserved (pipeline.DUMMY_ITEM_ID).
+MAX_NODE_TYPE = (1 << 15) - 1
+MAX_NODE_ID = MASK64 - 1
 
 
 def mix64(*parts: int) -> int:
@@ -207,8 +213,15 @@ class HeteroGraph:
     """Typed multi-relation graph, immutable after build.
 
     Readers may share an instance freely across threads. ``with_updated_run``
-    returns a new instance that shares the base CSR arrays and carries one
-    more overlay run; swapping to the new instance is the epoch swap.
+    returns a new instance that shares the base CSR arrays, the id lookup
+    and the node refs, and carries one more overlay run; swapping to the new
+    instance is the epoch swap.
+
+    Readers fill a per-epoch memo of unfiltered merged views
+    (``merged_neighbors``), which the next epoch inherits minus the node
+    whose run changed. Filling it from many threads is safe: a view is a
+    deterministic function of the epoch, so racing readers store equal
+    values, and each store is one atomic dict assignment.
     """
 
     def __init__(
@@ -222,15 +235,23 @@ class HeteroGraph:
     ):
         self.schema = schema
         self._node_ids = node_ids
-        # node_ids are sorted ascending per type, so index lookup is a bisect;
-        # a dict would also work but this keeps rebuilds canonical.
         self._features = features
         self._feature_mask = feature_mask
         self._blocks = blocks
         self._overlay = overlay or {}
-        self._id_lookup = {
-            t: {int(nid): i for i, nid in enumerate(ids)} for t, ids in node_ids.items()
+        # one NodeRef per node; node_ids are sorted ascending per type
+        self._refs = {
+            t: [NodeRef(t, nid, i) for i, nid in enumerate(ids.tolist())]
+            for t, ids in node_ids.items()
         }
+        self._id_lookup = {
+            t: {ref.node_id: ref.index for ref in refs} for t, refs in self._refs.items()
+        }
+        self._edge_types = tuple(
+            sorted({et for (_, et) in blocks} | {et for (_, et, _) in self._overlay})
+        )
+        # (src_type, index) -> unfiltered merged view of this epoch
+        self._memo: dict[tuple[int, int], tuple[list[NodeRef], np.ndarray]] = {}
 
     # -- node accessors -----------------------------------------------------
 
@@ -239,10 +260,8 @@ class HeteroGraph:
         return sorted(self._node_ids)
 
     @property
-    def edge_types(self) -> list[int]:
-        types = {et for (_, et) in self._blocks}
-        types.update(et for (_, et, _) in self._overlay)
-        return sorted(types)
+    def edge_types(self) -> tuple[int, ...]:
+        return self._edge_types
 
     def num_nodes(self, node_type: int | None = None) -> int:
         if node_type is None:
@@ -262,12 +281,12 @@ class HeteroGraph:
 
     def node_ref(self, node_type: int, node_id: int) -> NodeRef:
         try:
-            return NodeRef(node_type, node_id, self._id_lookup[node_type][node_id])
+            return self._refs[node_type][self._id_lookup[node_type][node_id]]
         except KeyError:
             raise MissingNodeError(f"no node ({node_type}, {node_id})") from None
 
     def node_ref_by_index(self, node_type: int, index: int) -> NodeRef:
-        return NodeRef(node_type, int(self._node_ids[node_type][index]), index)
+        return self._refs[node_type][index]
 
     def resolve(self, node: NodeRef | tuple[int, int]) -> NodeRef:
         """Re-anchor an external (type, id) pair or foreign NodeRef here."""
@@ -353,23 +372,42 @@ class HeteroGraph:
         per-edge-type multiplier map scales contributions before the sum.
         Neighbors come back sorted by (node_type, node_id) so the ordering is
         stable across differently-indexed graph shards.
+
+        The unfiltered view (all edge types, every multiplier 1.0) is
+        memoized on this epoch, so callers share the returned list and
+        array: neither may be modified, and the weights are read-only.
         """
+        unfiltered = edge_types is None and (
+            not edge_type_weights or all(m == 1.0 for m in edge_type_weights.values())
+        )
+        if unfiltered:
+            hit = self._memo.get((node.node_type, node.index))
+            if hit is not None:
+                return hit
+            edge_type_weights = None  # w * 1.0 == w, so the views are equal
         acc: dict[tuple[int, int], float] = {}
         idx_of: dict[tuple[int, int], int] = {}
-        types = self.edge_types if edge_types is None else edge_types
+        types = self._edge_types if edge_types is None else edge_types
         for et in types:
             mult = 1.0 if edge_type_weights is None else edge_type_weights.get(et, 1.0)
             if mult == 0.0:
                 continue
             run = self._run(node.node_type, et, node.index)
-            for dt, did, didx, w in zip(run.dst_type, run.dst_id, run.dst_index, run.weight):
-                key = (int(dt), int(did))
-                acc[key] = acc.get(key, 0.0) + float(w) * mult
-                idx_of[key] = int(didx)
+            for dt, did, didx, w in zip(
+                run.dst_type.tolist(), run.dst_id.tolist(),
+                run.dst_index.tolist(), run.weight.tolist(),
+            ):
+                key = (dt, did)
+                acc[key] = acc.get(key, 0.0) + w * mult
+                idx_of[key] = didx
         keys = sorted(acc)
-        refs = [NodeRef(t, i, idx_of[(t, i)]) for t, i in keys]
+        refs = [self._refs[t][idx_of[(t, i)]] for t, i in keys]
         weights = np.array([acc[k] for k in keys], dtype=np.float64)
-        return refs, weights
+        weights.flags.writeable = False
+        view = (refs, weights)
+        if unfiltered:
+            self._memo[(node.node_type, node.index)] = view
+        return view
 
     # -- epoch swap ----------------------------------------------------------
 
@@ -385,7 +423,9 @@ class HeteroGraph:
 
         The affected adjacency run is copied with the edge added in timestamp
         order (same (dst, timestamp) updates to max weight, matching the
-        build-time duplicate policy). Base arrays are shared.
+        build-time duplicate policy). Base arrays, the id lookup and the node
+        refs are shared; the memo is inherited without ``src``'s view.
+        ``src`` and ``dst`` must be refs of this graph.
         """
         run = self._run(src.node_type, edge_type, src.index)
         ts_list = run.timestamp.tolist()
@@ -409,12 +449,14 @@ class HeteroGraph:
                 np.insert(run.weight, pos, weight),
                 np.insert(run.timestamp, pos, timestamp),
             )
-        overlay = dict(self._overlay)
-        overlay[(src.node_type, edge_type, src.index)] = new
-        return HeteroGraph(
-            self.schema, self._node_ids, self._features, self._feature_mask,
-            self._blocks, overlay,
-        )
+        nxt = copy.copy(self)
+        nxt._overlay = dict(self._overlay)
+        nxt._overlay[(src.node_type, edge_type, src.index)] = new
+        nxt._memo = dict(self._memo)
+        nxt._memo.pop((src.node_type, src.index), None)
+        if edge_type not in self._edge_types:
+            nxt._edge_types = tuple(sorted(self._edge_types + (edge_type,)))
+        return nxt
 
     # -- serialization -------------------------------------------------------
 
@@ -476,6 +518,15 @@ def _parse_node_line(line: str) -> tuple[int, int, np.ndarray] | None:
     return nt, nid, feats
 
 
+def _identity_problem(node_type: int, node_id: int) -> str | None:
+    """The rejection reason for a node outside the identity range, or None."""
+    if not 0 <= node_type <= MAX_NODE_TYPE:
+        return "node_type_out_of_range"
+    if not 0 <= node_id <= MAX_NODE_ID:
+        return "node_id_out_of_range"
+    return None
+
+
 def build_graph(
     edge_source: Iterable[str],
     node_source: Iterable[str],
@@ -504,6 +555,10 @@ def build_graph(
             report.reject("malformed_edge_row")
             continue
         st, sid, et, dt, did, w, ts = parsed
+        reason = _identity_problem(st, sid) or _identity_problem(dt, did)
+        if reason:
+            report.reject(reason)
+            continue
         kind = schema.kind_of(et)
         if kind is None:
             report.reject("unknown_edge_type")
@@ -534,6 +589,10 @@ def build_graph(
             report.reject("malformed_node_row")
             continue
         nt, nid, feats = parsed
+        reason = _identity_problem(nt, nid)
+        if reason:
+            report.reject(reason)
+            continue
         dim = declared.setdefault(nt, len(feats))
         if len(feats) != dim:
             report.reject("feature_dim_mismatch")

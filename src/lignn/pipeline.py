@@ -9,11 +9,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import HeteroGraph, NodeRef
+from .graph import MASK64, HeteroGraph, NodeRef
 from .model import LinkPredictionModel, ModelConfig, PairBatch, ParamStore, init_params
 from .model.encoder import HopEntry
 
-DUMMY_ITEM_ID = (1 << 64) - 1  # reserved sentinel for padded slots
+DUMMY_ITEM_ID = MASK64  # reserved sentinel for padded slots; never a graph node id
 
 
 class TrainingRecord(NamedTuple):

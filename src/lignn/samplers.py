@@ -89,7 +89,7 @@ class NeighborSample:
 
 
 class LocalAdjacency:
-    """Provider over an in-memory graph, with per-node caching.
+    """Provider over an in-memory graph.
 
     ``neighbors`` returns distinct out-neighbors sorted by (node_type,
     node_id) with aggregated effective weights; unweighted mode replaces the
@@ -107,20 +107,14 @@ class LocalAdjacency:
         self.edge_type_weights = edge_type_weights
         self.edge_types = list(edge_types) if edge_types is not None else None
         self.weighted = weighted
-        self._cache: dict[tuple[int, int], tuple[list[NodeRef], np.ndarray]] = {}
 
     def neighbors(self, node: NodeRef) -> tuple[list[NodeRef], np.ndarray]:
-        key = node.ext()
-        hit = self._cache.get(key)
-        if hit is None:
-            refs, weights = self.graph.merged_neighbors(
-                node, self.edge_type_weights, self.edge_types
-            )
-            if not self.weighted:
-                weights = np.ones(len(refs), dtype=np.float64)
-            hit = (refs, weights)
-            self._cache[key] = hit
-        return hit
+        refs, weights = self.graph.merged_neighbors(
+            node, self.edge_type_weights, self.edge_types
+        )
+        if not self.weighted:
+            weights = np.ones(len(refs), dtype=np.float64)
+        return refs, weights
 
 
 Provider = LocalAdjacency  # structural: anything with .neighbors(ref)

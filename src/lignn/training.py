@@ -147,7 +147,7 @@ class TrainSettings:
 @dataclass
 class EpochMetrics:
     epoch: int
-    auc: float
+    auc: float | None  # None when the validation split holds one label
     neighbor_count: int
     ge_queries: int
     train_loss: float
@@ -245,11 +245,17 @@ class Trainer:
     def train(self, records: Sequence[TrainingRecord]) -> list[EpochMetrics]:
         s = self.settings
         train_recs, val_recs = split_records(records, s.val_fraction, s.rng_seed)
+        adaptive = s.adaptive
+        scorable = len({bool(r.label) for r in val_recs}) == 2
+        if adaptive is not None and not scorable:
+            raise ValueError(
+                "adaptive neighbor counts need validation AUC, but the validation "
+                "split holds only one label"
+            )
         if s.mlp_init_epochs > 0:
             self.model.store = mlp_init(
                 train_recs, self.graph, self.config, epochs=s.mlp_init_epochs, lr=s.lr
             )
-        adaptive = s.adaptive
         eval_count = s.eval_neighbor_count or (
             adaptive.final_count if adaptive else s.neighbor_count
         )
@@ -277,7 +283,7 @@ class Trainer:
                         )
                     )
 
-                auc = self.validation_auc(val_recs, eval_count)
+                auc = self.validation_auc(val_recs, eval_count) if scorable else None
                 if adaptive is not None:
                     adaptive = adaptive_step(adaptive, auc)
                 m = EpochMetrics(

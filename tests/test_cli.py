@@ -150,6 +150,29 @@ class TestTrain:
         assert len(runs[0][0]) == 2
         assert runs[0] == runs[1]
 
+    # with --rng-seed 7 the 6 validation records of the workdir all have label 0
+    def test_one_class_validation_split_reports_null_auc(self, workdir, capsys):
+        metrics = workdir / "metrics.jsonl"
+        rc = main([
+            "train", *graph_flags(workdir), "--records", str(workdir / "records.tsv"),
+            "--epochs", "2", "--neighbors", "5", "--out-dim", "8",
+            "--metrics", str(metrics), "--rng-seed", "7",
+        ])
+        assert rc == 0
+        rows = [json.loads(l) for l in metrics.read_text().splitlines()]
+        assert [r["auc"] for r in rows] == [None, None]
+        assert all(np.isfinite(r["train_loss"]) for r in rows)
+
+    def test_adaptive_with_one_class_validation_split_fails_before_training(self, workdir):
+        metrics = workdir / "metrics.jsonl"
+        with pytest.raises(ValueError, match="only one label"):
+            main([
+                "train", *graph_flags(workdir), "--records", str(workdir / "records.tsv"),
+                "--epochs", "2", "--neighbors", "5", "--out-dim", "8", "--adaptive",
+                "--metrics", str(metrics), "--rng-seed", "7",
+            ])
+        assert not metrics.exists()
+
     def test_config_file_overrides_flags(self, workdir, capsys):
         cfg = workdir / "train.cfg"
         cfg.write_text("epochs = 1\nneighbors = 3\n")

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lignn.densify import DensifyConfig, ExternalEmbeddingTable, densify
 from lignn.graph import (
+    MAX_NODE_ID,
     EdgeKind,
     GraphSchema,
     MissingNodeError,
@@ -17,6 +21,7 @@ from lignn.graph import (
     build_graph,
     connection_affinity_weight,
 )
+from lignn.pipeline import DUMMY_ITEM_ID
 
 from conftest import build, edge_row, node_row, random_weighted_digraph, schema
 
@@ -58,6 +63,28 @@ class TestBuild:
     def test_unknown_edge_type_rejected(self):
         _, report = build([edge_row(0, 1, 77, 1, 2, 0.5)])
         assert report.rejected_reasons == {"unknown_edge_type": 1}
+
+    @pytest.mark.parametrize("edges,nodes,reason", [
+        ([edge_row(0, 1, 0, 40000, 2, 0.5)], [], "node_type_out_of_range"),
+        ([edge_row(0, -5, 0, 1, 2, 0.5)], [], "node_id_out_of_range"),
+        ([edge_row(0, 1, 0, 1, 1 << 64, 0.5)], [], "node_id_out_of_range"),
+        ([edge_row(70000, 1, 0, 1, 2, 0.5)], [], "node_type_out_of_range"),
+        ([edge_row(0, 1, 0, 1, DUMMY_ITEM_ID, 0.5)], [], "node_id_out_of_range"),
+        ([], [node_row(-1, 7, [0.0])], "node_type_out_of_range"),
+        ([], [node_row(1, 1 << 64, [0.0] * 4)], "node_id_out_of_range"),
+    ], ids=["dst_type_40000", "src_id_-5", "dst_id_2^64", "src_type_70000", "dst_id_dummy",
+            "node_type_-1", "node_id_2^64"])
+    def test_out_of_range_identity_rejected(self, edges, nodes, reason):
+        graph, report = build(edges + [edge_row(0, 1, 0, 1, 3, 0.5)], nodes)
+        assert report.rejected_reasons == {reason: 1}
+        assert report.total_edges == 1
+        assert graph.num_nodes() == 2
+
+    def test_identity_range_bounds_accepted(self):
+        graph, report = build([edge_row(32767, MAX_NODE_ID, 0, 0, 0, 0.5)])
+        assert report.rejected_rows == 0
+        src = graph.node_ref(32767, MAX_NODE_ID)
+        assert graph.adjacency(src, 0).dst_type[0] == 0
 
     def test_malformed_line_rejected(self):
         _, report = build(["not a real row\n", edge_row(0, 1, 0, 1, 2, 0.5)])
@@ -283,3 +310,113 @@ class TestEpochSwap:
         dst = graph.node_ref(1, 101)
         g2 = graph.with_updated_run(src, 0, dst, 0.8, 70)
         assert g2.num_edges() == before + 1
+
+
+def _densified(rng):
+    """A multi-type graph with every node's view memoized, then densified."""
+    lines = random_weighted_digraph(rng, 40, 2.0)
+    lines += [edge_row(0, i, 1, 0, (i * 7) % 40, 0.25) for i in range(0, 40, 3)]
+    lines += [edge_row(0, i, 2, 1, 900 + i % 6, 1.0) for i in range(0, 40, 2)]
+    nodes = [node_row(0, i, rng.normal(size=4)) for i in range(40)]
+    nodes += [node_row(1, 900 + j, rng.normal(size=4)) for j in range(6)]
+    sch = GraphSchema.parse("edge.0 = engagement\nedge.1 = affinity\n"
+                            "edge.2 = attribute\nedge.9 = affinity\n")
+    graph, _ = build_graph(lines, nodes, sch)
+    for t in graph.node_types:
+        for i in range(graph.num_nodes(t)):
+            graph.merged_neighbors(graph.node_ref_by_index(t, i))
+    table = ExternalEmbeddingTable(3)
+    for t in graph.node_types:
+        for nid in graph.node_ids(t).tolist():
+            table.put(t, nid, rng.normal(size=3).tolist())
+    cfg = DensifyConfig(0.3, 0.8, k=3, artificial_edge_type=9)
+    return densify(graph, table, cfg).graph, nodes, sch
+
+
+class TestMergedViewMemo:
+    def test_swap_leaves_parent_view_and_updates_child(self, tiny_graph):
+        graph, _ = tiny_graph
+        src = graph.node_ref(0, 10)
+        before = graph.merged_neighbors(src)
+        g2 = graph.with_updated_run(src, 9, graph.node_ref(0, 11), 0.8, 70)
+        assert graph.merged_neighbors(src) is before
+        assert [r.ext() for r in before[0]] == [(1, 100), (1, 101)]
+        refs, weights = g2.merged_neighbors(g2.node_ref(0, 10))
+        assert [r.ext() for r in refs] == [(0, 11), (1, 100), (1, 101)]
+        np.testing.assert_array_equal(weights, [0.8, 0.7, 0.3])
+        assert graph.edge_types == (0, 1, 2)
+        assert g2.edge_types == (0, 1, 2, 9)
+
+    def test_untouched_node_view_is_shared(self, tiny_graph):
+        graph, _ = tiny_graph
+        other = graph.node_ref(0, 11)
+        view = graph.merged_neighbors(other)
+        g2 = graph.with_updated_run(graph.node_ref(0, 10), 0, graph.node_ref(1, 101), 0.8, 70)
+        assert g2.merged_neighbors(g2.node_ref(0, 11)) is view
+        assert g2.merged_neighbors(g2.node_ref(0, 11))[0][0] is g2.node_ref(0, 10)
+
+    @pytest.mark.parametrize("multipliers", [{}, {0: 1.0, 1: 1.0, 2: 1.0}, {5: 1.0}])
+    def test_unit_multipliers_match_unfiltered_view(self, multipliers):
+        rng = np.random.default_rng(8)
+        lines = random_weighted_digraph(rng, 25, 3.0)
+        lines += [edge_row(0, i, 1, 0, (i * 3) % 25, 0.1 + i / 50) for i in range(25)]
+        for i in range(25):
+            plain, _ = build(lines)
+            unit, _ = build(lines)
+            ref = plain.node_ref(0, i)
+            refs, weights = plain.merged_neighbors(ref)
+            urefs, uweights = unit.merged_neighbors(ref, multipliers)
+            frefs, fweights = unit.merged_neighbors(ref, edge_types=(0, 1, 2))
+            assert refs == urefs == frefs
+            assert weights.tobytes() == uweights.tobytes() == fweights.tobytes()
+
+    @pytest.mark.parametrize("kwargs", [{}, {"edge_type_weights": {0: 2.0}}, {"edge_types": [0]}])
+    def test_weights_are_read_only(self, tiny_graph, kwargs):
+        graph, _ = tiny_graph
+        _, weights = graph.merged_neighbors(graph.node_ref(0, 10), **kwargs)
+        with pytest.raises(ValueError):
+            weights[0] = 5.0
+
+    def test_densified_views_equal_rebuilt_graph(self, tmp_path):
+        graph, nodes, sch = _densified(np.random.default_rng(12))
+        dump = tmp_path / "edges.tsv"
+        graph.dump_edges(str(dump))
+        with open(dump) as fh:
+            rebuilt, _ = build_graph(list(fh), nodes, sch)
+        assert rebuilt.edge_types == graph.edge_types
+        for t in graph.node_types:
+            for i in range(graph.num_nodes(t)):
+                refs, weights = graph.merged_neighbors(graph.node_ref_by_index(t, i))
+                rrefs, rweights = rebuilt.merged_neighbors(rebuilt.node_ref_by_index(t, i))
+                assert refs == rrefs
+                assert weights.tobytes() == rweights.tobytes()
+
+    def test_threads_fill_memo_with_serial_views(self):
+        rng = np.random.default_rng(4)
+        lines = random_weighted_digraph(rng, 60, 4.0)
+        serial, _ = build(lines)
+        expect = [serial.merged_neighbors(serial.node_ref(0, i)) for i in range(60)]
+        shared, _ = build(lines)
+        results: list[list] = [[] for _ in range(8)]
+
+        def read(k):
+            order = np.random.default_rng(k).permutation(60).tolist() * 3
+            for i in order:
+                refs, weights = shared.merged_neighbors(shared.node_ref(0, i))
+                results[k].append((i, refs, weights.tobytes()))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        for rows in results:
+            assert len(rows) == 180
+            for i, refs, wbytes in rows:
+                assert refs == expect[i][0] and wbytes == expect[i][1].tobytes()

@@ -236,7 +236,8 @@ def _model_config(args, graph) -> ModelConfig:
 
 def cmd_train(args) -> int:
     graph, _ = _load(args)
-    records = parse_records(open(args.records, encoding="utf-8"))
+    with open(args.records, encoding="utf-8") as fh:
+        records = parse_records(fh)
     config = _model_config(args, graph)
     adaptive = None
     if args.adaptive:
@@ -290,7 +291,8 @@ def cmd_refresh(args) -> int:
     store = ParamStore.load(args.checkpoint)
     with open(args.checkpoint + ".json", encoding="utf-8") as fh:
         config = ModelConfig.from_json(fh.read())
-    events = parse_events(open(args.events, encoding="utf-8"))
+    with open(args.events, encoding="utf-8") as fh:
+        events = parse_events(fh)
     walk = WalkConfig(num_walks=args.walks, top_k=args.topk, rng_seed=args.rng_seed)
     embeddings, _, report = nearline_refresh(
         events, graph, store, config, engagement_edge_type=args.edge_type, walk=walk

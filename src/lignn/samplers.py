@@ -7,7 +7,10 @@ partitioned executions all draw the same samples.
 
 All strategies run against an adjacency provider rather than the graph
 directly; the remote fan-out client substitutes a network-backed provider
-and reuses these exact code paths.
+and reuses these exact code paths. A provider has ``neighbors(ref)``, one
+node's view, and ``prefetch(refs)``, a hint that the views of ``refs`` are
+needed next: a remote provider fetches them in bulk, a local one ignores it,
+so callers pass a lazy iterable that the local path never walks.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,7 +97,8 @@ class LocalAdjacency:
 
     ``neighbors`` returns distinct out-neighbors sorted by (node_type,
     node_id) with aggregated effective weights; unweighted mode replaces the
-    weights with ones (after zero-multiplier filtering).
+    weights with ones (after zero-multiplier filtering). ``prefetch`` does
+    nothing: every view is already in memory.
     """
 
     def __init__(
@@ -116,8 +121,11 @@ class LocalAdjacency:
             weights = np.ones(len(refs), dtype=np.float64)
         return refs, weights
 
+    def prefetch(self, nodes: Iterable[NodeRef]) -> None:
+        pass
 
-Provider = LocalAdjacency  # structural: anything with .neighbors(ref)
+
+Provider = LocalAdjacency  # structural: anything with .neighbors(ref) and .prefetch(refs)
 
 
 def _rng_for(rng_seed: int, node: NodeRef, hop: int | None = None) -> np.random.Generator:
@@ -134,6 +142,7 @@ def _frontier_union(
     provider: Provider, frontier: list[NodeRef]
 ) -> tuple[list[NodeRef], np.ndarray]:
     """Union of the frontier's neighbors with summed weights, ext-sorted."""
+    provider.prefetch(frontier)
     acc: dict[tuple[int, int], float] = {}
     ref_of: dict[tuple[int, int], NodeRef] = {}
     for node in frontier:
@@ -332,72 +341,95 @@ def ppr_exact(
 
 
 class _PushState:
-    """Per-seed forward-push state with a max-residual lazy priority queue."""
+    """Per-seed forward-push state.
 
-    __slots__ = ("p", "r", "heap", "pushes", "truncated", "seed_ref")
+    ``heap`` holds (-residual, key) for the nodes known to be due a push
+    (r > r_max * wdeg); ties pop by the external key (node_type, node_id),
+    never by provider indices. An entry whose residual changed is stale.
+
+    A push does not look up the degrees of the neighbours it changes: it
+    marks them *touched* and keeps ``touched_max``, their largest residual.
+    The touched nodes are *checked* (degree looked up, due ones enqueued)
+    only when one of them could be the next pop, so pops come in the order
+    an immediate check gives. ``deferred`` holds the nodes enqueued at the
+    last check. Their neighbours are prefetched with the next check's
+    touched nodes: residuals only grow until a push, so a node once enqueued
+    stays due, is pushed, and touches its neighbours, whose views the check
+    after that push needs. Nothing prefetched is speculative.
+    """
+
+    __slots__ = ("p", "r", "heap", "touched", "touched_max", "deferred", "pushes",
+                 "truncated", "seed_ref")
 
     def __init__(self, seed_ref: NodeRef):
         self.seed_ref = seed_ref
         self.p: dict[tuple[int, int], float] = {}
         self.r: dict[tuple[int, int], float] = {seed_ref.ext(): 1.0}
-        # entries: (-residual, node_type, index, ext_key); lazily invalidated
-        self.heap: list[tuple[float, int, int, tuple[int, int]]] = []
+        self.heap: list[tuple[float, tuple[int, int]]] = []
+        self.touched: set[tuple[int, int]] = {seed_ref.ext()}
+        self.touched_max = 1.0
+        self.deferred: list[NodeRef] = []
         self.pushes = 0
         self.truncated = False
+
+    def check_due(self) -> bool:
+        """Drop stale heap tops; True when a touched node could pop next."""
+        heap, r = self.heap, self.r
+        while heap and r[heap[0][1]] != -heap[0][0]:
+            heapq.heappop(heap)
+        return bool(self.touched) and (not heap or self.touched_max >= -heap[0][0])
+
+    def pending(self, provider: Provider, ref_of: dict) -> Iterator[NodeRef]:
+        """The nodes whose views this seed's next check and pushes need."""
+        yield from map(ref_of.__getitem__, self.touched)
+        for node in self.deferred:
+            yield from provider.neighbors(node)[0]
+
+    def check(self, provider: Provider, ref_of: dict, wdeg: dict, config: PPRConfig) -> None:
+        """Enqueue the touched nodes that are due; they become ``deferred``.
+        ``wdeg`` caches weighted degrees by key for the whole batch."""
+        r, heap, r_max = self.r, self.heap, config.r_max
+        self.deferred = []
+        for key in self.touched:
+            d = wdeg.get(key)
+            if d is None:
+                d = wdeg[key] = _wdeg(provider.neighbors(ref_of[key])[1])
+            if r[key] > r_max * d:
+                heapq.heappush(heap, (-r[key], key))
+                self.deferred.append(ref_of[key])
+        self.touched, self.touched_max = set(), 0.0
+
+    def push(self, node: NodeRef, provider: Provider, ref_of: dict, wdeg: dict,
+             config: PPRConfig) -> None:
+        key = node.ext()
+        r = self.r
+        rv = r[key]
+        refs, weights = provider.neighbors(node)
+        self.p[key] = self.p.get(key, 0.0) + config.alpha * rv
+        spread = (1.0 - config.alpha) * rv
+        self.pushes += 1
+        if len(refs) == 0:
+            # self-loop: the residual returns to the node, whose degree is known
+            r[key] = spread
+            if spread > config.r_max:
+                heapq.heappush(self.heap, (-spread, key))
+            return
+        r[key] = 0.0
+        total = wdeg[key]  # every node popped with neighbours was checked
+        touched, top = self.touched, self.touched_max
+        for nref, w in zip(refs, weights.tolist()):
+            nkey = nref.ext()
+            rn = r[nkey] = r.get(nkey, 0.0) + spread * w / total
+            ref_of[nkey] = nref
+            touched.add(nkey)
+            if rn > top:
+                top = rn
+        self.touched_max = top
 
 
 def _wdeg(weights: np.ndarray) -> float:
     # dangling nodes act as weight-1 self-loops
     return float(weights.sum()) if len(weights) else 1.0
-
-
-def _maybe_enqueue(state: _PushState, ref: NodeRef, threshold: float, r_max: float) -> None:
-    rv = state.r.get(ref.ext(), 0.0)
-    if rv > r_max * threshold:
-        heapq.heappush(state.heap, (-rv, ref.node_type, ref.index, ref.ext()))
-
-
-def _pop_push_target(
-    state: _PushState, ref_of: dict[tuple[int, int], NodeRef]
-) -> NodeRef | None:
-    """Next node due for a push, or None when all residuals are settled."""
-    while state.heap:
-        neg_r, _, _, key = heapq.heappop(state.heap)
-        if state.r.get(key, 0.0) != -neg_r:
-            continue  # stale entry
-        return ref_of[key]
-    return None
-
-
-def _apply_push(
-    state: _PushState,
-    node: NodeRef,
-    provider: Provider,
-    ref_of: dict[tuple[int, int], NodeRef],
-    alpha: float,
-    r_max: float,
-) -> None:
-    key = node.ext()
-    rv = state.r[key]
-    refs, weights = provider.neighbors(node)
-    total = _wdeg(weights)
-    state.p[key] = state.p.get(key, 0.0) + alpha * rv
-    state.r[key] = 0.0
-    spread = (1.0 - alpha) * rv
-    if len(refs) == 0:
-        # self-loop: residual returns to the node itself
-        state.r[key] = spread
-        ref_of[key] = node
-        _maybe_enqueue(state, node, 1.0, r_max)
-    else:
-        for nref, w in zip(refs, weights):
-            nkey = nref.ext()
-            state.r[nkey] = state.r.get(nkey, 0.0) + spread * float(w) / total
-            ref_of[nkey] = nref
-        for nref in refs:
-            nrefs, nweights = provider.neighbors(nref)
-            _maybe_enqueue(state, nref, _wdeg(nweights), r_max)
-    state.pushes += 1
 
 
 def _hop_labels(
@@ -478,8 +510,8 @@ def ppr_forward_push_batch(
     """Forward push for many seeds at once; each seed's result is
     bit-identical to pushing that seed alone (``ppr_forward_push``).
 
-    Each round advances every active seed by one push; the distinct push
-    targets of a round share one adjacency fetch. Per-seed push order (and
+    Each round advances every active seed by one push; the seeds due a
+    check in a round share one ``prefetch``. Per-seed push order (and
     therefore floating-point arithmetic order) does not depend on the other
     seeds.
     """
@@ -490,6 +522,7 @@ def ppr_forward_push_batch(
     states: list[_PushState | None] = []
     errors: dict[int, NeighborSample] = {}
     ref_of: dict[tuple[int, int], NodeRef] = {}
+    wdeg: dict[tuple[int, int], float] = {}
     for i, seed in enumerate(seeds):
         try:
             seed_ref = resolve(seed)
@@ -497,29 +530,25 @@ def ppr_forward_push_batch(
             errors[i] = NeighborSample((seed[0], seed[1]), (), "ppr-push", error=str(exc))
             states.append(None)
             continue
-        st = _PushState(seed_ref)
         ref_of[seed_ref.ext()] = seed_ref
-        _, sweights = provider.neighbors(seed_ref)
-        _maybe_enqueue(st, seed_ref, _wdeg(sweights), config.r_max)
-        states.append(st)
+        states.append(_PushState(seed_ref))
     active = [st for st in states if st is not None]
     while active:
-        # consolidate this round: collect each active seed's next target first
-        targets: list[tuple[_PushState, NodeRef]] = []
+        due = [st for st in active if st.check_due()]
+        if due:
+            provider.prefetch(chain.from_iterable(st.pending(provider, ref_of) for st in due))
+            for st in due:
+                st.check(provider, ref_of, wdeg, config)
         still = []
         for st in active:
-            tgt = _pop_push_target(st, ref_of)
-            if tgt is None:
+            if not st.heap:
                 continue
             if st.pushes >= config.max_pushes:
                 st.truncated = True
                 continue
-            targets.append((st, tgt))
+            _, key = heapq.heappop(st.heap)
+            st.push(ref_of[key], provider, ref_of, wdeg, config)
             still.append(st)
-        for _, tgt in targets:
-            provider.neighbors(tgt)  # one shared fetch per distinct node
-        for st, tgt in targets:
-            _apply_push(st, tgt, provider, ref_of, config.alpha, config.r_max)
         active = still
     out: list[NeighborSample] = []
     for i, st in enumerate(states):
@@ -538,6 +567,7 @@ class _Ball:
 
     def __init__(self, provider: Provider, seed_ref: NodeRef):
         one_hop, _ = provider.neighbors(seed_ref)
+        provider.prefetch(one_hop)
         members: dict[tuple[int, int], NodeRef] = {seed_ref.ext(): seed_ref}
         for ref in one_hop:
             members[ref.ext()] = ref
@@ -550,6 +580,7 @@ class _Ball:
         self.local = {k: i for i, k in enumerate(keys)}
         self.seed_local = self.local[seed_ref.ext()]
         self.one_hop = {r.ext() for r in one_hop}
+        provider.prefetch(self.refs)
 
         indptr = [0]
         dest: list[int] = []

@@ -14,7 +14,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from ..samplers import (
 )
 from . import wire
 from .partition import PartitionMap
+from .server import MAX_BATCH_NODES
 
 logger = logging.getLogger("lignn.client")
 
@@ -183,8 +184,8 @@ class GraphEngineClient:
         """Route by the request's node and execute with retries."""
         if request.opcode == wire.Opcode.PPR_PUSH_BATCH:
             return self._call_push_batch(request)
-        if request.opcode == wire.Opcode.HEALTH:
-            raise ClientError("health checks need an explicit address")
+        if request.opcode in (wire.Opcode.HEALTH, wire.Opcode.NEIGHBORS_BATCH):
+            raise ClientError(f"{request.opcode.name} needs an explicit address")
         node = request.seed if request.opcode == wire.Opcode.SAMPLE_NEIGHBORS else request.node
         return self.call_address(self.pmap.address_of(node), request)
 
@@ -204,7 +205,7 @@ class GraphEngineClient:
             resp = self.call_address(self.pmap.addresses[owner], sub)
             for i, res in zip(indices, resp.results):
                 merged[i] = res
-        return wire.SampleBatchResponse(wire.Status.OK, tuple(merged))
+        return wire.SampleBatchResponse(request.opcode, wire.Status.OK, tuple(merged))
 
     def health(self, address: str) -> wire.HealthResponse:
         return self.call_address(address, wire.HealthRequest())
@@ -224,9 +225,16 @@ class GraphEngineClient:
 class RemoteAdjacency:
     """Adjacency provider backed by the sharded engine.
 
-    NodeRef indices are client-side discovery indices (dense, deterministic
-    traversal order); orderings that matter for cross-partition equality use
-    external (node_type, node_id) keys throughout the sampler cores.
+    Views are cached per node. A miss in ``neighbors`` (and ``resolve``)
+    fetches one node with ``SAMPLE_NEIGHBORS`` (weighted, ``FANOUT_ALL``);
+    ``prefetch`` fetches the uncached nodes it is given with one
+    ``NEIGHBORS_BATCH`` per owning shard, which answers each node with the
+    same entries. A node whose batch result failed stays uncached, so its
+    next ``neighbors`` call raises as a single miss does.
+
+    NodeRef indices are client-side discovery indices (dense, in fetch
+    order); orderings that matter for cross-partition equality use external
+    (node_type, node_id) keys throughout the sampler cores.
     """
 
     def __init__(
@@ -247,6 +255,12 @@ class RemoteAdjacency:
             idx = len(self._registry)
             self._registry[ext] = idx
         return NodeRef(ext[0], ext[1], idx)
+
+    def _view(self, entries) -> tuple[list[NodeRef], np.ndarray]:
+        refs = [self._ref((e.node.node_type, e.node.node_id)) for e in entries]
+        if not self.weighted:
+            return refs, np.ones(len(refs), dtype=np.float64)
+        return refs, np.array([e.score for e in entries], dtype=np.float64)
 
     def resolve(self, node) -> NodeRef:
         ext = (node[0], node[1])
@@ -272,13 +286,27 @@ class RemoteAdjacency:
             if exc.status == wire.Status.BAD_REQUEST and "no node" in exc.message:
                 raise MissingNodeError(exc.message) from None
             raise
-        refs = [self._ref((e.node.node_type, e.node.node_id)) for e in response.entries]
-        weights = np.array([e.score for e in response.entries], dtype=np.float64)
-        if not self.weighted:
-            weights = np.ones(len(refs), dtype=np.float64)
-        hit = (refs, weights)
-        self._cache[ext] = hit
+        hit = self._cache[ext] = self._view(response.entries)
         return hit
+
+    def prefetch(self, nodes: Iterable[NodeRef]) -> None:
+        """Fetch the views of the distinct uncached ``nodes``, one round trip
+        per owning shard and chunk of ``MAX_BATCH_NODES``."""
+        pmap, cache = self.client.pmap, self._cache
+        by_owner: dict[int, list[tuple[int, int]]] = {}
+        for ext in dict.fromkeys((node[0], node[1]) for node in nodes):
+            if ext not in cache:
+                by_owner.setdefault(pmap.owner(ext), []).append(ext)
+        for owner, exts in sorted(by_owner.items()):
+            for lo in range(0, len(exts), MAX_BATCH_NODES):
+                chunk = exts[lo : lo + MAX_BATCH_NODES]
+                request = wire.NeighborsBatchRequest(
+                    tuple(wire.WireNode(*ext) for ext in chunk), self.multipliers
+                )
+                response = self.client.call_address(pmap.addresses[owner], request)
+                for ext, result in zip(chunk, response.results):
+                    if result.status == wire.Status.OK:
+                        cache[ext] = self._view(result.entries)
 
 
 # -- fan-out sampling -----------------------------------------------------------------

@@ -24,6 +24,8 @@ logger = logging.getLogger("lignn.server")
 
 # The walk sampler holds one position per walk: bound what a request can ask for.
 MAX_WALKS = 1 << 20
+# Nodes one NEIGHBORS_BATCH request may name; clients split larger fetches.
+MAX_BATCH_NODES = 4096
 
 
 class GraphEngineServer:
@@ -116,6 +118,8 @@ class GraphEngineServer:
             return self._health()
         if op == wire.Opcode.PPR_PUSH_BATCH:
             return self._ppr_push_batch(request)
+        if op == wire.Opcode.NEIGHBORS_BATCH:
+            return self._neighbors_batch(request)
         node = request.seed if op == wire.Opcode.SAMPLE_NEIGHBORS else request.node
         if not self._owned(node):
             return wire.error_response(op, wire.Status.NOT_OWNED, "not owned")
@@ -184,7 +188,32 @@ class GraphEngineServer:
         cfg = PPRConfig(alpha=req.alpha, r_max=req.r_max, top_k=req.top_k)
         samples = ppr_forward_push_batch(self.graph, list(req.seeds), cfg)
         results = tuple(_sample_reply(req.opcode, [sample]) for sample in samples)
-        return wire.SampleBatchResponse(wire.Status.OK, results)
+        return wire.SampleBatchResponse(req.opcode, wire.Status.OK, results)
+
+    def _neighbors_batch(self, req: wire.NeighborsBatchRequest) -> wire.SampleBatchResponse:
+        """Per node, what SAMPLE_NEIGHBORS with strategy 1 and FANOUT_ALL returns:
+        the merged view's entries of positive weight, at hop 1."""
+        if not 0 < len(req.nodes) <= MAX_BATCH_NODES:
+            raise ValueError(f"batch of {len(req.nodes)} nodes, not 1 to {MAX_BATCH_NODES}")
+        multipliers = dict(req.multipliers)
+        for et, m in multipliers.items():
+            if m < 0:
+                raise ValueError(f"negative multiplier for edge type {et}")
+        if not all(map(self._owned, req.nodes)):
+            return wire.error_response(req.opcode, wire.Status.NOT_OWNED, "nodes not owned")
+        op, results = req.opcode, []
+        for node in req.nodes:
+            try:
+                refs, weights = self.graph.merged_neighbors(self.graph.resolve(node), multipliers)
+            except MissingNodeError as exc:
+                results.append(wire.SampleResponse(op, wire.Status.BAD_REQUEST, error=str(exc)))
+                continue
+            entries = tuple(
+                wire.WireEntry(wire.WireNode(ref.node_type, ref.node_id), w, 1)
+                for ref, w in zip(refs, weights.tolist()) if w > 0.0
+            )
+            results.append(wire.SampleResponse(op, wire.Status.OK, entries))
+        return wire.SampleBatchResponse(op, wire.Status.OK, tuple(results))
 
     def _temporal(self, req: wire.TemporalLastNRequest) -> wire.TemporalResponse:
         before = math.inf if req.before_ts == wire.TS_MAX else req.before_ts

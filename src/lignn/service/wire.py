@@ -8,10 +8,11 @@ u64 node_id); internal dense indices never cross the wire.
 The rest of the payload is laid out by the ``layout`` table of its message
 class: (field name, field codec) pairs in wire order. A field codec is one
 fixed-size struct (``_Struct``: a scalar such as ``_U32``, or ``_NODE``), a
-counted sequence of one fixed-size struct (``_Seq``), or the per-seed
-results of a ``PPR_PUSH_BATCH`` reply (``_Results``). One encoder
-(``_pack``) and one decoder (``_unpack``) walk these tables; no message
-class encodes itself.
+counted sequence of one fixed-size struct (``_Seq``), or the per-item
+results of a batch reply (``_Results``): one per seed of ``PPR_PUSH_BATCH``
+and one per node of ``NEIGHBORS_BATCH``, both in ``SampleBatchResponse``.
+One encoder (``_pack``) and one decoder (``_unpack``) walk these tables; no
+message class encodes itself.
 
 A response whose status is not OK has no layout body. Its body is the error
 message: ``u32 byte_length`` followed by that many bytes of UTF-8. The rule
@@ -39,6 +40,7 @@ class Opcode(IntEnum):
     PPR_PUSH_BATCH = 0x04
     TEMPORAL_LAST_N = 0x05
     HEALTH = 0x06
+    NEIGHBORS_BATCH = 0x07
 
 
 class Status(IntEnum):
@@ -128,8 +130,9 @@ class _Text:
 
 
 class _Results:
-    """u32 count, then per seed: u8 status, u32 body length and the body of a
-    ``SampleResponse`` with that status."""
+    """u32 count, then per result: u8 status, u32 body length and the body of
+    a ``SampleResponse`` with that status. A result carries the opcode of the
+    batch reply that holds it, the first byte of the payload."""
 
     head = struct.Struct("<BI")
 
@@ -144,6 +147,7 @@ class _Results:
     def unpack(self, data, pos: int):
         (n,) = _LEN.unpack_from(data, pos)
         pos += _LEN.size
+        opcode = Opcode(data[0])
         results = []
         for _ in range(n):
             st, size = self.head.unpack_from(data, pos)
@@ -151,7 +155,7 @@ class _Results:
             if pos > len(data):
                 raise WireError("truncated payload")
             sub = data[:pos]  # the body must end exactly at its length
-            results.append(_unpack_reply(SampleResponse, Opcode.PPR_PUSH_BATCH, st, sub, start))
+            results.append(_unpack_reply(SampleResponse, opcode, st, sub, start))
         return tuple(results), pos
 
 
@@ -215,6 +219,15 @@ class PPRPushBatchRequest:
 
 
 @dataclass(frozen=True)
+class NeighborsBatchRequest:
+    nodes: tuple[WireNode, ...]
+    multipliers: tuple[tuple[int, float], ...] = ()  # (edge_type, multiplier)
+
+    opcode = Opcode.NEIGHBORS_BATCH
+    layout = (("nodes", _Seq("I", _NODE)), ("multipliers", _Seq("H", _PAIR)))
+
+
+@dataclass(frozen=True)
 class TemporalLastNRequest:
     node: WireNode
     edge_type: int
@@ -236,7 +249,7 @@ class HealthRequest:
 
 @dataclass(frozen=True)
 class SampleResponse:
-    opcode: Opcode  # answers SAMPLE_NEIGHBORS, PPR_2HOP and each PPR_PUSH_BATCH seed
+    opcode: Opcode  # answers SAMPLE_NEIGHBORS, PPR_2HOP and each batch result
     status: Status = Status.OK
     entries: tuple[WireEntry, ...] = ()
     truncated: bool = False
@@ -247,11 +260,11 @@ class SampleResponse:
 
 @dataclass(frozen=True)
 class SampleBatchResponse:
+    opcode: Opcode  # answers PPR_PUSH_BATCH and NEIGHBORS_BATCH
     status: Status = Status.OK
     results: tuple[SampleResponse, ...] = ()
     error: str = ""
 
-    opcode = Opcode.PPR_PUSH_BATCH
     layout = (("results", _Results()),)
 
 
@@ -293,6 +306,7 @@ _REQUEST_TYPES = {
     Opcode.PPR_PUSH_BATCH: PPRPushBatchRequest,
     Opcode.TEMPORAL_LAST_N: TemporalLastNRequest,
     Opcode.HEALTH: HealthRequest,
+    Opcode.NEIGHBORS_BATCH: NeighborsBatchRequest,
 }
 _RESPONSE_TYPES = {
     Opcode.SAMPLE_NEIGHBORS: SampleResponse,
@@ -301,6 +315,7 @@ _RESPONSE_TYPES = {
     Opcode.PPR_PUSH_BATCH: SampleBatchResponse,
     Opcode.TEMPORAL_LAST_N: TemporalResponse,
     Opcode.HEALTH: HealthResponse,
+    Opcode.NEIGHBORS_BATCH: SampleBatchResponse,
 }
 
 
@@ -310,7 +325,7 @@ def error_response(opcode: Opcode, status: Status, message: str):
 
 
 def _reply(cls, opcode: Opcode, **fields):
-    if cls is SampleResponse:
+    if cls is SampleResponse or cls is SampleBatchResponse:
         fields["opcode"] = opcode
     return cls(**fields)
 

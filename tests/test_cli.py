@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +230,31 @@ class TestRefresh:
             ])
             dumps.append(out.read_bytes())
         assert dumps[0] == dumps[1]
+
+
+class TestInputFiles:
+    def test_train_and_refresh_close_their_inputs(self, workdir, capsys, monkeypatch):
+        # an unclosed file warns when it is collected; as an error the warning
+        # cannot propagate from there, so the unraisable hook records it
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        events = workdir / "events.tsv"
+        events.write_text("100\tclick\t0\t1\t1\t101\n")
+        ckpt = workdir / "model.lgnn"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            main([
+                "train", *graph_flags(workdir), "--records", str(workdir / "records.tsv"),
+                "--epochs", "1", "--neighbors", "5", "--out-dim", "8",
+                "--out", str(ckpt), "--rng-seed", "1",
+            ])
+            main([
+                "refresh", *graph_flags(workdir), "--events", str(events),
+                "--checkpoint", str(ckpt), "--out", str(workdir / "store.tsv"),
+                "--walks", "200",
+            ])
+            gc.collect()
+        assert [u.exc_value for u in unraisable] == []
 
 
 class TestConfigFileErrors:

@@ -82,6 +82,13 @@ class TestCodec:
         req = wire.PPRPushBatchRequest(seeds, alpha, rmax, topk)
         assert wire.decode_request(wire.encode_request(req)[4:]) == req
 
+    @given(st.lists(nodes_st, max_size=6).map(tuple),
+           st.lists(st.tuples(st.integers(0, 0xFFFF), scores_st), max_size=4).map(tuple))
+    @settings(max_examples=100, deadline=None)
+    def test_neighbors_batch_round_trip(self, nodes, mult):
+        req = wire.NeighborsBatchRequest(nodes, mult)
+        assert wire.decode_request(wire.encode_request(req)[4:]) == req
+
     @given(nodes_st, st.integers(0, 0xFFFF), st.integers(-(2**62), 2**62),
            st.integers(0, 0xFFFFFFFF))
     @settings(max_examples=100, deadline=None)
@@ -112,7 +119,19 @@ class TestCodec:
         results = tuple(
             wire.SampleResponse(wire.Opcode.PPR_PUSH_BATCH, wire.Status.OK, e) for e in entry_sets
         )
-        resp = wire.SampleBatchResponse(wire.Status.OK, results)
+        resp = wire.SampleBatchResponse(wire.Opcode.PPR_PUSH_BATCH, wire.Status.OK, results)
+        assert wire.decode_response(wire.encode_response(resp)[4:]) == resp
+
+    @given(st.lists(st.one_of(entries_st, st.text(max_size=20)), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_neighbors_batch_response_round_trip(self, items):
+        op = wire.Opcode.NEIGHBORS_BATCH
+        results = tuple(
+            wire.SampleResponse(op, wire.Status.BAD_REQUEST, error=item) if isinstance(item, str)
+            else wire.SampleResponse(op, wire.Status.OK, item)
+            for item in items
+        )
+        resp = wire.SampleBatchResponse(op, wire.Status.OK, results)
         assert wire.decode_response(wire.encode_response(resp)[4:]) == resp
 
     @given(st.lists(scores_st, max_size=8).map(tuple))
@@ -169,6 +188,10 @@ GOLDEN_REQUESTS = [
     (wire.TemporalLastNRequest(W(4, 8), 6, -3, 12),
      "1900000005040008000000000000000600fdffffffffffffff0c000000"),
     (wire.HealthRequest(), "0100000006"),
+    # the rows below were added with NEIGHBORS_BATCH; their hex was checked by
+    # hand against the layout tables
+    (wire.NeighborsBatchRequest((W(0, 1), W(2, 0x0102)), ((1, 0.5),)),
+     "250000000702000000000001000000000000000200020100000000000001000100000000000000e03f"),
 ]
 
 GOLDEN_RESPONSES = [
@@ -181,15 +204,15 @@ GOLDEN_RESPONSES = [
      "0f0000000101090000006e6f74206f776e6564"),
     (wire.SampleResponse(OP.PPR_2HOP, ST.INTERNAL, error="b\u00e4d"),
      "0a00000003030400000062c3a464"),
-    (wire.SampleBatchResponse(ST.OK, (
+    (wire.SampleBatchResponse(OP.PPR_PUSH_BATCH, ST.OK, (
         wire.SampleResponse(OP.PPR_PUSH_BATCH, ST.OK, (E(W(5, 6), 0.5, 2),), True),
         wire.SampleResponse(OP.PPR_PUSH_BATCH, ST.BAD_REQUEST, error="no node"),
         wire.SampleResponse(OP.PPR_PUSH_BATCH, ST.OK, (), False),
     )),
      "3d0000000400030000000018000000010100000005000600000000000000000000000000"
      "e03f02020b000000070000006e6f206e6f646500050000000000000000"),
-    (wire.SampleBatchResponse(ST.OK, ()), "06000000040000000000"),
-    (wire.SampleBatchResponse(ST.NOT_OWNED, error="2 seeds not owned"),
+    (wire.SampleBatchResponse(OP.PPR_PUSH_BATCH, ST.OK, ()), "06000000040000000000"),
+    (wire.SampleBatchResponse(OP.PPR_PUSH_BATCH, ST.NOT_OWNED, error="2 seeds not owned"),
      "1700000004011100000032207365656473206e6f74206f776e6564"),
     (wire.FeaturesResponse(ST.OK, (1.0, -0.5, 3.25)),
      "1e000000020003000000000000000000f03f000000000000e0bf0000000000000a40"),
@@ -203,6 +226,14 @@ GOLDEN_RESPONSES = [
      "240000000600020000003c000000000000000100030000000000000001000000f000000000000000"),
     (wire.HealthResponse(ST.OK, (), ()), "06000000060000000000"),
     (wire.HealthResponse(ST.INTERNAL, error="boom"), "0a000000060304000000626f6f6d"),
+    (wire.SampleBatchResponse(OP.NEIGHBORS_BATCH, ST.OK, (
+        wire.SampleResponse(OP.NEIGHBORS_BATCH, ST.OK, (E(W(1, 3), 2.0, 1),)),
+        wire.SampleResponse(OP.NEIGHBORS_BATCH, ST.BAD_REQUEST, error="no node"),
+    )),
+     "330000000700020000000018000000000100000001000300000000000000000000000000004001020b"
+     "000000070000006e6f206e6f6465"),
+    (wire.SampleBatchResponse(OP.NEIGHBORS_BATCH, ST.NOT_OWNED, error="nodes not owned"),
+     "1500000007010f0000006e6f646573206e6f74206f776e6564"),
 ]
 
 
@@ -286,6 +317,7 @@ class TestFuzz:
     @given(payloads_st)
     @example(MALFORMED_REPLIES[0])
     @example(MALFORMED_REPLIES[1])
+    @example(bytes.fromhex(GOLDEN_RESPONSES[-2][1])[4:-3])  # a batch result cut short
     @settings(max_examples=400, deadline=None)
     def test_decoders_raise_only_wire_error(self, payload):
         for decode in (wire.decode_request, wire.decode_response):
@@ -407,6 +439,12 @@ class TestServer:
                     server.address, wire.GetFeaturesRequest(wire.WireNode(0, foreign))
                 )
             assert err.value.status == wire.Status.NOT_OWNED
+            # one foreign node fails a whole neighbour batch
+            own = next(i for i in range(60) if pmap.owner((0, i)) == 0)
+            batch = wire.NeighborsBatchRequest((wire.WireNode(0, own), wire.WireNode(0, foreign)))
+            with pytest.raises(RemoteStatusError) as err:
+                client.call_address(server.address, batch)
+            assert err.value.status == wire.Status.NOT_OWNED
             client.close()
         finally:
             server.stop()
@@ -416,6 +454,31 @@ class TestServer:
         client = make_client(pmap)
         resp = client.call(wire.GetFeaturesRequest(wire.WireNode(0, 5)))
         np.testing.assert_allclose(resp.values, graph.features_of(graph.node_ref(0, 5)))
+        client.close()
+
+    @pytest.mark.parametrize("multipliers", [(), ((0, 2.5),), ((0, 0.0),)])
+    def test_neighbors_batch_equals_sample_neighbors(self, single_server, multipliers):
+        _, _, server, pmap = single_server
+        client = make_client(pmap)
+        nodes = tuple(wire.WireNode(0, i) for i in range(60))
+        resp = client.call_address(server.address, wire.NeighborsBatchRequest(nodes, multipliers))
+        assert resp.opcode == wire.Opcode.NEIGHBORS_BATCH and len(resp.results) == 60
+        for node, result in zip(nodes, resp.results):
+            single = client.call(wire.SampleNeighborsRequest(
+                node, strategy=1, fanouts=(wire.FANOUT_ALL,), multipliers=multipliers
+            ))
+            assert result.status == wire.Status.OK
+            assert result.entries == single.entries
+        client.close()
+
+    def test_neighbors_batch_unknown_node_fails_alone(self, single_server):
+        _, _, server, pmap = single_server
+        client = make_client(pmap)
+        request = wire.NeighborsBatchRequest((wire.WireNode(0, 9999), wire.WireNode(0, 5)))
+        resp = client.call_address(server.address, request)
+        missing, known = resp.results
+        assert resp.status == known.status == wire.Status.OK and known.entries
+        assert missing.status == wire.Status.BAD_REQUEST and "no node" in missing.error
         client.close()
 
     def test_temporal_over_wire(self, single_server):
@@ -437,6 +500,9 @@ INVALID_REQUESTS = {
         SEED, strategy=1, fanouts=(3,), multipliers=((0, -1.0),)
     ),
     "empty-fanouts": wire.SampleNeighborsRequest(SEED, fanouts=()),
+    "batch-empty": wire.NeighborsBatchRequest(()),
+    "batch-negative-multiplier": wire.NeighborsBatchRequest((SEED,), ((0, -1.0),)),
+    "batch-too-many-nodes": wire.NeighborsBatchRequest((SEED,) * (server_mod.MAX_BATCH_NODES + 1)),
 }
 
 
@@ -626,12 +692,49 @@ def clusters(live_graph):
         c.stop()
 
 
+@pytest.fixture(scope="module")
+def wide_cluster():
+    """Two shards of a 400-node graph: a push from one seed reads hundreds of
+    views, enough to show how many round trips fetch them."""
+    rng = np.random.default_rng(67)
+    lines = random_weighted_digraph(rng, 400, 5.0)
+    graph, _ = build(lines)
+    cluster = ShardedCluster(lines, [], 2)
+    yield graph, cluster
+    cluster.stop()
+
+
 def sample_key(result):
     if isinstance(result, list):  # multihop: per-hop samples
         return [
             [(e.node.ext(), e.score, e.hop) for e in hop.entries] for hop in result
         ]
     return [(e.node.ext(), e.score, e.hop) for e in result.entries]
+
+
+class RecordingTransport:
+    """A TCP connection that logs each request it sends."""
+
+    def __init__(self, inner, log: list):
+        self.inner, self.log = inner, log
+
+    def request(self, frame: bytes) -> bytes:
+        self.log.append(wire.decode_request(frame[4:]))
+        return self.inner.request(frame)
+
+    def close(self) -> None:
+        self.inner.close()
+
+
+def views_fetched(requests) -> set:
+    """The distinct nodes whose neighbour lists the requests asked for."""
+    nodes = set()
+    for req in requests:
+        if req.opcode == wire.Opcode.SAMPLE_NEIGHBORS:
+            nodes.add(req.seed)
+        elif req.opcode == wire.Opcode.NEIGHBORS_BATCH:
+            nodes.update(req.nodes)
+    return nodes
 
 
 class TestFanOut:
@@ -681,6 +784,48 @@ class TestFanOut:
             remote_scores = {e.node.ext(): e.score for e in remote.entries}
             local_scores = {e.node.ext(): e.score for e in local.entries}
             assert remote_scores == local_scores
+
+    def test_push_ties_pop_in_node_order(self):
+        # after two pushes nodes 30 and 5 hold equal residuals; the remote
+        # provider discovers 30 first, the local graph indexes 5 first
+        edges = [(1, 10), (1, 20), (10, 30), (20, 5), (30, 1), (5, 1)]
+        graph, _ = build([edge_row(0, u, 0, 0, v, 1.0) for u, v in edges])
+        server = serve(graph, "127.0.0.1:0", PartitionMap(("127.0.0.1:0",)), 0)
+        try:
+            server.pmap = PartitionMap((server.address,))
+            client = make_client(server.pmap)
+            cfg = PPRConfig(r_max=1e-4, top_k=10, max_pushes=4)
+            [remote] = fan_out_sample(client, [(0, 1)], "ppr-push", ppr=cfg)
+            client.close()
+        finally:
+            server.stop()
+        local = ppr_forward_push(graph, (0, 1), cfg)
+        assert (0, 5) in [e.node.ext() for e in local.entries]
+        assert sample_key(remote) == sample_key(local)
+
+    @pytest.mark.parametrize("strategy,kw", [
+        ("random", {"fanouts": [4, 4], "rng_seed": 9}),
+        ("ppr-push", {"ppr": PPRConfig(alpha=0.2, r_max=1e-4, top_k=10)}),
+    ])
+    def test_round_trips_are_batched(self, wide_cluster, strategy, kw):
+        graph, cluster = wide_cluster
+        log: list = []
+        tcp = tcp_connector()
+        client = make_client(cluster.pmap,
+                             connector=lambda address: RecordingTransport(tcp(address), log))
+        try:
+            for seed in self.SEEDS[:4]:
+                del log[:]
+                [result] = fan_out_sample(client, [seed], strategy, **kw)
+                if strategy == "random":
+                    [local] = sample_random_multihop(graph, [seed], kw["fanouts"], kw["rng_seed"])
+                    assert len(log) <= 1 + cluster.pmap.count
+                else:
+                    local = ppr_forward_push(graph, seed, kw["ppr"])
+                    assert 10 * len(log) <= len(views_fetched(log))
+                assert sample_key(result) == sample_key(local)
+        finally:
+            client.close()
 
     def test_unknown_seed_error_entry(self, clusters):
         client = make_client(clusters[2].pmap)

@@ -192,15 +192,18 @@ class SageEncoder:
         self.graph = graph
         self.config = config
 
-    def _project_level(
+    def project(
         self,
         taped: dict[str, ag.Tensor],
         side: str,
         refs: Sequence[NodeRef],
-        batch: EncodeBatch,
-    ) -> ag.Tensor:
-        """Per-type feature projection (+ id embedding), back in slot order."""
+        with_ids: bool = True,
+    ) -> tuple[ag.Tensor, int]:
+        """Per-type feature projection, back in slot order, and the number of
+        refs without features (projected from zeros). ``with_ids`` appends
+        the id embedding when the config has them."""
         cfg = self.config
+        missing = 0
         by_type: dict[int, list[int]] = {}
         for i, ref in enumerate(refs):
             by_type.setdefault(ref.node_type, []).append(i)
@@ -212,14 +215,14 @@ class SageEncoder:
             for row, slot in enumerate(slots):
                 vec = self.graph.features_of(refs[slot])
                 if vec is None:
-                    batch.missing_features += 1
+                    missing += 1
                 else:
                     feats[row] = vec
             proj = ag.add(
                 ag.matmul(ag.constant(feats), taped[f"{side}/proj/{t}/W"]),
                 taped[f"{side}/proj/{t}/b"],
             )
-            if cfg.id_embeddings:
+            if with_ids and cfg.id_embeddings:
                 idx = np.array([refs[slot].index for slot in slots], dtype=np.int64)
                 ids = ag.gather_rows(taped[f"{side}/id/{t}"], idx)
                 proj = ag.concat([proj, ids], axis=1)
@@ -228,7 +231,7 @@ class SageEncoder:
         stacked = blocks[0] if len(blocks) == 1 else ag.concat(blocks, axis=0)
         inv = np.empty(len(perm), dtype=np.int64)
         inv[np.asarray(perm)] = np.arange(len(perm))
-        return ag.gather_rows(stacked, inv)
+        return ag.gather_rows(stacked, inv), missing
 
     def _aggregate(
         self,
@@ -297,11 +300,11 @@ class SageEncoder:
         """Embeddings for the level-0 seeds, shape (B, embedding_dim)."""
         cfg = self.config
         depth = len(batch.level_refs) - 1
-        emb = {
-            (j, 0): self._project_level(taped, side, batch.level_refs[j], batch)
-            for j in range(depth + 1)
-            if len(batch.level_refs[j])
-        }
+        emb = {}
+        for j in range(depth + 1):
+            if len(batch.level_refs[j]):
+                emb[(j, 0)], missing = self.project(taped, side, batch.level_refs[j])
+                batch.missing_features += missing
         for k in range(1, cfg.hops + 1):
             for j in range(0, min(depth, cfg.hops - k) + 1):
                 if (j, k - 1) not in emb:

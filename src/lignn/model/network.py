@@ -75,38 +75,6 @@ class LinkPredictionModel:
         wrap = ag.parameter if trainable else ag.constant
         return {name: wrap(arr) for name, arr in self.store.items()}
 
-    def _project_refs(
-        self,
-        taped: dict[str, ag.Tensor],
-        side: str,
-        refs: Sequence[NodeRef],
-    ) -> ag.Tensor:
-        """Feature projection without ID embeddings (activity tokens)."""
-        cfg = self.config
-        by_type: dict[int, list[int]] = {}
-        for i, ref in enumerate(refs):
-            by_type.setdefault(ref.node_type, []).append(i)
-        blocks = []
-        perm: list[int] = []
-        for t in sorted(by_type):
-            slots = by_type[t]
-            feats = np.zeros((len(slots), cfg.feature_dims[t]))
-            for row, slot in enumerate(slots):
-                vec = self.graph.features_of(refs[slot])
-                if vec is not None:
-                    feats[row] = vec
-            blocks.append(
-                ag.add(
-                    ag.matmul(ag.constant(feats), taped[f"{side}/proj/{t}/W"]),
-                    taped[f"{side}/proj/{t}/b"],
-                )
-            )
-            perm.extend(slots)
-        stacked = blocks[0] if len(blocks) == 1 else ag.concat(blocks, axis=0)
-        inv = np.empty(len(perm), dtype=np.int64)
-        inv[np.asarray(perm)] = np.arange(len(perm))
-        return ag.gather_rows(stacked, inv)
-
     def _padded_token_block(
         self,
         taped: dict[str, ag.Tensor],
@@ -117,8 +85,10 @@ class LinkPredictionModel:
     ) -> tuple[ag.Tensor, np.ndarray]:
         """(B, width, d) tokens from ragged per-row ref lists plus real-mask.
 
-        Rows are projected once, then scattered into padded slots through a
-        gather against an appended zero row (differentiable).
+        Rows are projected once by the encoder's projection, without id
+        embeddings and with missing features left uncounted, then scattered
+        into padded slots through a gather against an appended zero row
+        (differentiable).
         """
         b = len(per_row_refs)
         flat: list[NodeRef] = []
@@ -133,7 +103,7 @@ class LinkPredictionModel:
                 flat.append(ref)
         d = self.config.projection_dim
         if flat:
-            proj = self._project_refs(taped, side, flat)
+            proj, _ = self.encoder.project(taped, side, flat, with_ids=False)
             padded_src = ag.concat([proj, ag.constant(np.zeros((1, d)))], axis=0)
         else:
             padded_src = ag.constant(np.zeros((1, d)))

@@ -3,8 +3,8 @@
 The client routes every request to the owning shard and retries retryable
 transport failures (refused/reset connections, timeouts) with capped
 exponential backoff. Fan-out sampling runs the in-process sampler cores over
-a network-backed adjacency provider, so results are invariant to the
-partition count.
+one network-backed adjacency provider per call, so results are invariant to
+the partition count.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,11 +23,9 @@ from ..graph import MissingNodeError, NodeRef
 from ..samplers import (
     NeighborSample,
     PPRConfig,
-    SampleEntry,
     WalkConfig,
     multihop_sample_core,
     ppr_forward_push,
-    ppr_forward_push_batch,
     ppr_two_hop_random_walk,
 )
 from . import wire
@@ -225,12 +224,13 @@ class GraphEngineClient:
 class RemoteAdjacency:
     """Adjacency provider backed by the sharded engine.
 
-    Views are cached per node. A miss in ``neighbors`` (and ``resolve``)
-    fetches one node with ``SAMPLE_NEIGHBORS`` (weighted, ``FANOUT_ALL``);
-    ``prefetch`` fetches the uncached nodes it is given with one
-    ``NEIGHBORS_BATCH`` per owning shard, which answers each node with the
-    same entries. A node whose batch result failed stays uncached, so its
-    next ``neighbors`` call raises as a single miss does.
+    ``prefetch`` is the only way a view reaches the client: it fetches the
+    uncached nodes it is given with one ``NEIGHBORS_BATCH`` per owning shard
+    (and chunk of ``MAX_BATCH_NODES``), which answers each node with its
+    merged, weighted view. ``neighbors`` and ``resolve`` prefetch the one
+    node they need on a miss. A node whose batch result failed (the shard
+    has no such node) is remembered with the server's message, is never
+    requested again, and raises ``MissingNodeError`` on every lookup.
 
     NodeRef indices are client-side discovery indices (dense, in fetch
     order); orderings that matter for cross-partition equality use external
@@ -248,6 +248,7 @@ class RemoteAdjacency:
         self.weighted = weighted
         self._registry: dict[tuple[int, int], int] = {}
         self._cache: dict[tuple[int, int], tuple[list[NodeRef], np.ndarray]] = {}
+        self._failed: dict[tuple[int, int], str] = {}
 
     def _ref(self, ext: tuple[int, int]) -> NodeRef:
         idx = self._registry.get(ext)
@@ -272,30 +273,20 @@ class RemoteAdjacency:
 
     def neighbors_ext(self, ext: tuple[int, int]) -> tuple[list[NodeRef], np.ndarray]:
         hit = self._cache.get(ext)
-        if hit is not None:
-            return hit
-        request = wire.SampleNeighborsRequest(
-            wire.WireNode(*ext),
-            strategy=1,
-            fanouts=(wire.FANOUT_ALL,),
-            multipliers=self.multipliers,
-        )
-        try:
-            response = self.client.call(request)
-        except RemoteStatusError as exc:
-            if exc.status == wire.Status.BAD_REQUEST and "no node" in exc.message:
-                raise MissingNodeError(exc.message) from None
-            raise
-        hit = self._cache[ext] = self._view(response.entries)
+        if hit is None:
+            self.prefetch([ext])
+            hit = self._cache.get(ext)
+            if hit is None:
+                raise MissingNodeError(self._failed[ext])
         return hit
 
-    def prefetch(self, nodes: Iterable[NodeRef]) -> None:
-        """Fetch the views of the distinct uncached ``nodes``, one round trip
-        per owning shard and chunk of ``MAX_BATCH_NODES``."""
-        pmap, cache = self.client.pmap, self._cache
+    def prefetch(self, nodes: Iterable[NodeRef | tuple[int, int]]) -> None:
+        """Fetch the views of the distinct ``nodes`` not yet fetched, one
+        round trip per owning shard and chunk of ``MAX_BATCH_NODES``."""
+        pmap, cache, failed = self.client.pmap, self._cache, self._failed
         by_owner: dict[int, list[tuple[int, int]]] = {}
         for ext in dict.fromkeys((node[0], node[1]) for node in nodes):
-            if ext not in cache:
+            if ext not in cache and ext not in failed:
                 by_owner.setdefault(pmap.owner(ext), []).append(ext)
         for owner, exts in sorted(by_owner.items()):
             for lo in range(0, len(exts), MAX_BATCH_NODES):
@@ -307,6 +298,8 @@ class RemoteAdjacency:
                 for ext, result in zip(chunk, response.results):
                     if result.status == wire.Status.OK:
                         cache[ext] = self._view(result.entries)
+                    else:
+                        failed[ext] = result.error
 
 
 # -- fan-out sampling -----------------------------------------------------------------
@@ -331,51 +324,49 @@ def fan_out_sample(
 ):
     """Sample for seeds spanning shards; equals the unpartitioned run.
 
-    Multi-hop strategies re-route every frontier fetch to the owning shard
-    through a RemoteAdjacency provider and reuse the in-process sampler
-    cores, so P in {1, 2, 4, ...} all produce identical output. Seeds whose
-    shard is unreachable fail the whole call with a FanOutError naming them.
+    The in-process sampler cores run over one RemoteAdjacency for the whole
+    call, so a view is fetched once however many seeds read it, and P in
+    {1, 2, 4, ...} all produce identical output. Seeds run one at a time, so
+    a failure is attributed to the seeds it fails: an unknown seed or a
+    ``BAD_REQUEST`` gives that seed an error sample, and seeds whose shard
+    is unreachable fail the whole call with a FanOutError naming them (its
+    ``partial`` holds the other results).
     """
-    results: list = [None] * len(seeds)
-    missing: list[tuple[int, int]] = []
-
-    def run_seed(i: int, fn) -> None:
-        try:
-            results[i] = fn()
-        except (RetriesExhausted, RemoteStatusError) as exc:
-            if isinstance(exc, RemoteStatusError) and exc.status == wire.Status.BAD_REQUEST:
-                results[i] = NeighborSample(
-                    (seeds[i][0], seeds[i][1]), (), strategy, error=exc.message
-                )
-            else:
-                missing.append((seeds[i][0], seeds[i][1]))
-
     if strategy in ("random", "weighted"):
         if not fanouts:
             raise ValueError("fanouts required for multihop strategies")
         uniform = strategy == "random"
-        weights = None if uniform else (edge_type_weights or {})
-        for i, seed in enumerate(seeds):
-            provider = RemoteAdjacency(client, edge_type_weights=weights)
-            run_seed(
-                i,
-                lambda p=provider, s=seed: multihop_sample_core(
-                    p, p.resolve, [s], list(fanouts), rng_seed, strategy, uniform
-                )[0],
-            )
+        provider = RemoteAdjacency(client, None if uniform else edge_type_weights)
+
+        def sample(seed):
+            return multihop_sample_core(
+                provider, provider.resolve, [seed], list(fanouts), rng_seed, strategy, uniform
+            )[0]
+
     elif strategy == "ppr-push":
         cfg = ppr or PPRConfig()
-        for i, seed in enumerate(seeds):
-            provider = RemoteAdjacency(client, weighted=cfg.weighted)
-            run_seed(i, lambda p=provider, s=seed: ppr_forward_push(p, s, cfg))
+        provider = RemoteAdjacency(client, weighted=cfg.weighted)
+        sample = partial(ppr_forward_push, provider, config=cfg)
     elif strategy == "ppr-2hop":
         cfg = walk or WalkConfig(rng_seed=rng_seed)
-        for i, seed in enumerate(seeds):
-            provider = RemoteAdjacency(client, weighted=cfg.weighted)
-            run_seed(i, lambda p=provider, s=seed: ppr_two_hop_random_walk(p, s, cfg))
+        provider = RemoteAdjacency(client, weighted=cfg.weighted)
+        sample = partial(ppr_two_hop_random_walk, provider, config=cfg)
     else:
         raise ValueError(f"unknown fan-out strategy {strategy}")
 
+    results: list = []
+    missing: list[tuple[int, int]] = []
+    for seed in seeds:
+        try:
+            results.append(sample(seed))
+        except (RetriesExhausted, RemoteStatusError) as exc:
+            if isinstance(exc, RemoteStatusError) and exc.status == wire.Status.BAD_REQUEST:
+                results.append(
+                    NeighborSample((seed[0], seed[1]), (), strategy, error=exc.message)
+                )
+            else:
+                results.append(None)
+                missing.append((seed[0], seed[1]))
     if missing:
         raise FanOutError(sorted(missing), results)
     return results

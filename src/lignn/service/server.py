@@ -24,6 +24,9 @@ logger = logging.getLogger("lignn.server")
 
 # The walk sampler holds one position per walk: bound what a request can ask for.
 MAX_WALKS = 1 << 20
+# Each hop reads the views of the whole previous hop, with FANOUT_ALL up to
+# every view of the shard: bound the hops a request can ask for.
+MAX_HOPS = 8
 # Nodes one NEIGHBORS_BATCH request may name; clients split larger fetches.
 MAX_BATCH_NODES = 4096
 
@@ -80,7 +83,12 @@ class GraphEngineServer:
                     while True:
                         try:
                             payload = wire.read_frame(self.request)
-                        except (ConnectionResetError, ConnectionError):
+                        except ConnectionError:
+                            return
+                        except wire.WireError as exc:
+                            # the payload is left unread, so the stream cannot
+                            # be resynced: answer, then close the connection
+                            self.request.sendall(_unreadable(str(exc)))
                             return
                         response = outer.handle_payload(payload)
                         self.request.sendall(response)
@@ -93,10 +101,7 @@ class GraphEngineServer:
         try:
             request = wire.decode_request(payload)
         except wire.WireError as exc:
-            # the opcode may be unreadable, so the reply names SAMPLE_NEIGHBORS
-            return wire.encode_response(
-                wire.error_response(wire.Opcode.SAMPLE_NEIGHBORS, wire.Status.BAD_REQUEST, str(exc))
-            )
+            return _unreadable(str(exc))
         try:
             return wire.encode_response(self._dispatch(request))
         except (MissingNodeError, ValueError) as exc:  # the request names invalid input
@@ -146,6 +151,8 @@ class GraphEngineServer:
         return wire.HealthResponse(wire.Status.OK, nodes, tuple(edges))
 
     def _sample_neighbors(self, req: wire.SampleNeighborsRequest) -> wire.SampleResponse:
+        if not 0 < len(req.fanouts) <= MAX_HOPS:
+            raise ValueError(f"{len(req.fanouts)} hops, not 1 to {MAX_HOPS}")
         fanouts = [
             (self.graph.num_nodes() if f == wire.FANOUT_ALL else f) for f in req.fanouts
         ]
@@ -223,6 +230,14 @@ class GraphEngineServer:
             wire.WireEvent(wire.WireNode(ref.node_type, ref.node_id), ts) for ref, ts in events
         )
         return wire.TemporalResponse(wire.Status.OK, out)
+
+
+def _unreadable(message: str) -> bytes:
+    """The reply to a request that cannot be decoded. Its opcode may be
+    unreadable, so the reply names SAMPLE_NEIGHBORS."""
+    return wire.encode_response(
+        wire.error_response(wire.Opcode.SAMPLE_NEIGHBORS, wire.Status.BAD_REQUEST, message)
+    )
 
 
 def _sample_reply(opcode: wire.Opcode, samples) -> wire.SampleResponse:

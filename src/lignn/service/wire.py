@@ -31,6 +31,8 @@ from typing import Callable, NamedTuple
 FANOUT_ALL = 0xFFFFFFFF  # enumeration sentinel: return every neighbor
 COUNT_ALL = 0xFFFFFFFF
 TS_MAX = (1 << 63) - 1
+# A reader buffers a whole payload before decoding it: bound what a peer can make it hold.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 class Opcode(IntEnum):
@@ -403,10 +405,12 @@ def _decode(payload: bytes, head: struct.Struct, types: dict, build: Callable):
 
 
 def read_frame(sock) -> bytes:
+    """One frame's payload. A length over ``MAX_FRAME_BYTES`` raises
+    ``WireError`` with the payload unread, so the stream is lost."""
     header = _read_exact(sock, 4)
     (length,) = _LEN.unpack(header)
-    if length > 64 * 1024 * 1024:
-        raise WireError("frame too large")
+    if length > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {length} bytes, over {MAX_FRAME_BYTES}")
     return _read_exact(sock, length)
 
 

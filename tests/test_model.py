@@ -13,6 +13,7 @@ from lignn.model import (
     ModelConfig,
     PairBatch,
     ParamStore,
+    TemporalConfig,
     attention_aggregate,
     bce_loss,
     decode_cosine,
@@ -301,8 +302,8 @@ class TestParamAccounting:
         assert cfg.side_for("src") == cfg.side_for("dst") == "enc"
 
 
-def bipartite_graph(rng, n_members=6, n_items=6, deg=3):
-    rows = []
+def bipartite_graph(rng, n_members=6, n_items=6, deg=3, extra_rows=()):
+    rows = list(extra_rows)
     for m in range(n_members):
         for j in range(deg):
             rows.append(edge_row(0, m, 0, 1, 100 + (m * 7 + j) % n_items, 1.0, ts=10 * j + 1))
@@ -346,6 +347,35 @@ class TestNetworkGradients:
         numeric = central_diff(lambda: model.loss_value(batch), arrays)
         err, name = max_relative_error(grads, numeric)
         assert err < 1e-4, f"{name}: {err}"
+
+    def test_fd_temporal_with_id_embeddings(self):
+        # item 106 has no node row, so its activity token has no features;
+        # no tower reads it (only member 5 links to it)
+        rng = np.random.default_rng(43)
+        graph = bipartite_graph(rng, extra_rows=[edge_row(0, 5, 0, 1, 106, 1.0, ts=5)])
+        temporal = TemporalConfig(heads=3, token_dim=2, seq_len=3, future_len=1,
+                                  positional_mode="timestamp", dst_neighbor_count=2)
+        cfg = config_for(graph, id_embeddings=True, id_dim=2, temporal=temporal)
+        model = LinkPredictionModel(graph, cfg)
+        pairs = [((0, 0), (1, 100), 1), ((0, 1), (1, 101), 0), ((0, 2), (1, 102), 1)]
+        batch = make_batch(graph, cfg, pairs)
+        ref = graph.resolve
+        batch.activity_refs = [
+            [ref((1, 106)), ref((1, 101)), ref((1, 102))],
+            [ref((1, 103))],
+            [ref((1, 104)), ref((1, 100))],
+        ]
+        batch.activity_ages = [[30.0, 20.0, 10.0], [5.0], [8.0, 1.0]]
+        batch.dst_neighbor_refs = [[ref((0, 3)), ref((1, 106))], [], [ref((0, 4))]]
+        _, grads, result = model.loss_and_grads(batch)
+        assert result.aux["missing_features"] == 0
+        assert result.aux["long_term_loss"] > 0.0
+        arrays = {n: model.store[n] for n in model.store.names()}
+        numeric = central_diff(lambda: model.loss_value(batch), arrays)
+        err, name = max_relative_error(grads, numeric)
+        assert err < 1e-4, f"{name}: {err}"
+        assert any(np.abs(grads[n]).max() > 0 for n in grads if "/id/" in n)
+        assert np.abs(grads["enc/tformer/Wq"]).max() > 0
 
     def test_duplicated_batch_same_gradients(self):
         rng = np.random.default_rng(37)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lignn.graph import MissingNodeError
 from lignn.samplers import (
     NeighborSample,
     PPRConfig,
@@ -19,12 +20,14 @@ from lignn.samplers import (
     ppr_forward_push,
     ppr_two_hop_random_walk,
     sample_random_multihop,
+    sample_weighted_multihop,
 )
 from lignn.service import (
     ClientError,
     FanOutError,
     GraphEngineClient,
     PartitionMap,
+    RemoteAdjacency,
     RemoteStatusError,
     RetriesExhausted,
     RetryPolicy,
@@ -500,6 +503,7 @@ INVALID_REQUESTS = {
         SEED, strategy=1, fanouts=(3,), multipliers=((0, -1.0),)
     ),
     "empty-fanouts": wire.SampleNeighborsRequest(SEED, fanouts=()),
+    "255-hops": wire.SampleNeighborsRequest(SEED, fanouts=(1,) * 255),
     "batch-empty": wire.NeighborsBatchRequest(()),
     "batch-negative-multiplier": wire.NeighborsBatchRequest((SEED,), ((0, -1.0),)),
     "batch-too-many-nodes": wire.NeighborsBatchRequest((SEED,) * (server_mod.MAX_BATCH_NODES + 1)),
@@ -530,6 +534,38 @@ class TestInvalidRequests:
         status = wire.decode_response(frame[4:]).status
         assert calls == ([num_walks] if served else [])
         assert status == (wire.Status.OK if served else wire.Status.BAD_REQUEST)
+
+    @pytest.mark.parametrize("extra,served", [(0, True), (1, False)])
+    def test_hop_count_is_bounded(self, single_server, monkeypatch, extra, served):
+        _, _, server, _ = single_server
+        calls = []
+
+        def record(graph, seeds, fanouts, rng_seed):
+            calls.append(len(fanouts))
+            return [[NeighborSample(seeds[0], (), "random")] * len(fanouts)]
+
+        monkeypatch.setattr(server_mod, "sample_random_multihop", record)
+        hops = server_mod.MAX_HOPS + extra
+        request = wire.SampleNeighborsRequest(SEED, strategy=0, fanouts=(1,) * hops)
+        frame = server.handle_payload(wire.encode_request(request)[4:])
+        status = wire.decode_response(frame[4:]).status
+        assert calls == ([hops] if served else [])
+        assert status == (wire.Status.OK if served else wire.Status.BAD_REQUEST)
+
+    def test_oversized_frame_answered_then_closed(self, single_server, caplog):
+        _, _, server, pmap = single_server
+        host, port = server.address.rsplit(":", 1)
+        with caplog.at_level(logging.ERROR, logger="lignn.server"):
+            with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+                sock.sendall((wire.MAX_FRAME_BYTES + 1).to_bytes(4, "little"))
+                reply = wire.decode_response(wire.read_frame(sock))
+                assert sock.recv(1) == b""  # the server closed the connection
+        assert reply.status == wire.Status.BAD_REQUEST
+        assert str(wire.MAX_FRAME_BYTES) in reply.error
+        assert not caplog.records
+        client = make_client(pmap)
+        assert client.call(wire.GetFeaturesRequest(SEED)).status == wire.Status.OK
+        client.close()
 
 
 class TestClientThreads:
@@ -726,15 +762,45 @@ class RecordingTransport:
         self.inner.close()
 
 
-def views_fetched(requests) -> set:
-    """The distinct nodes whose neighbour lists the requests asked for."""
-    nodes = set()
+def views_requested(requests) -> list:
+    """The nodes whose neighbour lists the requests asked for, with repeats."""
+    nodes = []
     for req in requests:
         if req.opcode == wire.Opcode.SAMPLE_NEIGHBORS:
-            nodes.add(req.seed)
+            nodes.append(req.seed)
         elif req.opcode == wire.Opcode.NEIGHBORS_BATCH:
-            nodes.update(req.nodes)
+            nodes.extend(req.nodes)
     return nodes
+
+
+def views_fetched(requests) -> set:
+    """The distinct nodes whose neighbour lists the requests asked for."""
+    return set(views_requested(requests))
+
+
+def recording_client(pmap, log: list) -> GraphEngineClient:
+    tcp = tcp_connector()
+    return make_client(pmap, connector=lambda address: RecordingTransport(tcp(address), log))
+
+
+def in_process(graph, seeds, strategy, kw) -> list:
+    """What the in-process samplers give for the fan-out arguments ``kw``."""
+    if strategy == "random":
+        return sample_random_multihop(graph, seeds, kw["fanouts"], kw["rng_seed"])
+    if strategy == "weighted":
+        return sample_weighted_multihop(graph, seeds, kw["fanouts"], kw["edge_type_weights"],
+                                        kw["rng_seed"])
+    if strategy == "ppr-2hop":
+        return [ppr_two_hop_random_walk(graph, seed, kw["walk"]) for seed in seeds]
+    return [ppr_forward_push(graph, seed, kw["ppr"]) for seed in seeds]
+
+
+STRATEGY_ARGS = [
+    ("random", {"fanouts": [3, 2], "rng_seed": 9}),
+    ("weighted", {"fanouts": [3, 2], "rng_seed": 9, "edge_type_weights": {0: 1.0}}),
+    ("ppr-2hop", {"walk": WalkConfig(num_walks=400, top_k=10, rng_seed=5)}),
+    ("ppr-push", {"ppr": PPRConfig(alpha=0.2, r_max=1e-4, top_k=10)}),
+]
 
 
 class TestFanOut:
@@ -747,12 +813,7 @@ class TestFanOut:
         finally:
             client.close()
 
-    @pytest.mark.parametrize("strategy,kw", [
-        ("random", {"fanouts": [3, 2], "rng_seed": 9}),
-        ("weighted", {"fanouts": [3, 2], "rng_seed": 9, "edge_type_weights": {0: 1.0}}),
-        ("ppr-2hop", {"walk": WalkConfig(num_walks=400, top_k=10, rng_seed=5)}),
-        ("ppr-push", {"ppr": PPRConfig(alpha=0.2, r_max=1e-4, top_k=10)}),
-    ])
+    @pytest.mark.parametrize("strategy,kw", STRATEGY_ARGS)
     def test_partition_invariance(self, clusters, strategy, kw):
         keys = {}
         for p, cluster in clusters.items():
@@ -810,9 +871,7 @@ class TestFanOut:
     def test_round_trips_are_batched(self, wide_cluster, strategy, kw):
         graph, cluster = wide_cluster
         log: list = []
-        tcp = tcp_connector()
-        client = make_client(cluster.pmap,
-                             connector=lambda address: RecordingTransport(tcp(address), log))
+        client = recording_client(cluster.pmap, log)
         try:
             for seed in self.SEEDS[:4]:
                 del log[:]
@@ -824,6 +883,44 @@ class TestFanOut:
                     local = ppr_forward_push(graph, seed, kw["ppr"])
                     assert 10 * len(log) <= len(views_fetched(log))
                 assert sample_key(result) == sample_key(local)
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("strategy,kw", STRATEGY_ARGS)
+    def test_one_call_fetches_each_view_once(self, wide_cluster, clusters, live_graph,
+                                             strategy, kw):
+        runs = [wide_cluster] + [(live_graph[0], clusters[p]) for p in (1, 2, 4)]
+        for graph, cluster in runs:
+            log: list = []
+            client = recording_client(cluster.pmap, log)
+            try:
+                results = fan_out_sample(client, self.SEEDS, strategy, **kw)
+            finally:
+                client.close()
+            assert not [r for r in log if r.opcode == wire.Opcode.SAMPLE_NEIGHBORS]
+            requested = views_requested(log)
+            assert len(requested) == len(set(requested))
+            local = in_process(graph, self.SEEDS, strategy, kw)
+            assert [sample_key(r) for r in results] == [sample_key(r) for r in local]
+
+    @pytest.mark.parametrize("strategy,kw", STRATEGY_ARGS)
+    def test_unknown_seed_fetched_once(self, clusters, strategy, kw):
+        log: list = []
+        client = recording_client(clusters[2].pmap, log)
+        try:
+            results = fan_out_sample(client, [(0, 999), (0, 0), (0, 999)], strategy, **kw)
+        finally:
+            client.close()
+        errors = [(r[0] if isinstance(r, list) else r).error for r in results]
+        assert errors[0] is not None and errors[2] is not None
+        assert errors[1] is None
+        assert views_requested(log).count(wire.WireNode(0, 999)) == 1
+
+    def test_resolve_unknown_node_raises_missing_node(self, clusters):
+        client = make_client(clusters[2].pmap)
+        try:
+            with pytest.raises(MissingNodeError, match=r"\(0, 999\)"):
+                RemoteAdjacency(client).resolve((0, 999))
         finally:
             client.close()
 

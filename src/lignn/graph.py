@@ -119,7 +119,13 @@ class GraphSchema:
                     raise SchemaError(f"line {lineno}: unknown edge kind {value!r}")
                 schema.edge_kinds[ident_i] = _KIND_NAMES[value]
             elif prefix == "features":
-                schema.feature_dims[ident_i] = int(value)
+                try:
+                    dim = int(value)
+                except ValueError:
+                    dim = -1
+                if dim < 0:
+                    raise SchemaError(f"line {lineno}: feature dim {value!r} is not an integer >= 0")
+                schema.feature_dims[ident_i] = dim
             else:
                 raise SchemaError(f"line {lineno}: unknown key prefix {prefix!r}")
         return schema
@@ -164,14 +170,6 @@ class AdjacencySlice(NamedTuple):
         return len(self.dst_id)
 
 
-class _Run(NamedTuple):
-    dst_type: np.ndarray
-    dst_id: np.ndarray
-    dst_index: np.ndarray
-    weight: np.ndarray
-    timestamp: np.ndarray
-
-
 class _CSRBlock:
     """CSR adjacency for one (src_type, edge_type) pair."""
 
@@ -185,9 +183,9 @@ class _CSRBlock:
         self.weight = weight
         self.timestamp = timestamp
 
-    def run(self, index: int) -> _Run:
+    def run(self, index: int) -> AdjacencySlice:
         lo, hi = self.indptr[index], self.indptr[index + 1]
-        return _Run(
+        return AdjacencySlice(
             self.dst_type[lo:hi],
             self.dst_id[lo:hi],
             self.dst_index[lo:hi],
@@ -200,7 +198,7 @@ class _CSRBlock:
         return int(self.indptr[-1])
 
 
-_EMPTY_RUN = _Run(
+_EMPTY_RUN = AdjacencySlice(
     np.empty(0, dtype=np.int16),
     np.empty(0, dtype=np.uint64),
     np.empty(0, dtype=np.int64),
@@ -231,7 +229,7 @@ class HeteroGraph:
         features: dict[int, np.ndarray],
         feature_mask: dict[int, np.ndarray],
         blocks: dict[tuple[int, int], _CSRBlock],
-        overlay: dict[tuple[int, int, int], _Run] | None = None,
+        overlay: dict[tuple[int, int, int], AdjacencySlice] | None = None,
     ):
         self.schema = schema
         self._node_ids = node_ids
@@ -311,7 +309,7 @@ class HeteroGraph:
 
     # -- adjacency ----------------------------------------------------------
 
-    def _run(self, src_type: int, edge_type: int, index: int) -> _Run:
+    def _run(self, src_type: int, edge_type: int, index: int) -> AdjacencySlice:
         over = self._overlay.get((src_type, edge_type, index))
         if over is not None:
             return over
@@ -321,8 +319,7 @@ class HeteroGraph:
         return block.run(index)
 
     def adjacency(self, node: NodeRef, edge_type: int) -> AdjacencySlice:
-        run = self._run(node.node_type, edge_type, node.index)
-        return AdjacencySlice(*run)
+        return self._run(node.node_type, edge_type, node.index)
 
     def temporal_cut(self, node: NodeRef, edge_type: int, before_ts: int | float) -> AdjacencySlice:
         """Edges with timestamp strictly below ``before_ts`` (sorted prefix)."""
@@ -439,10 +436,10 @@ class HeteroGraph:
                 break
             j += 1
         if dup >= 0:
-            new = _Run(*(a.copy() for a in run))
+            new = AdjacencySlice(*(a.copy() for a in run))
             new.weight[dup] = max(new.weight[dup], weight)
         else:
-            new = _Run(
+            new = AdjacencySlice(
                 np.insert(run.dst_type, pos, dst.node_type),
                 np.insert(run.dst_id, pos, np.uint64(dst.node_id)),
                 np.insert(run.dst_index, pos, dst.index),

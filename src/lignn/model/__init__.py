@@ -7,50 +7,30 @@ from .params import (
     pair_embedding_dim,
 )
 from .encoder import (
-    HopEntry,
     SageEncoder,
-    attention_aggregate,
     build_encode_batch,
     hops_from_samples,
-    mean_aggregate,
     sage_encode,
 )
 from .temporal import (
-    AttentionParams,
-    TemporalSequence,
-    assemble_temporal_sequence,
     build_prefix_causal_mask,
-    long_term_target_pairs,
-    masked_attention_forward,
     sinusoidal_positions,
     timestamp_positions,
 )
-from .losses import bce_loss, decode_cosine, decode_in_batch_negatives
 from .network import LinkPredictionModel, PairBatch
 
 __all__ = [
-    "AttentionParams",
     "DecoderKind",
-    "HopEntry",
     "LinkPredictionModel",
     "ModelConfig",
     "PairBatch",
     "ParamStore",
     "SageEncoder",
     "TemporalConfig",
-    "TemporalSequence",
-    "assemble_temporal_sequence",
-    "attention_aggregate",
-    "bce_loss",
     "build_encode_batch",
     "build_prefix_causal_mask",
-    "decode_cosine",
-    "decode_in_batch_negatives",
     "hops_from_samples",
     "init_params",
-    "long_term_target_pairs",
-    "masked_attention_forward",
-    "mean_aggregate",
     "pair_embedding_dim",
     "sage_encode",
     "sinusoidal_positions",

@@ -2,14 +2,13 @@
 and hop-wise combine layers.
 
 The batched path runs on the autograd tape over level-flattened sample trees;
-``sage_encode`` is the single-seed wrapper. Aggregators also exist as plain
-vector functions matching the batched math one-to-one.
+``sage_encode`` is the single-seed wrapper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,66 +18,10 @@ from . import autograd as ag
 from .params import ModelConfig, ParamStore
 
 
-def mean_aggregate(
-    neighbor_embeddings: Sequence[np.ndarray], weights: Sequence[float] | None = None
-) -> tuple[np.ndarray, bool]:
-    """(Weighted) arithmetic mean; empty input gives (zeros-flagged, True).
-
-    The zero vector for the empty case takes its dimension from weights-less
-    callers via an empty (0,)-dim guard, so callers should handle the flag.
-    """
-    if len(neighbor_embeddings) == 0:
-        return np.zeros(0), True
-    mat = np.stack([np.asarray(v, dtype=np.float64) for v in neighbor_embeddings])
-    if weights is None:
-        return mat.mean(axis=0), False
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape[0] != mat.shape[0]:
-        raise ValueError("weights length must match neighbor count")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weight sum must be positive")
-    return (mat * w[:, None]).sum(axis=0) / total, False
-
-
-def attention_aggregate(
-    center: np.ndarray,
-    neighbor_embeddings: Sequence[np.ndarray],
-    w_query: np.ndarray,
-    w_key: np.ndarray,
-    include_center: bool = False,
-) -> tuple[np.ndarray, bool]:
-    """Scaled dot-product attention pool over the neighbor set.
-
-    score_i = (center W_q) . (n_i W_k) / sqrt(d_att); output is the
-    softmax-weighted sum of the neighbor embeddings themselves. The
-    self-attention variant adds the center to the key/value set. An empty
-    neighborhood returns the center embedding, flagged.
-    """
-    center = np.asarray(center, dtype=np.float64)
-    values = [np.asarray(v, dtype=np.float64) for v in neighbor_embeddings]
-    if include_center:
-        values = values + [center]
-    if len(values) == 0:
-        return center.copy(), True
-    mat = np.stack(values)
-    d_att = w_query.shape[1]
-    q = center @ w_query
-    scores = (mat @ w_key) @ q / np.sqrt(d_att)
-    shifted = np.exp(scores - scores.max())
-    att = shifted / shifted.sum()
-    return att @ mat, False
-
-
-class HopEntry(NamedTuple):
-    ref: NodeRef
-    score: float
-
-
 def hops_from_samples(
     samples: NeighborSample | Sequence[NeighborSample], flatten: bool = False
-) -> list[list[HopEntry]]:
-    """Normalize sampler output to per-hop entry lists.
+) -> list[list[NodeRef]]:
+    """Normalize sampler output to per-hop node lists.
 
     A per-hop list (multi-hop samplers) maps hop by position. A single flat
     sample (PPR strategies) is split by hop labels, or with ``flatten`` all
@@ -87,14 +30,14 @@ def hops_from_samples(
     """
     if isinstance(samples, NeighborSample):
         if flatten:
-            return [[HopEntry(e.node, e.score) for e in samples.entries]]
-        by_hop: dict[int, list[HopEntry]] = {}
+            return [[e.node for e in samples.entries]]
+        by_hop: dict[int, list[NodeRef]] = {}
         for e in samples.entries:
-            by_hop.setdefault(max(1, e.hop), []).append(HopEntry(e.node, e.score))
+            by_hop.setdefault(max(1, e.hop), []).append(e.node)
         if not by_hop:
             return []
         return [by_hop.get(h, []) for h in range(1, max(by_hop) + 1)]
-    return [[HopEntry(e.node, e.score) for e in s.entries] for s in samples]
+    return [[e.node for e in s.entries] for s in samples]
 
 
 @dataclass
@@ -116,7 +59,7 @@ class EncodeBatch:
 def build_encode_batch(
     graph: HeteroGraph,
     seeds: Sequence[NodeRef],
-    hop_lists: Sequence[Sequence[Sequence[HopEntry]]],
+    hop_lists: Sequence[Sequence[Sequence[NodeRef]]],
     depth: int,
     flat_attach: bool = False,
 ) -> EncodeBatch:
@@ -157,18 +100,18 @@ def build_encode_batch(
             if not entries:
                 continue
             parents = prev_slots.get(s, [])
-            for entry in entries:
+            for ref in entries:
                 child_slot = len(refs_h)
                 if flat_attach and h == 0:
                     links = [parents[0]] if parents else []
                 else:
                     links = [
-                        p for p in parents if entry.ref.ext() in out_set(level_refs[h][p])
+                        p for p in parents if ref.ext() in out_set(level_refs[h][p])
                     ]
                 if not links:
                     orphans += 1
                     continue
-                refs_h.append(entry.ref)
+                refs_h.append(ref)
                 seed_h.append(s)
                 for p in links:
                     parent_idx.append(p)

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..graph import HeteroGraph, NodeRef
 from . import autograd as ag
-from .encoder import EncodeBatch, HopEntry, SageEncoder, build_encode_batch
+from .encoder import EncodeBatch, SageEncoder, build_encode_batch
 from .params import ModelConfig, ParamStore, init_params
 from .temporal import build_prefix_causal_mask, sinusoidal_positions, timestamp_positions
 
@@ -35,8 +35,8 @@ class PairBatch:
     dst_refs: list[NodeRef]
     labels: np.ndarray
     mask: np.ndarray
-    src_hops: list[list[list[HopEntry]]]
-    dst_hops: list[list[list[HopEntry]]]
+    src_hops: list[list[list[NodeRef]]]
+    dst_hops: list[list[list[NodeRef]]]
     src_slot: np.ndarray | None = None
     flat_attach: bool = False
     activity_refs: list[list[NodeRef]] = field(default_factory=list)
@@ -118,7 +118,7 @@ class LinkPredictionModel:
         taped: dict[str, ag.Tensor],
         position: str,
         refs: Sequence[NodeRef],
-        hops: Sequence[Sequence[Sequence[HopEntry]]],
+        hops: Sequence[Sequence[Sequence[NodeRef]]],
         flat_attach: bool,
     ) -> tuple[ag.Tensor, EncodeBatch]:
         batch = build_encode_batch(self.graph, list(refs), hops, self.config.hops, flat_attach)

@@ -1,14 +1,12 @@
-"""Temporal sequence machinery: H reshaped encoder tokens followed by N
-activity tokens, prefix-causal masking, positional encodings, and the
-long-term prediction pairing."""
+"""Temporal sequence tables: the prefix-causal attention mask and the
+positional encodings of the activity tokens. The temporal head itself runs
+on the tape in ``network.LinkPredictionModel``."""
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .params import TemporalConfig
 
 
 def build_prefix_causal_mask(heads: int, seq_len: int, mode: str = "prefix_causal") -> np.ndarray:
@@ -55,108 +53,3 @@ def timestamp_positions(ages_ms: Sequence[float], dim: int, num_buckets: int = 6
     ages = np.maximum(0.0, np.asarray(ages_ms, dtype=np.float64))
     buckets = np.minimum(num_buckets - 1, np.floor(np.log2(1.0 + ages))).astype(np.int64)
     return table[buckets]
-
-
-class TemporalSequence(NamedTuple):
-    tokens: np.ndarray        # (H+N, d) = H reshaped encoder tokens + N activities
-    mask: np.ndarray          # (H+N, H+N) bool, pad columns disabled
-    positions: np.ndarray     # (H+N, d) additive positional table (zeros on H block)
-    activity_real: np.ndarray  # (N,) bool, False on left-padded slots
-
-
-def assemble_temporal_sequence(
-    sage_output: np.ndarray,
-    activities: Sequence[np.ndarray],
-    config: TemporalConfig,
-    ages_ms: Sequence[float] | None = None,
-) -> TemporalSequence:
-    """Reshape the encoder output into H tokens and splice in activities.
-
-    The H*d encoder vector splits row-major into H tokens of dim d.
-    Activities are truncated to the most recent N and left-padded with zero
-    tokens; pad slots lose their attention columns (rows keep the H tokens,
-    so every row still attends something) and are excluded from losses via
-    ``activity_real``.
-    """
-    config.validate()
-    h, d, n = config.heads, config.token_dim, config.seq_len
-    sage_output = np.asarray(sage_output, dtype=np.float64)
-    if sage_output.shape != (h * d,):
-        raise ValueError(f"encoder output must have shape ({h * d},)")
-    head_tokens = sage_output.reshape(h, d)
-
-    acts = [np.asarray(a, dtype=np.float64) for a in activities]
-    for a in acts:
-        if a.shape != (d,):
-            raise ValueError(f"activity token dim {a.shape} != ({d},)")
-    acts = acts[-n:]
-    if ages_ms is not None:
-        ages = list(ages_ms)[-n:]
-    pad = n - len(acts)
-    act_block = np.zeros((n, d), dtype=np.float64)
-    if acts:
-        act_block[pad:] = np.stack(acts)
-    real = np.zeros(n, dtype=bool)
-    real[pad:] = True
-
-    tokens = np.concatenate([head_tokens, act_block], axis=0)
-
-    positions = np.zeros((h + n, d), dtype=np.float64)
-    if config.positional_mode == "sinusoidal":
-        positions[h:] = sinusoidal_positions(n, d)
-    elif config.positional_mode == "timestamp":
-        if ages_ms is None:
-            raise ValueError("timestamp positional mode needs ages_ms")
-        rows = timestamp_positions(ages, d) if acts else np.zeros((0, d))
-        positions[h + pad :] = rows
-
-    mask = build_prefix_causal_mask(h, n, config.mask_mode)
-    pad_cols = np.concatenate([np.zeros(h, dtype=bool), ~real])
-    mask[:, pad_cols] = False
-    return TemporalSequence(tokens, mask, positions, real)
-
-
-class AttentionParams(NamedTuple):
-    w_query: np.ndarray  # (d, d)
-    w_key: np.ndarray
-    w_value: np.ndarray
-
-
-def masked_attention_forward(
-    tokens: np.ndarray, mask: np.ndarray, params: AttentionParams
-) -> np.ndarray:
-    """Single-layer scaled dot-product attention with exact mask exclusion.
-
-    out_i = sum over allowed j of softmax(q_i . k_j / sqrt(d)) v_j; masked
-    entries carry exactly zero weight (their values never enter the max
-    shift, the normalizer, or the output).
-    """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    t, d = tokens.shape
-    if mask.shape != (t, t):
-        raise ValueError(f"mask shape {mask.shape} != ({t}, {t})")
-    if not mask.any(axis=1).all():
-        raise ValueError("attention mask has a row with no allowed entries")
-    q = tokens @ params.w_query
-    k = tokens @ params.w_key
-    v = tokens @ params.w_value
-    scores = (q @ k.T) / np.sqrt(d)
-    mx = np.where(mask, scores, -np.inf).max(axis=1, keepdims=True)
-    shifted = np.where(mask, scores - mx, 0.0)  # masked values never enter exp
-    e = np.where(mask, np.exp(shifted), 0.0)
-    att = e / e.sum(axis=1, keepdims=True)
-    return att @ v
-
-
-def long_term_target_pairs(config: TemporalConfig) -> list[tuple[int, int]]:
-    """(prediction, target) positions in activity-index space.
-
-    The output embedding at the last history position (N1 - 1) predicts each
-    future activity embedding at N1..N-1; absolute token indices add H.
-    """
-    config.validate()
-    n1, n2 = config.history_len, config.future_len
-    if n2 == 0:
-        return []
-    return [(n1 - 1, t) for t in range(n1, n1 + n2)]

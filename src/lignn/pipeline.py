@@ -1,6 +1,6 @@
 """Training-throughput machinery: grouping & slicing of member/item records,
-the adaptive neighbor-count controller, MLP-init and local gradient
-aggregation."""
+the adaptive neighbor-count controller, the grouped training step and
+MLP-init."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 
 from .graph import MASK64, HeteroGraph, NodeRef
 from .model import LinkPredictionModel, ModelConfig, PairBatch, ParamStore, init_params
-from .model.encoder import HopEntry
 
 DUMMY_ITEM_ID = MASK64  # reserved sentinel for padded slots; never a graph node id
 
@@ -169,7 +168,7 @@ def adaptive_step(state: AdaptiveState, current_metric: float) -> AdaptiveState:
 # -- grouped training step ---------------------------------------------------------
 
 
-SampleFn = Callable[[NodeRef, str], list[list[HopEntry]]]  # (node, role)
+SampleFn = Callable[[NodeRef, str], list[list[NodeRef]]]  # (node, role)
 ActivityFn = Callable[[NodeRef, int], tuple[list[NodeRef], list[float]]]
 
 
@@ -201,7 +200,7 @@ def grouped_step(
     member_ref = graph.resolve(batch.member)
     member_hops = sample_fn(member_ref, "member")
     item_refs: list[NodeRef | None] = []
-    item_hops: dict[int, list[list[HopEntry]]] = {}
+    item_hops: dict[int, list[list[NodeRef]]] = {}
     for j, (item, real) in enumerate(zip(batch.items, batch.mask)):
         if not real:
             item_refs.append(None)
@@ -279,34 +278,3 @@ def mlp_init(
         if "/proj/" in name:
             full[name] = pre.store[name].copy()
     return full
-
-
-# -- local gradient aggregation ------------------------------------------------------
-
-
-def local_gradient_aggregate(
-    micro_gradients: Sequence[dict[str, np.ndarray]],
-    micro_batch_sizes: Sequence[int],
-) -> dict[str, np.ndarray]:
-    """Size-weighted mean of micro-batch gradients.
-
-    For any loss that is a size-weighted mean of per-example losses this
-    equals the concatenated-batch gradient exactly.
-    """
-    if len(micro_gradients) == 0:
-        raise ValueError("need at least one micro gradient")
-    if len(micro_gradients) != len(micro_batch_sizes):
-        raise ValueError("sizes must align with gradients")
-    names = list(micro_gradients[0])
-    total = float(sum(micro_batch_sizes))
-    out: dict[str, np.ndarray] = {}
-    for name in names:
-        shape = micro_gradients[0][name].shape
-        acc = np.zeros(shape, dtype=np.float64)
-        for grads, size in zip(micro_gradients, micro_batch_sizes):
-            g = grads[name]
-            if g.shape != shape:
-                raise ValueError(f"shape mismatch for {name}: {g.shape} vs {shape}")
-            acc += (size / total) * g
-        out[name] = acc
-    return out

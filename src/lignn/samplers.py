@@ -16,7 +16,6 @@ so callers pass a lazy iterable that the local path never walks.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -255,86 +254,6 @@ def sample_weighted_multihop(
     return multihop_sample_core(
         provider, graph.resolve, seeds, fanouts, rng_seed, "weighted", uniform=False
     )
-
-
-# -- exact PPR (oracle) ---------------------------------------------------------
-
-
-class GlobalIndex:
-    """Flat index over all nodes of all types, in (type, index) order."""
-
-    def __init__(self, graph: HeteroGraph):
-        self.graph = graph
-        self.types = graph.node_types
-        self.offsets: dict[int, int] = {}
-        total = 0
-        for t in self.types:
-            self.offsets[t] = total
-            total += graph.num_nodes(t)
-        self.n = total
-
-    def gidx(self, ref: NodeRef) -> int:
-        return self.offsets[ref.node_type] + ref.index
-
-    def ref(self, gidx: int) -> NodeRef:
-        for t in reversed(self.types):
-            if gidx >= self.offsets[t]:
-                return self.graph.node_ref_by_index(t, gidx - self.offsets[t])
-        raise IndexError(gidx)
-
-
-class PPRExactResult(NamedTuple):
-    scores: np.ndarray  # dense over GlobalIndex order
-    l1_change: float
-    index: GlobalIndex
-
-    def score_of(self, ref: NodeRef) -> float:
-        return float(self.scores[self.index.gidx(ref)])
-
-
-def _transition_matrix(graph: HeteroGraph, provider: Provider, gindex: GlobalIndex) -> np.ndarray:
-    P = np.zeros((gindex.n, gindex.n), dtype=np.float64)
-    for t in gindex.types:
-        for i in range(graph.num_nodes(t)):
-            ref = graph.node_ref_by_index(t, i)
-            g = gindex.gidx(ref)
-            refs, weights = provider.neighbors(ref)
-            total = float(weights.sum()) if len(refs) else 0.0
-            if total <= 0.0:
-                P[g, g] = 1.0  # dangling node keeps its mass
-            else:
-                for nref, w in zip(refs, weights):
-                    P[g, gindex.gidx(nref)] += float(w) / total
-    return P
-
-
-def ppr_exact(
-    graph: HeteroGraph,
-    seed: NodeRef | tuple[int, int],
-    alpha: float,
-    num_iterations: int = 500,
-    weighted: bool = True,
-) -> PPRExactResult:
-    """Power iteration of pi <- alpha*e_seed + (1-alpha)*pi P (dense, oracle).
-
-    Dangling nodes self-loop so P stays row-stochastic. Intended for small
-    graphs; cost is O(n^2) per iteration.
-    """
-    if num_iterations < 1:
-        raise ValueError("num_iterations must be >= 1")
-    seed_ref = graph.resolve(seed)
-    gindex = GlobalIndex(graph)
-    provider = LocalAdjacency(graph, weighted=weighted)
-    P = _transition_matrix(graph, provider, gindex)
-    e = np.zeros(gindex.n)
-    e[gindex.gidx(seed_ref)] = 1.0
-    pi = e.copy()
-    l1 = math.inf
-    for _ in range(num_iterations):
-        nxt = alpha * e + (1.0 - alpha) * (pi @ P)
-        l1 = float(np.abs(nxt - pi).sum())
-        pi = nxt
-    return PPRExactResult(pi, l1, gindex)
 
 
 # -- forward push ---------------------------------------------------------------

@@ -27,6 +27,10 @@ MAX_WALKS = 1 << 20
 # Each hop reads the views of the whole previous hop, with FANOUT_ALL up to
 # every view of the shard: bound the hops a request can ask for.
 MAX_HOPS = 8
+# Each weighted draw rescans every candidate, so a strategy-1 hop costs
+# fanout x candidates: bound the fanout a request can ask for. FANOUT_ALL
+# stays allowed, since it takes every candidate without drawing.
+MAX_FANOUT = 1024
 # Nodes one NEIGHBORS_BATCH request may name; clients split larger fetches.
 MAX_BATCH_NODES = 4096
 
@@ -153,6 +157,10 @@ class GraphEngineServer:
     def _sample_neighbors(self, req: wire.SampleNeighborsRequest) -> wire.SampleResponse:
         if not 0 < len(req.fanouts) <= MAX_HOPS:
             raise ValueError(f"{len(req.fanouts)} hops, not 1 to {MAX_HOPS}")
+        if req.strategy == 1 and any(
+            f > MAX_FANOUT and f != wire.FANOUT_ALL for f in req.fanouts
+        ):
+            raise ValueError(f"weighted fanout over {MAX_FANOUT}")
         fanouts = [
             (self.graph.num_nodes() if f == wire.FANOUT_ALL else f) for f in req.fanouts
         ]

@@ -1,5 +1,5 @@
 """End-to-end trainer: counting sampler, grouped epochs, adaptive schedule,
-validation AUC, metrics log, and simulated data-parallel workers."""
+validation AUC and metrics log."""
 
 from __future__ import annotations
 
@@ -12,14 +12,13 @@ import numpy as np
 
 from .graph import HeteroGraph, NodeRef
 from .model import LinkPredictionModel, ModelConfig, PairBatch, ParamStore
-from .model.encoder import HopEntry, hops_from_samples
+from .model.encoder import hops_from_samples
 from .pipeline import (
     AdaptiveState,
     TrainingRecord,
     adaptive_step,
     group_and_slice,
     grouped_step,
-    local_gradient_aggregate,
     mlp_init,
 )
 from .samplers import (
@@ -98,7 +97,7 @@ class GraphSampler:
             if role != "eval":
                 self.neighbors_fetched += entries
 
-    def fetch(self, ref: NodeRef, neighbor_count: int, role: str) -> list[list[HopEntry]]:
+    def fetch(self, ref: NodeRef, neighbor_count: int, role: str) -> list[list[NodeRef]]:
         """One engine query: the sampled compute graph for one node."""
         if self.strategy == "random":
             [hops] = sample_random_multihop(
@@ -226,7 +225,7 @@ class Trainer:
             k = self.config.temporal.dst_neighbor_count
             if k > 0:
                 batch.dst_neighbor_refs = [
-                    [e.ref for e in (hops[0] if hops else [])][:k] for hops in dst_hops
+                    (hops[0] if hops else [])[:k] for hops in dst_hops
                 ]
         return batch
 
@@ -304,26 +303,3 @@ class Trainer:
         if adaptive is not None:
             self.settings = replace(s, adaptive=adaptive)
         return self.history
-
-
-def data_parallel_step(
-    models: Sequence[LinkPredictionModel],
-    batches: Sequence[PairBatch],
-    lr: float,
-    scale_lr_by_workers: bool = False,
-) -> dict[str, np.ndarray]:
-    """Simulated synchronous workers: aggregate local gradients, apply the
-    same update to every replica (the all-reduce contract)."""
-    if len(models) != len(batches):
-        raise ValueError("one batch per worker")
-    grads = []
-    sizes = []
-    for model, batch in zip(models, batches):
-        _, g, _ = model.loss_and_grads(batch)
-        grads.append(g)
-        sizes.append(int(batch.mask.sum()))
-    agg = local_gradient_aggregate(grads, sizes)
-    step = lr * len(models) if scale_lr_by_workers else lr
-    for model in models:
-        model.store.sgd_step(agg, step)
-    return agg

@@ -1,0 +1,360 @@
+"""Plain numpy reference math for the taped model and the samplers.
+
+Each function here restates one op of the library without the autograd tape
+(or, for PPR, densely), so tests can check the library against it: the
+aggregators of the SAGE layer, the temporal sequence head and its long-term
+pairing, the link decoders and their losses, exact personalized PageRank,
+and the size-weighted aggregation of micro-batch gradients.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+from lignn.graph import HeteroGraph, NodeRef
+from lignn.model.params import TemporalConfig
+from lignn.model.temporal import (
+    build_prefix_causal_mask,
+    sinusoidal_positions,
+    timestamp_positions,
+)
+from lignn.samplers import LocalAdjacency, Provider
+
+
+# -- SAGE aggregators -------------------------------------------------------------
+
+
+def mean_aggregate(
+    neighbor_embeddings: Sequence[np.ndarray], weights: Sequence[float] | None = None
+) -> tuple[np.ndarray, bool]:
+    """(Weighted) arithmetic mean; empty input gives (zeros-flagged, True).
+
+    The zero vector for the empty case takes its dimension from weights-less
+    callers via an empty (0,)-dim guard, so callers should handle the flag.
+    """
+    if len(neighbor_embeddings) == 0:
+        return np.zeros(0), True
+    mat = np.stack([np.asarray(v, dtype=np.float64) for v in neighbor_embeddings])
+    if weights is None:
+        return mat.mean(axis=0), False
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape[0] != mat.shape[0]:
+        raise ValueError("weights length must match neighbor count")
+    total = w.sum()
+    if total <= 0:
+        raise ValueError("weight sum must be positive")
+    return (mat * w[:, None]).sum(axis=0) / total, False
+
+
+def attention_aggregate(
+    center: np.ndarray,
+    neighbor_embeddings: Sequence[np.ndarray],
+    w_query: np.ndarray,
+    w_key: np.ndarray,
+    include_center: bool = False,
+) -> tuple[np.ndarray, bool]:
+    """Scaled dot-product attention pool over the neighbor set.
+
+    score_i = (center W_q) . (n_i W_k) / sqrt(d_att); output is the
+    softmax-weighted sum of the neighbor embeddings themselves. The
+    self-attention variant adds the center to the key/value set. An empty
+    neighborhood returns the center embedding, flagged.
+    """
+    center = np.asarray(center, dtype=np.float64)
+    values = [np.asarray(v, dtype=np.float64) for v in neighbor_embeddings]
+    if include_center:
+        values = values + [center]
+    if len(values) == 0:
+        return center.copy(), True
+    mat = np.stack(values)
+    d_att = w_query.shape[1]
+    q = center @ w_query
+    scores = (mat @ w_key) @ q / np.sqrt(d_att)
+    shifted = np.exp(scores - scores.max())
+    att = shifted / shifted.sum()
+    return att @ mat, False
+
+
+# -- temporal head ------------------------------------------------------------------
+
+
+class TemporalSequence(NamedTuple):
+    tokens: np.ndarray        # (H+N, d) = H reshaped encoder tokens + N activities
+    mask: np.ndarray          # (H+N, H+N) bool, pad columns disabled
+    positions: np.ndarray     # (H+N, d) additive positional table (zeros on H block)
+    activity_real: np.ndarray  # (N,) bool, False on left-padded slots
+
+
+def assemble_temporal_sequence(
+    sage_output: np.ndarray,
+    activities: Sequence[np.ndarray],
+    config: TemporalConfig,
+    ages_ms: Sequence[float] | None = None,
+) -> TemporalSequence:
+    """Reshape the encoder output into H tokens and splice in activities.
+
+    The H*d encoder vector splits row-major into H tokens of dim d.
+    Activities are truncated to the most recent N and left-padded with zero
+    tokens; pad slots lose their attention columns (rows keep the H tokens,
+    so every row still attends something) and are excluded from losses via
+    ``activity_real``.
+    """
+    config.validate()
+    h, d, n = config.heads, config.token_dim, config.seq_len
+    sage_output = np.asarray(sage_output, dtype=np.float64)
+    if sage_output.shape != (h * d,):
+        raise ValueError(f"encoder output must have shape ({h * d},)")
+    head_tokens = sage_output.reshape(h, d)
+
+    acts = [np.asarray(a, dtype=np.float64) for a in activities]
+    for a in acts:
+        if a.shape != (d,):
+            raise ValueError(f"activity token dim {a.shape} != ({d},)")
+    acts = acts[-n:]
+    if ages_ms is not None:
+        ages = list(ages_ms)[-n:]
+    pad = n - len(acts)
+    act_block = np.zeros((n, d), dtype=np.float64)
+    if acts:
+        act_block[pad:] = np.stack(acts)
+    real = np.zeros(n, dtype=bool)
+    real[pad:] = True
+
+    tokens = np.concatenate([head_tokens, act_block], axis=0)
+
+    positions = np.zeros((h + n, d), dtype=np.float64)
+    if config.positional_mode == "sinusoidal":
+        positions[h:] = sinusoidal_positions(n, d)
+    elif config.positional_mode == "timestamp":
+        if ages_ms is None:
+            raise ValueError("timestamp positional mode needs ages_ms")
+        rows = timestamp_positions(ages, d) if acts else np.zeros((0, d))
+        positions[h + pad :] = rows
+
+    mask = build_prefix_causal_mask(h, n, config.mask_mode)
+    pad_cols = np.concatenate([np.zeros(h, dtype=bool), ~real])
+    mask[:, pad_cols] = False
+    return TemporalSequence(tokens, mask, positions, real)
+
+
+class AttentionParams(NamedTuple):
+    w_query: np.ndarray  # (d, d)
+    w_key: np.ndarray
+    w_value: np.ndarray
+
+
+def masked_attention_forward(
+    tokens: np.ndarray, mask: np.ndarray, params: AttentionParams
+) -> np.ndarray:
+    """Single-layer scaled dot-product attention with exact mask exclusion.
+
+    out_i = sum over allowed j of softmax(q_i . k_j / sqrt(d)) v_j; masked
+    entries carry exactly zero weight (their values never enter the max
+    shift, the normalizer, or the output).
+    """
+    tokens = np.asarray(tokens, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    t, d = tokens.shape
+    if mask.shape != (t, t):
+        raise ValueError(f"mask shape {mask.shape} != ({t}, {t})")
+    if not mask.any(axis=1).all():
+        raise ValueError("attention mask has a row with no allowed entries")
+    q = tokens @ params.w_query
+    k = tokens @ params.w_key
+    v = tokens @ params.w_value
+    scores = (q @ k.T) / np.sqrt(d)
+    mx = np.where(mask, scores, -np.inf).max(axis=1, keepdims=True)
+    shifted = np.where(mask, scores - mx, 0.0)  # masked values never enter exp
+    e = np.where(mask, np.exp(shifted), 0.0)
+    att = e / e.sum(axis=1, keepdims=True)
+    return att @ v
+
+
+def long_term_target_pairs(config: TemporalConfig) -> list[tuple[int, int]]:
+    """(prediction, target) positions in activity-index space.
+
+    The output embedding at the last history position (N1 - 1) predicts each
+    future activity embedding at N1..N-1; absolute token indices add H.
+    """
+    config.validate()
+    n1, n2 = config.history_len, config.future_len
+    if n2 == 0:
+        return []
+    return [(n1 - 1, t) for t in range(n1, n1 + n2)]
+
+
+# -- decoders and losses --------------------------------------------------------------
+
+
+def decode_cosine(src_embedding: np.ndarray, dst_embedding: np.ndarray) -> float:
+    """Cosine similarity in [-1, 1]; zero-norm inputs are an error."""
+    u = np.asarray(src_embedding, dtype=np.float64)
+    v = np.asarray(dst_embedding, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError("embedding dims differ")
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("cosine undefined for zero-norm embedding")
+    return float(u @ v / (nu * nv))
+
+
+class InBatchResult(NamedTuple):
+    logits: np.ndarray  # (B, B)
+    loss: float
+
+
+def decode_in_batch_negatives(
+    batch_src: np.ndarray, batch_dst: np.ndarray, temperature: float = 1.0
+) -> InBatchResult:
+    """Every other row of the batch serves as a negative.
+
+    logits[i][j] = src_i . dst_j / temperature; the loss is mean softmax
+    cross-entropy with diagonal targets. Needs B >= 2 (no negatives
+    otherwise).
+    """
+    src = np.asarray(batch_src, dtype=np.float64)
+    dst = np.asarray(batch_dst, dtype=np.float64)
+    if src.ndim != 2 or src.shape != dst.shape:
+        raise ValueError("expected matching (B, d) batches")
+    if src.shape[0] < 2:
+        raise ValueError("in-batch negatives need B >= 2")
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    logits = src @ dst.T / temperature
+    mx = logits.max(axis=1, keepdims=True)
+    lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
+    loss = float(np.mean(lse - np.diag(logits)))
+    return InBatchResult(logits, loss)
+
+
+class BCEResult(NamedTuple):
+    loss: float
+    grad: float  # d loss / d score
+
+
+def bce_loss(score: float, label: int) -> BCEResult:
+    """Sigmoid binary cross entropy in log-sum-exp form.
+
+    loss = softplus(s) - y*s; gradient sigmoid(s) - y. Stable for any s.
+    """
+    if label not in (0, 1):
+        raise ValueError("label must be 0 or 1")
+    s = float(score)
+    softplus = max(s, 0.0) + np.log1p(np.exp(-abs(s)))
+    z = np.exp(-abs(s))
+    sig = 1.0 / (1.0 + z) if s >= 0 else z / (1.0 + z)
+    return BCEResult(float(softplus - label * s), float(sig - label))
+
+
+# -- exact PPR ------------------------------------------------------------------------
+
+
+class GlobalIndex:
+    """Flat index over all nodes of all types, in (type, index) order."""
+
+    def __init__(self, graph: HeteroGraph):
+        self.graph = graph
+        self.types = graph.node_types
+        self.offsets: dict[int, int] = {}
+        total = 0
+        for t in self.types:
+            self.offsets[t] = total
+            total += graph.num_nodes(t)
+        self.n = total
+
+    def gidx(self, ref: NodeRef) -> int:
+        return self.offsets[ref.node_type] + ref.index
+
+    def ref(self, gidx: int) -> NodeRef:
+        for t in reversed(self.types):
+            if gidx >= self.offsets[t]:
+                return self.graph.node_ref_by_index(t, gidx - self.offsets[t])
+        raise IndexError(gidx)
+
+
+class PPRExactResult(NamedTuple):
+    scores: np.ndarray  # dense over GlobalIndex order
+    l1_change: float
+    index: GlobalIndex
+
+    def score_of(self, ref: NodeRef) -> float:
+        return float(self.scores[self.index.gidx(ref)])
+
+
+def _transition_matrix(graph: HeteroGraph, provider: Provider, gindex: GlobalIndex) -> np.ndarray:
+    P = np.zeros((gindex.n, gindex.n), dtype=np.float64)
+    for t in gindex.types:
+        for i in range(graph.num_nodes(t)):
+            ref = graph.node_ref_by_index(t, i)
+            g = gindex.gidx(ref)
+            refs, weights = provider.neighbors(ref)
+            total = float(weights.sum()) if len(refs) else 0.0
+            if total <= 0.0:
+                P[g, g] = 1.0  # dangling node keeps its mass
+            else:
+                for nref, w in zip(refs, weights):
+                    P[g, gindex.gidx(nref)] += float(w) / total
+    return P
+
+
+def ppr_exact(
+    graph: HeteroGraph,
+    seed: NodeRef | tuple[int, int],
+    alpha: float,
+    num_iterations: int = 500,
+    weighted: bool = True,
+) -> PPRExactResult:
+    """Power iteration of pi <- alpha*e_seed + (1-alpha)*pi P (dense, oracle).
+
+    Dangling nodes self-loop so P stays row-stochastic. Intended for small
+    graphs; cost is O(n^2) per iteration.
+    """
+    if num_iterations < 1:
+        raise ValueError("num_iterations must be >= 1")
+    seed_ref = graph.resolve(seed)
+    gindex = GlobalIndex(graph)
+    provider = LocalAdjacency(graph, weighted=weighted)
+    P = _transition_matrix(graph, provider, gindex)
+    e = np.zeros(gindex.n)
+    e[gindex.gidx(seed_ref)] = 1.0
+    pi = e.copy()
+    l1 = math.inf
+    for _ in range(num_iterations):
+        nxt = alpha * e + (1.0 - alpha) * (pi @ P)
+        l1 = float(np.abs(nxt - pi).sum())
+        pi = nxt
+    return PPRExactResult(pi, l1, gindex)
+
+
+# -- gradient aggregation -------------------------------------------------------------
+
+
+def local_gradient_aggregate(
+    micro_gradients: Sequence[dict[str, np.ndarray]],
+    micro_batch_sizes: Sequence[int],
+) -> dict[str, np.ndarray]:
+    """Size-weighted mean of micro-batch gradients.
+
+    For any loss that is a size-weighted mean of per-example losses this
+    equals the concatenated-batch gradient exactly.
+    """
+    if len(micro_gradients) == 0:
+        raise ValueError("need at least one micro gradient")
+    if len(micro_gradients) != len(micro_batch_sizes):
+        raise ValueError("sizes must align with gradients")
+    names = list(micro_gradients[0])
+    total = float(sum(micro_batch_sizes))
+    out: dict[str, np.ndarray] = {}
+    for name in names:
+        shape = micro_gradients[0][name].shape
+        acc = np.zeros(shape, dtype=np.float64)
+        for grads, size in zip(micro_gradients, micro_batch_sizes):
+            g = grads[name]
+            if g.shape != shape:
+                raise ValueError(f"shape mismatch for {name}: {g.shape} vs {shape}")
+            acc += (size / total) * g
+        out[name] = acc
+    return out

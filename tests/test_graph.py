@@ -43,6 +43,11 @@ class TestSchema:
         with pytest.raises(SchemaError):
             GraphSchema.parse(bad)
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+    def test_bad_feature_dim_names_its_line(self, value):
+        with pytest.raises(SchemaError, match="line 2"):
+            GraphSchema.parse(f"edge.0 = affinity\nfeatures.0 = {value}\n")
+
 
 class TestBuild:
     def test_minimal_graph(self):

@@ -1,4 +1,5 @@
-"""Model: aggregators, encoder, decoders, checkpoint, gradient smoke checks."""
+"""Model: the oracles, the taped encoder, decoders and temporal head checked
+against them, checkpoint, gradient smoke checks."""
 
 from __future__ import annotations
 
@@ -14,19 +15,27 @@ from lignn.model import (
     PairBatch,
     ParamStore,
     TemporalConfig,
-    attention_aggregate,
-    bce_loss,
-    decode_cosine,
-    decode_in_batch_negatives,
+    build_encode_batch,
     hops_from_samples,
     init_params,
-    mean_aggregate,
     sage_encode,
 )
+from lignn.model import autograd as ag
 from lignn.samplers import sample_random_multihop
 
 from conftest import build, edge_row, node_row
 from fdcheck import central_diff, max_relative_error
+from oracles import (
+    AttentionParams,
+    assemble_temporal_sequence,
+    attention_aggregate,
+    bce_loss,
+    decode_cosine,
+    decode_in_batch_negatives,
+    long_term_target_pairs,
+    masked_attention_forward,
+    mean_aggregate,
+)
 
 
 class TestMeanAggregate:
@@ -142,23 +151,26 @@ class TestSageEncode:
         out2 = sage_encode(graph, (0, 0), [perm], store, cfg)
         np.testing.assert_allclose(out1, out2, atol=1e-12)
 
-    def test_matches_naive_recursion(self):
+    @pytest.mark.parametrize("aggregator", ["mean", "attention", "self_attention"])
+    def test_matches_naive_recursion(self, aggregator):
         rng = np.random.default_rng(19)
-        # two-level chain: 0 -> {1, 2} -> ...
+        # two-level chain: 0 -> {1, 2, 5} -> ...; 5 has an empty neighborhood
         rows = [
             edge_row(0, 0, 0, 0, 1, 1.0),
             edge_row(0, 0, 0, 0, 2, 1.0),
+            edge_row(0, 0, 0, 0, 5, 1.0),
             edge_row(0, 1, 0, 0, 3, 1.0),
             edge_row(0, 2, 0, 0, 3, 1.0),
             edge_row(0, 2, 0, 0, 4, 1.0),
         ]
-        nodes = [node_row(0, i, rng.normal(size=4)) for i in range(5)]
+        nodes = [node_row(0, i, rng.normal(size=4)) for i in range(6)]
         graph, _ = build(rows, nodes)
         from dataclasses import replace
 
-        cfg = replace(config_for(graph), hops=2)
+        cfg = replace(config_for(graph), hops=2, aggregator=aggregator)
         store = init_params(cfg)
-        samples = sample_random_multihop(graph, [(0, 0)], [2, 3], rng_seed=5)[0]
+        samples = sample_random_multihop(graph, [(0, 0)], [3, 3], rng_seed=5)[0]
+        assert [len(s.entries) for s in samples] == [3, 2]
         out = sage_encode(graph, (0, 0), samples, store, cfg)
 
         # independent naive recursion
@@ -178,18 +190,23 @@ class TestSageEncode:
             if layer == 0:
                 return proj(ref)
             kids = children_of(ref, hop_sets[depth]) if depth < 2 else []
-            if kids:
-                agg = np.mean([encode(c, depth + 1, layer - 1) for c in kids], axis=0)
-            else:
-                prev = encode(ref, depth, layer - 1)
-                agg = np.zeros_like(prev)
             h_self = encode(ref, depth, layer - 1)
+            neighbors = [encode(c, depth + 1, layer - 1) for c in kids]
+            if aggregator == "mean":
+                agg, empty = mean_aggregate(neighbors)
+                if empty:
+                    agg = np.zeros_like(h_self)
+            else:
+                agg, _ = attention_aggregate(
+                    h_self, neighbors, store[f"enc/att/{layer}/Wq"],
+                    store[f"enc/att/{layer}/Wk"], include_center=aggregator == "self_attention",
+                )
             w = store[f"enc/combine/{layer}/W"]
             b = store[f"enc/combine/{layer}/b"][0]
             return np.tanh(np.concatenate([h_self, agg]) @ w + b)
 
         oracle = encode(graph.node_ref(0, 0), 0, 2)
-        np.testing.assert_allclose(out, oracle, atol=1e-10)
+        np.testing.assert_allclose(out, oracle, rtol=1e-10, atol=1e-10)
 
 
 class TestDecoders:
@@ -231,6 +248,32 @@ class TestDecoders:
     def test_in_batch_needs_two(self):
         with pytest.raises(ValueError):
             decode_in_batch_negatives(np.ones((1, 2)), np.ones((1, 2)))
+
+    @pytest.mark.parametrize("kind", ["cosine", "mlp", "in_batch_negative"])
+    def test_forward_matches_oracles(self, kind):
+        rng = np.random.default_rng(47)
+        graph = bipartite_graph(rng)
+        cfg = config_for(graph, decoder=DecoderKind(kind, mlp_hidden=(4,), temperature=0.7))
+        model = LinkPredictionModel(graph, cfg)
+        pairs = [((0, m), (1, 100 + (5 * m) % 6), m % 2) for m in range(5)]
+        batch = make_batch(graph, cfg, pairs)
+        batch.mask[3] = False
+        result = model.forward(batch)
+        src, dst = tower_outputs(model, batch)
+        real = batch.mask
+        if kind == "in_batch_negative":
+            full = decode_in_batch_negatives(src, dst, temperature=0.7)
+            np.testing.assert_allclose(result.scores, np.diag(full.logits), rtol=1e-10)
+            expected = decode_in_batch_negatives(src[real], dst[real], temperature=0.7).loss
+        else:
+            if kind == "cosine":
+                cosines = [decode_cosine(u, v) for u, v in zip(src, dst)]
+                np.testing.assert_allclose(result.scores, cosines, rtol=1e-10)
+            per_pair = [
+                bce_loss(s, int(y)).loss for s, y in zip(result.scores, batch.labels)
+            ]
+            expected = float(np.mean(np.array(per_pair)[real]))
+        assert float(result.loss.data) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 class TestBCE:
@@ -331,6 +374,19 @@ def make_batch(graph, config, pairs, rng_seed=0, fanouts=None):
     )
 
 
+def tower_outputs(model, batch):
+    """The encoder outputs both towers feed the decoder, as plain arrays."""
+    taped = {name: ag.constant(arr) for name, arr in model.store.items()}
+    out = []
+    for position, refs, hops in (
+        ("src", batch.src_refs, batch.src_hops),
+        ("dst", batch.dst_refs, batch.dst_hops),
+    ):
+        levels = build_encode_batch(model.graph, refs, hops, model.config.hops, batch.flat_attach)
+        out.append(model.encoder.encode(taped, model.config.side_for(position), levels).data)
+    return out
+
+
 class TestNetworkGradients:
     @pytest.mark.parametrize("aggregator", ["mean", "attention", "self_attention"])
     def test_fd_smoke_mean_cosine(self, aggregator):
@@ -406,3 +462,54 @@ class TestNetworkGradients:
         assert loss < 1e-12
         total = math.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
         assert total < 1e-6
+
+
+class TestTemporalHead:
+    @pytest.mark.parametrize("mask_mode", ["prefix_causal", "regular_causal"])
+    @pytest.mark.parametrize("positional_mode", ["sinusoidal", "timestamp"])
+    def test_matches_oracle(self, mask_mode, positional_mode):
+        rng = np.random.default_rng(53)
+        graph = bipartite_graph(rng)
+        temporal = TemporalConfig(heads=3, token_dim=2, seq_len=4, future_len=2,
+                                  mask_mode=mask_mode, positional_mode=positional_mode)
+        cfg = config_for(graph, temporal=temporal)
+        model = LinkPredictionModel(graph, cfg)
+        pairs = [((0, m), (1, 100 + (m + 2) % 6), m % 2) for m in range(4)]
+        batch = make_batch(graph, cfg, pairs)
+        ref = graph.resolve
+        # one row over-long (truncated), two left-padded, one empty
+        batch.activity_refs = [
+            [ref((1, 100 + k)) for k in (5, 1, 0, 3, 2)],
+            [ref((1, 104))],
+            [ref((1, 101)), ref((1, 103)), ref((1, 105))],
+            [],
+        ]
+        batch.activity_ages = [[90.0, 40.0, 12.0, 3.0, 0.0], [7.0], [300.0, 20.0, 2.0], []]
+        result = model.forward(batch)
+        src, dst = tower_outputs(model, batch)
+
+        side = cfg.side_for("src")
+        h, d = temporal.heads, temporal.token_dim
+        params = AttentionParams(*(model.store[f"{side}/tformer/{w}"] for w in ("Wq", "Wk", "Wv")))
+
+        def token(node):
+            w = model.store[f"{side}/proj/{node.node_type}/W"]
+            b = model.store[f"{side}/proj/{node.node_type}/b"][0]
+            return graph.features_of(node) @ w + b
+
+        scores, lt_terms = [], []
+        for i, (acts, ages) in enumerate(zip(batch.activity_refs, batch.activity_ages)):
+            seq = assemble_temporal_sequence(src[i], [token(a) for a in acts], temporal, ages)
+            out = masked_attention_forward(seq.tokens + seq.positions, seq.mask, params)
+            item = dst[i].reshape(h, d).mean(axis=0)
+            scores.append(decode_cosine(out[:h].mean(axis=0), item))
+            for p, t in long_term_target_pairs(temporal):
+                if seq.activity_real[p] and seq.activity_real[t]:
+                    lt_terms.append(1.0 - decode_cosine(out[h + p], seq.tokens[h + t]))
+        long_term = sum(lt_terms) / max(1, len(lt_terms))
+        main = np.mean([bce_loss(s, int(y)).loss for s, y in zip(scores, batch.labels)])
+
+        assert lt_terms
+        np.testing.assert_allclose(result.scores, scores, rtol=1e-10)
+        assert result.aux["long_term_loss"] == pytest.approx(long_term, rel=1e-10, abs=0.0)
+        assert float(result.loss.data) == pytest.approx(main + long_term, rel=1e-10, abs=0.0)

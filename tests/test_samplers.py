@@ -11,7 +11,6 @@ from lignn.graph import NodeRef
 from lignn.samplers import (
     PPRConfig,
     WalkConfig,
-    ppr_exact,
     ppr_forward_push,
     ppr_forward_push_batch,
     ppr_two_hop_random_walk,
@@ -21,6 +20,7 @@ from lignn.samplers import (
 )
 
 from conftest import build, edge_row, random_weighted_digraph
+from oracles import ppr_exact
 
 
 def star(n_leaves, weights=None):

@@ -504,6 +504,7 @@ INVALID_REQUESTS = {
     ),
     "empty-fanouts": wire.SampleNeighborsRequest(SEED, fanouts=()),
     "255-hops": wire.SampleNeighborsRequest(SEED, fanouts=(1,) * 255),
+    "weighted-fanout-u32": wire.SampleNeighborsRequest(SEED, strategy=1, fanouts=(2**32 - 2,)),
     "batch-empty": wire.NeighborsBatchRequest(()),
     "batch-negative-multiplier": wire.NeighborsBatchRequest((SEED,), ((0, -1.0),)),
     "batch-too-many-nodes": wire.NeighborsBatchRequest((SEED,) * (server_mod.MAX_BATCH_NODES + 1)),
@@ -550,6 +551,26 @@ class TestInvalidRequests:
         frame = server.handle_payload(wire.encode_request(request)[4:])
         status = wire.decode_response(frame[4:]).status
         assert calls == ([hops] if served else [])
+        assert status == (wire.Status.OK if served else wire.Status.BAD_REQUEST)
+
+    @pytest.mark.parametrize("fanout,served", [
+        (server_mod.MAX_FANOUT, True),
+        (server_mod.MAX_FANOUT + 1, False),
+        (wire.FANOUT_ALL, True),
+    ])
+    def test_weighted_fanout_is_bounded(self, single_server, monkeypatch, fanout, served):
+        _, _, server, _ = single_server
+        calls = []
+
+        def record(graph, seeds, fanouts, multipliers, rng_seed):
+            calls.append(len(fanouts))
+            return [[NeighborSample(seeds[0], (), "weighted")] * len(fanouts)]
+
+        monkeypatch.setattr(server_mod, "sample_weighted_multihop", record)
+        request = wire.SampleNeighborsRequest(SEED, strategy=1, fanouts=(1, fanout))
+        frame = server.handle_payload(wire.encode_request(request)[4:])
+        status = wire.decode_response(frame[4:]).status
+        assert calls == ([2] if served else [])
         assert status == (wire.Status.OK if served else wire.Status.BAD_REQUEST)
 
     def test_oversized_frame_answered_then_closed(self, single_server, caplog):

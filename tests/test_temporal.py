@@ -7,14 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from lignn.model import (
+from lignn.model import TemporalConfig, build_prefix_causal_mask, sinusoidal_positions
+
+from oracles import (
     AttentionParams,
-    TemporalConfig,
     assemble_temporal_sequence,
-    build_prefix_causal_mask,
     long_term_target_pairs,
     masked_attention_forward,
-    sinusoidal_positions,
 )
 
 

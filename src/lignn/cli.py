@@ -17,8 +17,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .densify import DensifyConfig, ExternalEmbeddingTable, densify
 from .graph import GraphSchema, load_graph
 from .model import DecoderKind, ModelConfig, ParamStore, TemporalConfig

@@ -94,6 +94,63 @@ def degree_threshold(graph: HeteroGraph, quantile: float,
     return int(degrees[rank - 1])
 
 
+# sims entries ranked per block of queries, which bounds the block's memory
+_BLOCK_ENTRIES = 1 << 21
+
+
+class _CosineTopK:
+    """Exact top-k cosine search over a fixed candidate list.
+
+    A flat inner-product index (FAISS ``IndexFlatIP``): the candidate matrix
+    and its row norms are stacked once and zero-norm rows dropped. Queries
+    are scored in blocks by a stack of matrix-vector products, one per query
+    and bit-equal to ``mat @ q``; a blocked ``Q @ H.T`` would differ in the
+    last bits and could reorder near-ties. Candidates rank by (-similarity,
+    node_type, index): a stable sort of -similarity over the candidates in
+    (node_type, index) order.
+    """
+
+    def __init__(self, table: ExternalEmbeddingTable, candidates: Sequence[NodeRef]):
+        mat = np.stack([table.get(c) for c in candidates])
+        norms = np.linalg.norm(mat, axis=1)
+        ok = norms > 0.0
+        self._mat = mat[ok]
+        self._norms = norms[ok]
+        self._refs = [c for c, keep in zip(candidates, ok.tolist()) if keep]
+        self._tie_order = np.lexsort((
+            np.array([c.index for c in self._refs], dtype=np.int64),
+            np.array([c.node_type for c in self._refs], dtype=np.int64),
+        ))
+        self._row = {c: r for r, c in enumerate(self._refs)}
+
+    def top(self, queries: Sequence[np.ndarray], k: int,
+            exclude: Sequence[NodeRef | None]) -> list[list[NodeRef] | None]:
+        """The k best candidates per query, never its ``exclude`` node; None
+        for a zero-norm query."""
+        step = max(1, _BLOCK_ENTRIES // max(1, len(self._refs)))
+        out: list[list[NodeRef] | None] = []
+        for start in range(0, len(queries), step):
+            out += self._top_block(queries[start:start + step], k,
+                                   exclude[start:start + step])
+        return out
+
+    def _top_block(self, queries, k, exclude):
+        q = np.stack(queries)
+        qns = np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0, 0])  # == np.linalg.norm(q_i)
+        live = np.flatnonzero(qns > 0.0)
+        sims = (self._mat @ q[live, :, None])[:, :, 0]
+        sims /= np.multiply.outer(qns[live], self._norms)
+        ties = self._tie_order
+        order = ties[np.argsort(-sims[:, ties], axis=1, kind="stable")][:, :k + 1]
+        out: list[list[NodeRef] | None] = [None] * len(queries)
+        for i, best in zip(live.tolist(), order.tolist()):
+            skip = self._row.get(exclude[i])
+            if skip in best:
+                best.remove(skip)
+            out[i] = [self._refs[r] for r in best[:k]]
+        return out
+
+
 def exact_knn(
     table: ExternalEmbeddingTable,
     candidates: Sequence[NodeRef],
@@ -102,24 +159,16 @@ def exact_knn(
 ) -> list[NodeRef]:
     """Top-k candidates by cosine similarity, ties by (node_type, index).
 
-    Zero-norm candidates are dropped; a zero-norm query is an error.
+    Zero-norm candidates are dropped; a zero-norm query is an error. This is
+    the one-query case of the search ``densify`` runs for every low node.
     """
     if len(candidates) == 0:
         raise ValueError("candidates must be non-empty")
     query = np.asarray(query_vector, dtype=np.float64)
-    qn = float(np.linalg.norm(query))
-    if qn == 0.0:
+    top = _CosineTopK(table, candidates).top([query], k, [None])[0]
+    if top is None:
         raise ValueError("query vector has zero norm")
-    mat = np.stack([table.get(c) for c in candidates])
-    norms = np.linalg.norm(mat, axis=1)
-    ok = norms > 0.0
-    sims = np.full(len(candidates), -np.inf)
-    sims[ok] = (mat[ok] @ query) / (norms[ok] * qn)
-    order = sorted(
-        (i for i in range(len(candidates)) if ok[i]),
-        key=lambda i: (-sims[i], candidates[i].node_type, candidates[i].index),
-    )
-    return [candidates[i] for i in order[:k]]
+    return top
 
 
 @dataclass
@@ -148,10 +197,14 @@ def densify(
     nodes with weight-1.0 artificial edges of the configured type.
 
     The low set is out-degree <= lower-quantile threshold, the high set
-    out-degree >= upper-quantile threshold; nodes between are untouched.
-    Uncovered low nodes are skipped (reported); an uncovered or empty high
-    set is an error. Output edges are sorted by low node, so the result does
-    not depend on iteration order.
+    out-degree >= upper-quantile threshold; nodes between are untouched. A
+    node in both sets (equal thresholds) is never linked to itself.
+    Uncovered and zero-norm low nodes are skipped (reported); an uncovered
+    or empty high set is an error. Output edges are sorted by low node, so
+    the result does not depend on iteration order.
+
+    The high-node matrix is stacked once for all low nodes, and every edge
+    lands in one epoch swap (``HeteroGraph.with_added_edges``).
     """
     config.validate()
     t_low = degree_threshold(graph, config.degree_lower_quantile, config.edge_types)
@@ -160,33 +213,39 @@ def densify(
     low_nodes: list[NodeRef] = []
     high_nodes: list[NodeRef] = []
     skipped: list[tuple[int, int, str]] = []
+    # node ids ascend with the index, so both lists are in (node_type, node_id) order
     for t in graph.node_types:
         degs = graph.out_degrees(t, config.edge_types)
-        for i, d in enumerate(degs):
+        for i in np.flatnonzero(degs >= t_high).tolist():
             ref = graph.node_ref_by_index(t, i)
-            if d >= t_high:
-                if table.covers(ref):
-                    high_nodes.append(ref)
-                else:
-                    skipped.append((ref.node_type, ref.node_id, "high_node_uncovered"))
-            if d <= t_low:
-                low_nodes.append(ref)
+            if table.covers(ref):
+                high_nodes.append(ref)
+            else:
+                skipped.append((ref.node_type, ref.node_id, "high_node_uncovered"))
+        low_nodes += [graph.node_ref_by_index(t, i)
+                      for i in np.flatnonzero(degs <= t_low).tolist()]
 
     if not high_nodes:
         raise DensifyError("no covered high-degree nodes: densification impossible")
 
-    edges: list[tuple[NodeRef, NodeRef]] = []
-    for low in sorted(low_nodes, key=lambda r: (r.node_type, r.node_id)):
-        if not table.covers(low):
+    covered = []
+    for low in low_nodes:
+        if table.covers(low):
+            covered.append(low)
+        else:
             skipped.append((low.node_type, low.node_id, "low_node_uncovered"))
-            continue
-        top = exact_knn(table, high_nodes, table.get(low), config.k)
-        edges.extend((low, high) for high in top)
+    tops = _CosineTopK(table, high_nodes).top(
+        [table.get(low) for low in covered], config.k, exclude=covered
+    )
+    edges: list[tuple[NodeRef, NodeRef]] = []
+    for low, top in zip(covered, tops):
+        if top is None:
+            skipped.append((low.node_type, low.node_id, "low_node_zero_norm"))
+        else:
+            edges.extend((low, high) for high in top)
 
-    new_graph = graph
-    for low, high in edges:
-        new_graph = new_graph.with_updated_run(
-            low, config.artificial_edge_type, high, 1.0, 0
-        )
+    new_graph = graph.with_added_edges(
+        [(low, config.artificial_edge_type, high, 1.0, 0) for low, high in edges]
+    )
     return DensifyResult(edges, new_graph, t_low, t_high,
                          config.artificial_edge_type, skipped)

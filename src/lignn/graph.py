@@ -4,9 +4,9 @@ Nodes are addressed externally by (node_type, node_id) and internally by a
 dense per-type index. Edges live in per (src_type, edge_type) CSR blocks
 whose per-node runs are sorted by timestamp, so temporal prefix queries are
 binary searches. Nodes and edges never change after construction (only a
-memo of derived neighbour views fills in); the nearline refresher produces
-new graph objects through a copy-on-write run overlay (see
-``with_updated_run``).
+memo of derived neighbour views fills in); densification and the nearline
+refresher produce new graph objects through a copy-on-write run overlay
+(see ``with_added_edges``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -210,14 +210,14 @@ _EMPTY_RUN = AdjacencySlice(
 class HeteroGraph:
     """Typed multi-relation graph, immutable after build.
 
-    Readers may share an instance freely across threads. ``with_updated_run``
+    Readers may share an instance freely across threads. ``with_added_edges``
     returns a new instance that shares the base CSR arrays, the id lookup
-    and the node refs, and carries one more overlay run; swapping to the new
-    instance is the epoch swap.
+    and the node refs, and carries the changed runs in its overlay; swapping
+    to the new instance is the epoch swap.
 
     Readers fill a per-epoch memo of unfiltered merged views
-    (``merged_neighbors``), which the next epoch inherits minus the node
-    whose run changed. Filling it from many threads is safe: a view is a
+    (``merged_neighbors``), which the next epoch inherits minus the nodes
+    whose runs changed. Filling it from many threads is safe: a view is a
     deterministic function of the epoch, so racing readers store equal
     values, and each store is one atomic dict assignment.
     """
@@ -418,41 +418,51 @@ class HeteroGraph:
     ) -> "HeteroGraph":
         """Copy-on-write insert/update of one edge; returns the next epoch.
 
-        The affected adjacency run is copied with the edge added in timestamp
-        order (same (dst, timestamp) updates to max weight, matching the
-        build-time duplicate policy). Base arrays, the id lookup and the node
-        refs are shared; the memo is inherited without ``src``'s view.
-        ``src`` and ``dst`` must be refs of this graph.
+        The one-edge case of ``with_added_edges``.
         """
-        run = self._run(src.node_type, edge_type, src.index)
-        ts_list = run.timestamp.tolist()
-        pos = bisect_left(ts_list, timestamp)
-        # scan ties on timestamp for an existing (dst, ts) edge
-        dup = -1
-        j = pos
-        while j < len(ts_list) and ts_list[j] == timestamp:
-            if int(run.dst_type[j]) == dst.node_type and int(run.dst_id[j]) == dst.node_id:
-                dup = j
-                break
-            j += 1
-        if dup >= 0:
-            new = AdjacencySlice(*(a.copy() for a in run))
-            new.weight[dup] = max(new.weight[dup], weight)
-        else:
-            new = AdjacencySlice(
-                np.insert(run.dst_type, pos, dst.node_type),
-                np.insert(run.dst_id, pos, np.uint64(dst.node_id)),
-                np.insert(run.dst_index, pos, dst.index),
-                np.insert(run.weight, pos, weight),
-                np.insert(run.timestamp, pos, timestamp),
-            )
+        return self.with_added_edges([(src, edge_type, dst, weight, timestamp)])
+
+    def with_added_edges(
+        self, edges: Iterable[tuple[NodeRef, int, NodeRef, float, int]]
+    ) -> "HeteroGraph":
+        """Copy-on-write insert/update of many edges; returns the next epoch.
+
+        Each edge is ``(src, edge_type, dst, weight, timestamp)``, with
+        ``src`` and ``dst`` refs of this graph. The result equals applying
+        the edges one at a time in order: a new edge goes into its run at
+        the first position of its timestamp (before existing edges with the
+        same timestamp), and a (dst, timestamp) already in the run, earlier
+        edges of this call included, keeps the max weight (the build-time
+        duplicate policy). Each changed run is copied and merged once. Base
+        arrays, the id lookup and the node refs are shared; the memo is
+        inherited without the views of the changed sources.
+        """
+        added: dict[tuple[int, int, int], list[tuple[NodeRef, int, NodeRef, float, int]]] = {}
+        for edge in edges:
+            src = edge[0]
+            added.setdefault((src.node_type, edge[1], src.index), []).append(edge)
+        if not added:
+            return self
+        # the merged runs are slices of one set of column arrays, like a CSR block
+        cols: list[list] = [[], [], [], [], []]
+        bounds = [0]
+        for key, run_edges in added.items():
+            for col, merged in zip(cols, _merged_run(self._run(*key), run_edges)):
+                col.extend(merged)
+            bounds.append(len(cols[0]))
+        arrays = [np.array(col, dtype=a.dtype) for col, a in zip(cols, _EMPTY_RUN)]
         nxt = copy.copy(self)
         nxt._overlay = dict(self._overlay)
-        nxt._overlay[(src.node_type, edge_type, src.index)] = new
         nxt._memo = dict(self._memo)
-        nxt._memo.pop((src.node_type, src.index), None)
-        if edge_type not in self._edge_types:
-            nxt._edge_types = tuple(sorted(self._edge_types + (edge_type,)))
+        dst_type, dst_id, dst_index, weight, timestamp = arrays
+        for key, lo, hi in zip(added, bounds, bounds[1:]):
+            nxt._overlay[key] = AdjacencySlice(
+                dst_type[lo:hi], dst_id[lo:hi], dst_index[lo:hi], weight[lo:hi], timestamp[lo:hi]
+            )
+            nxt._memo.pop((key[0], key[2]), None)
+        edge_types = {et for _, et, _ in added}
+        if not edge_types <= set(self._edge_types):
+            nxt._edge_types = tuple(sorted(edge_types | set(self._edge_types)))
         return nxt
 
     # -- serialization -------------------------------------------------------
@@ -474,6 +484,28 @@ class HeteroGraph:
         with open(path, "w", encoding="utf-8") as fh:
             for st, sid, et, dt, did, w, ts in self.iter_edge_rows():
                 fh.write(f"{st}\t{sid}\t{et}\t{dt}\t{did}\t{w:.17g}\t{ts}\n")
+
+
+def _merged_run(
+    run: AdjacencySlice, edges: list[tuple[NodeRef, int, NodeRef, float, int]]
+) -> list[list]:
+    """The columns of ``run`` as lists, with ``edges`` inserted one at a time."""
+    dst_type, dst_id, dst_index, weight, timestamp = cols = [a.tolist() for a in run]
+    for _, _, dst, w, ts in edges:
+        pos = j = bisect_left(timestamp, ts)
+        # scan ties on timestamp for an existing (dst, ts) edge
+        while j < len(timestamp) and timestamp[j] == ts:
+            if dst_type[j] == dst.node_type and dst_id[j] == dst.node_id:
+                weight[j] = max(weight[j], w)
+                break
+            j += 1
+        else:
+            dst_type.insert(pos, dst.node_type)
+            dst_id.insert(pos, dst.node_id)
+            dst_index.insert(pos, dst.index)
+            weight.insert(pos, w)
+            timestamp.insert(pos, ts)
+    return cols
 
 
 def connection_affinity_weight(common_count: int, deg_u: int, deg_v: int) -> float:

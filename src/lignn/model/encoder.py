@@ -7,7 +7,7 @@ The batched path runs on the autograd tape over level-flattened sample trees;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable
 
 import numpy as np
 

@@ -4,17 +4,19 @@ Each function here restates one op of the library without the autograd tape
 (or, for PPR, densely), so tests can check the library against it: the
 aggregators of the SAGE layer, the temporal sequence head and its long-term
 pairing, the link decoders and their losses, exact personalized PageRank,
-and the size-weighted aggregation of micro-batch gradients.
+the size-weighted aggregation of micro-batch gradients, and the one-edge
+insert of an epoch swap.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from lignn.graph import HeteroGraph, NodeRef
+from lignn.graph import AdjacencySlice, HeteroGraph, NodeRef
 from lignn.model.params import TemporalConfig
 from lignn.model.temporal import (
     build_prefix_causal_mask,
@@ -358,3 +360,51 @@ def local_gradient_aggregate(
             acc += (size / total) * g
         out[name] = acc
     return out
+
+
+# -- epoch swap -----------------------------------------------------------------------
+
+
+def run_with_edge(
+    run: AdjacencySlice, dst: NodeRef, weight: float, timestamp: int
+) -> AdjacencySlice:
+    """One adjacency run with one edge inserted or updated, by numpy inserts.
+
+    The edge goes in timestamp order, before existing edges of the same
+    timestamp; a (dst, timestamp) already in the run keeps the max weight.
+    """
+    ts_list = run.timestamp.tolist()
+    pos = bisect_left(ts_list, timestamp)
+    # scan ties on timestamp for an existing (dst, ts) edge
+    dup = -1
+    j = pos
+    while j < len(ts_list) and ts_list[j] == timestamp:
+        if int(run.dst_type[j]) == dst.node_type and int(run.dst_id[j]) == dst.node_id:
+            dup = j
+            break
+        j += 1
+    if dup >= 0:
+        new = AdjacencySlice(*(a.copy() for a in run))
+        new.weight[dup] = max(new.weight[dup], weight)
+    else:
+        new = AdjacencySlice(
+            np.insert(run.dst_type, pos, dst.node_type),
+            np.insert(run.dst_id, pos, np.uint64(dst.node_id)),
+            np.insert(run.dst_index, pos, dst.index),
+            np.insert(run.weight, pos, weight),
+            np.insert(run.timestamp, pos, timestamp),
+        )
+    return new
+
+
+def fold_edges(
+    graph: HeteroGraph, edges: Sequence[tuple[NodeRef, int, NodeRef, float, int]]
+) -> dict[tuple[int, int, int], AdjacencySlice]:
+    """(src_type, edge_type, src index) -> run after inserting ``edges`` in order."""
+    runs: dict[tuple[int, int, int], AdjacencySlice] = {}
+    for src, edge_type, dst, weight, timestamp in edges:
+        key = (src.node_type, edge_type, src.index)
+        if key not in runs:
+            runs[key] = graph.adjacency(src, edge_type)
+        runs[key] = run_with_edge(runs[key], dst, weight, timestamp)
+    return runs

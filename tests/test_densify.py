@@ -13,6 +13,7 @@ from lignn.densify import (
     densify,
     exact_knn,
 )
+from lignn import densify as densify_module
 from lignn.graph import NodeRef
 
 from conftest import build, edge_row
@@ -245,3 +246,116 @@ class TestDensify:
         assert [(l.ext(), h.ext()) for l, h in a.edges] == [
             (l.ext(), h.ext()) for l, h in b.edges
         ]
+
+
+class TestBulkTopK:
+    """``densify`` ranks every low node like ``exact_knn`` over the high set."""
+
+    def _tie_setup(self):
+        # high: type 0 ids 1..3 and type 1 ids 1..2 at degree 6; low: type 0
+        # ids 10..13 at degree 1; six uncovered type-2 sinks at degree 0.
+        # Quantiles (0.6, 0.7) give thresholds 1 and 6.
+        rows = []
+        for nt, nid in [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]:
+            rows += [edge_row(nt, nid, 0, 2, 100 + j, 0.5) for j in range(6)]
+        rows += [edge_row(0, nid, 0, 2, 100, 0.5) for nid in range(10, 14)]
+        graph, _ = build(rows)
+        table = make_table({
+            (0, 1): [0.0, 1.0, 0.0],
+            (0, 2): [0.0, 0.0, 0.0],   # zero-norm high node
+            (0, 3): [1.0, 0.0, 0.0],   # exact tie with (1, 1) across types
+            (1, 1): [1.0, 0.0, 0.0],
+            (1, 2): [1.0, 1.0, 0.0],
+            (0, 10): [1.0, 0.0, 0.0],
+            (0, 11): [0.0, 1.0, 0.0],
+            (0, 12): [1.0, 1.0, 1.0],
+            (0, 13): [-1.0, 0.0, 0.0],
+        })
+        return graph, table
+
+    def test_edges_equal_exact_knn_per_low_node(self):
+        graph, table = self._tie_setup()
+        cfg = DensifyConfig(0.6, 0.7, k=50, artificial_edge_type=9)  # k > 4 candidates
+        result = densify(graph, table, cfg)
+        assert (result.low_threshold, result.high_threshold) == (1, 6)
+        high = [graph.node_ref_by_index(t, i) for t in graph.node_types
+                for i, d in enumerate(graph.out_degrees(t)) if d >= 6]
+        want = []
+        for nid in range(10, 14):
+            low = graph.node_ref(0, nid)
+            want += [(low, h) for h in exact_knn(table, high, table.get(low), cfg.k)]
+        assert result.edges == want
+        first = [h.ext() for lo, h in result.edges if lo.ext() == (0, 10)]
+        assert first == [(0, 3), (1, 1), (1, 2), (0, 1)]  # type breaks the tie
+
+    def test_many_exact_ties_rank_by_type_then_index(self):
+        # 40 high nodes over two types share three vectors, so scores tie in
+        # three interleaved groups; degrees: six uncovered sinks at 0, low
+        # node (0, 99) at 1, high nodes at 6
+        highs = [(t, nid) for t in (0, 1) for nid in range(20)]
+        group = {h: (7 * h[1] + h[0]) % 3 for h in highs}
+        vectors = ([1.0, 0.0], [1.0, 1.0], [0.0, 1.0])  # best to worst for the query
+        rows = [edge_row(nt, nid, 0, 2, 100 + j, 0.5) for nt, nid in highs for j in range(6)]
+        rows.append(edge_row(0, 99, 0, 2, 100, 0.5))
+        graph, _ = build(rows)
+        query = [1.0, 0.2]
+        table = make_table({**{h: vectors[group[h]] for h in highs}, (0, 99): query})
+        result = densify(graph, table, DensifyConfig(0.14, 0.5, k=50, artificial_edge_type=9))
+        want = sorted(highs, key=lambda h: (group[h], h))
+        assert [h.ext() for _, h in result.edges] == want
+        cands = [graph.node_ref(*h) for h in highs]
+        shuffled = [cands[i] for i in np.random.default_rng(2).permutation(len(cands))]
+        assert [c.ext() for c in exact_knn(table, shuffled, np.array(query), 50)] == want
+
+    def test_no_self_loops_when_thresholds_coincide(self):
+        # every node of a ring has out-degree 1, so thresholds are (1, 1) and
+        # each node is both low and high
+        rows = [edge_row(0, i, 0, 0, (i + 1) % 6, 0.5) for i in range(6)]
+        graph, _ = build(rows)
+        rng = np.random.default_rng(4)
+        table = make_table({(0, i): rng.normal(size=3) for i in range(6)})
+        result = densify(graph, table, DensifyConfig(k=2, artificial_edge_type=9))
+        assert (result.low_threshold, result.high_threshold) == (1, 1)
+        assert [lo for lo, hi in result.edges if lo == hi] == []
+        nodes = [graph.node_ref(0, i) for i in range(6)]
+        for low in nodes:
+            others = [n for n in nodes if n != low]
+            got = [hi for lo, hi in result.edges if lo == low]
+            assert got == exact_knn(table, others, table.get(low), 2)
+
+    def test_query_blocks_do_not_change_the_result(self, monkeypatch):
+        # ring nodes are both low and high, and (0, 2) has a zero-norm row,
+        # so block edges must keep each query aligned with its own exclusion
+        rows = [edge_row(0, i, 0, 0, (i + 1) % 9, 0.5) for i in range(9)]
+        graph, _ = build(rows)
+        rng = np.random.default_rng(6)
+        table = make_table({(0, i): rng.normal(size=3) * (i != 2) for i in range(9)})
+        cfg = DensifyConfig(k=3, artificial_edge_type=9)
+        whole = densify(graph, table, cfg)
+        monkeypatch.setattr(densify_module, "_BLOCK_ENTRIES", 16)  # two queries per block
+        blocked = densify(graph, table, cfg)
+        assert blocked.edges == whole.edges and blocked.skipped == whole.skipped
+        assert whole.skipped == [(0, 2, "low_node_zero_norm")] and len(whole.edges) == 24
+
+    def test_zero_norm_low_node_is_skipped(self):
+        graph, _ = TestDensify()._two_node_setup()
+        vectors = {(0, 1): [0.0, 0.0], (0, 2): [0.9, 0.1]}
+        vectors.update({(1, nid): [0.0, 1.0] for nid in range(100, 106)})
+        cfg = DensifyConfig(0.8, 0.95, k=1, artificial_edge_type=9)
+        result = densify(graph, make_table(vectors), cfg)
+        assert (0, 1, "low_node_zero_norm") in result.skipped
+        assert [lo.ext() for lo, _ in result.edges] == [(1, nid) for nid in range(100, 106)]
+        assert len(result.graph.adjacency(result.graph.node_ref(0, 1), 9)) == 0
+
+    @pytest.mark.parametrize("dim", [3, 8, 16, 33])
+    def test_stacked_products_round_like_one_product_per_query(self, dim):
+        # densify scores a block of queries with stacked matmuls and relies
+        # on them rounding exactly like ``mat @ q`` and ``np.linalg.norm(q)``
+        # per query, which keeps its rankings equal to exact_knn's bit for bit
+        rng = np.random.default_rng(dim)
+        mat = rng.normal(size=(101, dim))
+        q = rng.normal(size=(37, dim)) * 10.0 ** rng.integers(-3, 4, size=(37, 1))
+        stacked = (mat @ q[:, :, None])[:, :, 0]
+        assert stacked.tobytes() == np.stack([mat @ row.copy() for row in q]).tobytes()
+        norms = np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0, 0])
+        assert norms.tobytes() == np.array([np.linalg.norm(row.copy()) for row in q]).tobytes()

@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lignn.densify import DensifyConfig, ExternalEmbeddingTable, densify
@@ -24,6 +24,7 @@ from lignn.graph import (
 from lignn.pipeline import DUMMY_ITEM_ID
 
 from conftest import build, edge_row, node_row, random_weighted_digraph, schema
+from oracles import fold_edges
 
 
 class TestSchema:
@@ -315,6 +316,91 @@ class TestEpochSwap:
         dst = graph.node_ref(1, 101)
         g2 = graph.with_updated_run(src, 0, dst, 0.8, 70)
         assert g2.num_edges() == before + 1
+
+
+# nodes of the swap tests: type 0 ids 1..4 and type 1 ids 7..8, every one present
+_SWAP_NODES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 7), (1, 8)]
+_SWAP_WEIGHTS = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+_SWAP_TS = st.sampled_from([0, 10, 20])
+_BASE_EDGES = st.lists(st.tuples(
+    st.integers(0, 5), st.sampled_from([0, 1]), st.integers(0, 5), _SWAP_WEIGHTS, _SWAP_TS,
+), max_size=25)
+# edge type 5 is in no base graph
+_ADDED_EDGES = st.lists(st.tuples(
+    st.integers(0, 5), st.sampled_from([0, 1, 5]), st.integers(0, 5), _SWAP_WEIGHTS, _SWAP_TS,
+), min_size=1, max_size=25)
+
+
+def _swap_graph(base_edges):
+    rows = [edge_row(*_SWAP_NODES[s], et, *_SWAP_NODES[d], w, ts=ts)
+            for s, et, d, w, ts in base_edges]
+    nodes = [node_row(nt, nid, [0.0] * 4) for nt, nid in _SWAP_NODES]
+    graph, _ = build(rows, nodes)
+    return graph
+
+
+def _run_bytes(run):
+    return [(a.dtype.str, a.tobytes()) for a in run]
+
+
+class TestAddedEdges:
+    """``with_added_edges`` equals inserting its edges one at a time."""
+
+    @given(_BASE_EDGES, _ADDED_EDGES)
+    @example(  # (dst, ts) duplicates against the base run and within the batch
+        [(0, 0, 4, 0.5, 10), (0, 0, 5, 0.5, 10), (1, 0, 4, 1.0, 0)],
+        [(0, 0, 4, 2.0, 10), (0, 0, 2, 0.25, 10), (0, 0, 2, 1.0, 10),
+         (0, 0, 2, 0.5, 10), (1, 0, 4, 0.25, 0), (3, 5, 0, 1.0, 20)],
+    )
+    @example([], [(2, 1, 3, 1.0, 0), (2, 1, 4, 1.0, 0), (2, 1, 3, 0.5, 0)])  # empty runs
+    @settings(max_examples=150, deadline=None)
+    def test_equals_one_edge_fold(self, base_edges, added):
+        graph = _swap_graph(base_edges)
+        refs = [graph.node_ref(nt, nid) for nt, nid in _SWAP_NODES]
+        parent_views = {ref: graph.merged_neighbors(ref) for ref in refs}
+        parent_runs = {(ref, et): _run_bytes(graph.adjacency(ref, et))
+                       for ref in refs for et in (0, 1, 5)}
+        edges = [(refs[s], et, refs[d], w, ts) for s, et, d, w, ts in added]
+
+        new = graph.with_added_edges(edges)
+
+        want = fold_edges(graph, edges)
+        for ref in refs:
+            for et in (0, 1, 5):
+                run = want.get((ref.node_type, et, ref.index), graph.adjacency(ref, et))
+                assert _run_bytes(new.adjacency(ref, et)) == _run_bytes(run)
+                assert _run_bytes(graph.adjacency(ref, et)) == parent_runs[(ref, et)]
+        assert new.edge_types == tuple(sorted(set(graph.edge_types) | {e[1] for e in added}))
+        assert new.num_edges() == graph.num_edges() + sum(
+            len(run) - len(graph.adjacency(graph.node_ref_by_index(st_, idx), et))
+            for (st_, et, idx), run in want.items()
+        )
+        changed = {(st_, idx) for st_, _, idx in want}
+        for ref in refs:
+            view = new.merged_neighbors(ref)
+            if (ref.node_type, ref.index) in changed:
+                assert view is not parent_views[ref]
+                fresh = new.merged_neighbors(ref, edge_types=new.edge_types)
+                assert view[0] == fresh[0]
+                assert view[1].tobytes() == fresh[1].tobytes()
+            else:
+                assert view is parent_views[ref]
+            assert graph.merged_neighbors(ref) is parent_views[ref]
+
+    def test_batch_order_on_equal_timestamps(self):
+        graph = _swap_graph([(0, 0, 4, 0.5, 10)])
+        src, a, b = graph.node_ref(0, 1), graph.node_ref(0, 2), graph.node_ref(0, 3)
+        new = graph.with_added_edges([
+            (src, 0, a, 1.0, 10), (src, 0, b, 1.0, 10), (src, 0, a, 3.0, 10),
+        ])
+        run = new.adjacency(src, 0)
+        # each new edge goes before the edges already at its timestamp
+        assert run.dst_id.tolist() == [3, 2, 7]
+        assert run.weight.tolist() == [1.0, 3.0, 0.5]
+
+    def test_no_edges_is_the_same_epoch(self, tiny_graph):
+        graph, _ = tiny_graph
+        assert graph.with_added_edges([]) is graph
 
 
 def _densified(rng):

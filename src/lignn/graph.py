@@ -358,10 +358,7 @@ class HeteroGraph:
         return total
 
     def merged_neighbors(
-        self,
-        node: NodeRef,
-        edge_type_weights: dict[int, float] | None = None,
-        edge_types: Iterable[int] | None = None,
+        self, node: NodeRef, edge_type_weights: dict[int, float] | None = None
     ) -> tuple[list[NodeRef], np.ndarray]:
         """Distinct out-neighbors with aggregated effective weights.
 
@@ -370,13 +367,11 @@ class HeteroGraph:
         Neighbors come back sorted by (node_type, node_id) so the ordering is
         stable across differently-indexed graph shards.
 
-        The unfiltered view (all edge types, every multiplier 1.0) is
-        memoized on this epoch, so callers share the returned list and
-        array: neither may be modified, and the weights are read-only.
+        The unfiltered view (every multiplier 1.0) is memoized on this epoch,
+        so callers share the returned list and array: neither may be
+        modified, and the weights are read-only.
         """
-        unfiltered = edge_types is None and (
-            not edge_type_weights or all(m == 1.0 for m in edge_type_weights.values())
-        )
+        unfiltered = not edge_type_weights or all(m == 1.0 for m in edge_type_weights.values())
         if unfiltered:
             hit = self._memo.get((node.node_type, node.index))
             if hit is not None:
@@ -384,8 +379,7 @@ class HeteroGraph:
             edge_type_weights = None  # w * 1.0 == w, so the views are equal
         acc: dict[tuple[int, int], float] = {}
         idx_of: dict[tuple[int, int], int] = {}
-        types = self._edge_types if edge_types is None else edge_types
-        for et in types:
+        for et in self._edge_types:
             mult = 1.0 if edge_type_weights is None else edge_type_weights.get(et, 1.0)
             if mult == 0.0:
                 continue

@@ -46,7 +46,8 @@ class EncodeBatch:
 
     Level 0 holds the B seeds; level j the sampled hop-j nodes of every seed
     (one slot per (seed, node)). ``edges[j]`` links level-j parents to their
-    level-(j+1) children by graph adjacency within the same seed's sample.
+    level-(j+1) children within the same seed's sample: ``edges[0]`` hangs
+    every level-1 node under its seed, deeper links follow graph adjacency.
     """
 
     level_refs: list[list[NodeRef]]
@@ -61,15 +62,14 @@ def build_encode_batch(
     seeds: Sequence[NodeRef],
     hop_lists: Sequence[Sequence[Sequence[NodeRef]]],
     depth: int,
-    flat_attach: bool = False,
 ) -> EncodeBatch:
     """Assemble levels and parent/child links for a batch.
 
-    ``flat_attach`` hangs every sampled node directly under its seed (used
-    for PPR samples feeding a one-hop encoder, where selection is by score
-    rather than strict adjacency). Otherwise hop-h nodes attach to the hop-
-    (h-1) nodes they are graph out-neighbors of; nodes with no sampled
-    parent are dropped and counted.
+    Hop-1 nodes hang under their seed: samplers draw them from the seed's
+    own view, and a one-hop encoder aggregates a flattened PPR sample, which
+    is chosen by score rather than adjacency. Hop-h nodes (h >= 2) attach
+    to the hop-(h-1) nodes they are graph out-neighbors of; nodes with no
+    sampled parent are dropped and counted.
     """
     level_refs: list[list[NodeRef]] = [list(seeds)]
     level_seed: list[list[int]] = [list(range(len(seeds)))]
@@ -102,12 +102,9 @@ def build_encode_batch(
             parents = prev_slots.get(s, [])
             for ref in entries:
                 child_slot = len(refs_h)
-                if flat_attach and h == 0:
-                    links = [parents[0]] if parents else []
-                else:
-                    links = [
-                        p for p in parents if ref.ext() in out_set(level_refs[h][p])
-                    ]
+                links = parents if h == 0 else [  # level 0: the seed's one slot
+                    p for p in parents if ref.ext() in out_set(level_refs[h][p])
+                ]
                 if not links:
                     orphans += 1
                     continue
@@ -275,14 +272,11 @@ def sage_encode(
     store: ParamStore,
     config: ModelConfig,
     side: str = "src",
-    flat_attach: bool | None = None,
 ) -> np.ndarray:
     """Encode one node given its sampled neighborhood (deterministic)."""
     seed_ref = graph.resolve(seed)
-    if flat_attach is None:
-        flat_attach = isinstance(samples, NeighborSample) and config.hops == 1
-    hops = hops_from_samples(samples, flatten=flat_attach)
-    batch = build_encode_batch(graph, [seed_ref], [hops], config.hops, flat_attach)
+    hops = hops_from_samples(samples, flatten=config.hops == 1)
+    batch = build_encode_batch(graph, [seed_ref], [hops], config.hops)
     encoder = SageEncoder(graph, config)
     taped = {name: ag.constant(arr) for name, arr in store.items()}
     out = encoder.encode(taped, config.side_for(side), batch)

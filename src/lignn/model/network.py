@@ -38,7 +38,6 @@ class PairBatch:
     src_hops: list[list[list[NodeRef]]]
     dst_hops: list[list[list[NodeRef]]]
     src_slot: np.ndarray | None = None
-    flat_attach: bool = False
     activity_refs: list[list[NodeRef]] = field(default_factory=list)
     activity_ages: list[list[float]] = field(default_factory=list)
     dst_neighbor_refs: list[list[NodeRef]] = field(default_factory=list)
@@ -119,9 +118,8 @@ class LinkPredictionModel:
         position: str,
         refs: Sequence[NodeRef],
         hops: Sequence[Sequence[Sequence[NodeRef]]],
-        flat_attach: bool,
     ) -> tuple[ag.Tensor, EncodeBatch]:
-        batch = build_encode_batch(self.graph, list(refs), hops, self.config.hops, flat_attach)
+        batch = build_encode_batch(self.graph, list(refs), hops, self.config.hops)
         emb = self.encoder.encode(taped, self.config.side_for(position), batch)
         return emb, batch
 
@@ -274,12 +272,8 @@ class LinkPredictionModel:
         slots = batch.slots()
         if len(batch.src_refs) != len(batch.dst_refs) and batch.src_slot is None:
             raise ValueError("src/dst length mismatch without src_slot mapping")
-        src_emb, src_b = self._encode_tower(
-            taped, "src", batch.src_refs, batch.src_hops, batch.flat_attach
-        )
-        dst_emb, dst_b = self._encode_tower(
-            taped, "dst", batch.dst_refs, batch.dst_hops, batch.flat_attach
-        )
+        src_emb, src_b = self._encode_tower(taped, "src", batch.src_refs, batch.src_hops)
+        dst_emb, dst_b = self._encode_tower(taped, "dst", batch.dst_refs, batch.dst_hops)
         aux: dict = {
             "missing_features": src_b.missing_features + dst_b.missing_features,
             "orphans": src_b.orphan_nodes + dst_b.orphan_nodes,

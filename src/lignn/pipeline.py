@@ -178,7 +178,6 @@ def grouped_step(
     gradient_step: int,
     lr: float,
     sample_fn: SampleFn,
-    flat_attach: bool = False,
     activity_fn: ActivityFn | None = None,
 ) -> list[float]:
     """Train on one grouped batch with the configured number of updates.
@@ -226,7 +225,6 @@ def grouped_step(
             src_hops=[member_hops],
             dst_hops=hops,
             src_slot=np.zeros(slice_size, dtype=np.int64),
-            flat_attach=flat_attach,
         )
         if activity_fn is not None:
             cut_ts = min(t for t, m in zip(batch.timestamps[sl], mask) if m)

@@ -7,10 +7,12 @@ partitioned executions all draw the same samples.
 
 All strategies run against an adjacency provider rather than the graph
 directly; the remote fan-out client substitutes a network-backed provider
-and reuses these exact code paths. A provider has ``neighbors(ref)``, one
-node's view, and ``prefetch(refs)``, a hint that the views of ``refs`` are
-needed next: a remote provider fetches them in bulk, a local one ignores it,
-so callers pass a lazy iterable that the local path never walks.
+and reuses these exact code paths. A provider has three methods:
+``neighbors(ref)``, one node's view; ``prefetch(refs)``, a hint that the
+views of ``refs`` are needed next (a remote provider fetches them in bulk, a
+local one ignores it, so callers pass a lazy iterable that the local path
+never walks); and ``resolve(node)``, which maps a seed's (node_type,
+node_id) to the provider's NodeRef or raises ``MissingNodeError``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,14 +33,13 @@ class PPRConfig:
 
     ``r_max`` bounds residual-per-weighted-degree at termination: pushing
     stops once r(v) <= r_max * wdeg(v) for all v, where wdeg is the sum of
-    effective out-edge weights (edge count in unweighted mode).
+    out-edge weights.
     """
 
     alpha: float = 0.15
     r_max: float = 1e-4
     top_k: int = 200
     max_pushes: int = 50_000_000
-    weighted: bool = True
     include_seed: bool = False
 
     def validate(self) -> None:
@@ -56,7 +57,6 @@ class WalkConfig:
     alpha: float = 0.15
     top_k: int = 200
     rng_seed: int = 0
-    weighted: bool = True
     include_seed: bool = False
 
     def validate(self) -> None:
@@ -95,36 +95,23 @@ class LocalAdjacency:
     """Provider over an in-memory graph.
 
     ``neighbors`` returns distinct out-neighbors sorted by (node_type,
-    node_id) with aggregated effective weights; unweighted mode replaces the
-    weights with ones (after zero-multiplier filtering). ``prefetch`` does
-    nothing: every view is already in memory.
+    node_id) with aggregated effective weights. ``prefetch`` does nothing:
+    every view is already in memory. ``resolve`` is the graph's own.
     """
 
-    def __init__(
-        self,
-        graph: HeteroGraph,
-        edge_type_weights: dict[int, float] | None = None,
-        edge_types: Sequence[int] | None = None,
-        weighted: bool = True,
-    ):
+    def __init__(self, graph: HeteroGraph, edge_type_weights: dict[int, float] | None = None):
         self.graph = graph
         self.edge_type_weights = edge_type_weights
-        self.edge_types = list(edge_types) if edge_types is not None else None
-        self.weighted = weighted
+        self.resolve = graph.resolve
 
     def neighbors(self, node: NodeRef) -> tuple[list[NodeRef], np.ndarray]:
-        refs, weights = self.graph.merged_neighbors(
-            node, self.edge_type_weights, self.edge_types
-        )
-        if not self.weighted:
-            weights = np.ones(len(refs), dtype=np.float64)
-        return refs, weights
+        return self.graph.merged_neighbors(node, self.edge_type_weights)
 
     def prefetch(self, nodes: Iterable[NodeRef]) -> None:
         pass
 
 
-Provider = LocalAdjacency  # structural: anything with .neighbors(ref) and .prefetch(refs)
+Provider = LocalAdjacency  # structural: anything with .neighbors, .prefetch and .resolve
 
 
 def _rng_for(rng_seed: int, node: NodeRef, hop: int | None = None) -> np.random.Generator:
@@ -175,7 +162,6 @@ def _weighted_draw_without_replacement(
 
 def multihop_sample_core(
     provider: Provider,
-    graph_resolve: Callable[[tuple[int, int] | NodeRef], NodeRef],
     seeds: Sequence[NodeRef | tuple[int, int]],
     fanouts: Sequence[int],
     rng_seed: int,
@@ -187,7 +173,7 @@ def multihop_sample_core(
     out: list[list[NeighborSample]] = []
     for seed in seeds:
         try:
-            seed_ref = graph_resolve(seed)
+            seed_ref = provider.resolve(seed)
         except MissingNodeError as exc:
             out.append([NeighborSample((seed[0], seed[1]), (), strategy, error=str(exc))])
             continue
@@ -223,7 +209,6 @@ def sample_random_multihop(
     seeds: Sequence[NodeRef | tuple[int, int]],
     fanouts: Sequence[int],
     rng_seed: int,
-    edge_types: Sequence[int] | None = None,
 ) -> list[list[NeighborSample]]:
     """Uniform without-replacement fan-out per hop over frontier unions.
 
@@ -231,9 +216,8 @@ def sample_random_multihop(
     undersized frontier is returned whole. Per-seed errors do not abort the
     batch.
     """
-    provider = LocalAdjacency(graph, edge_types=edge_types)
     return multihop_sample_core(
-        provider, graph.resolve, seeds, fanouts, rng_seed, "random", uniform=True
+        LocalAdjacency(graph), seeds, fanouts, rng_seed, "random", uniform=True
     )
 
 
@@ -243,16 +227,15 @@ def sample_weighted_multihop(
     fanouts: Sequence[int],
     edge_type_weights: dict[int, float] | None,
     rng_seed: int,
-    edge_types: Sequence[int] | None = None,
 ) -> list[list[NeighborSample]]:
     """Fan-out with pick probability proportional to weight x type multiplier."""
     if edge_type_weights:
         for et, m in edge_type_weights.items():
             if m < 0:
                 raise ValueError(f"negative multiplier for edge type {et}")
-    provider = LocalAdjacency(graph, edge_type_weights=edge_type_weights, edge_types=edge_types)
     return multihop_sample_core(
-        provider, graph.resolve, seeds, fanouts, rng_seed, "weighted", uniform=False
+        LocalAdjacency(graph, edge_type_weights), seeds, fanouts, rng_seed, "weighted",
+        uniform=False,
     )
 
 
@@ -411,14 +394,10 @@ def _finalize_push(
     )
 
 
-def _as_provider(
-    graph_or_provider: HeteroGraph | Provider, config: PPRConfig | WalkConfig
-) -> tuple[Provider, Callable]:
+def _as_provider(graph_or_provider: HeteroGraph | Provider) -> Provider:
     if isinstance(graph_or_provider, HeteroGraph):
-        provider = LocalAdjacency(graph_or_provider, weighted=config.weighted)
-        return provider, graph_or_provider.resolve
-    provider = graph_or_provider
-    return provider, provider.resolve  # remote providers resolve via ownership map
+        return LocalAdjacency(graph_or_provider)
+    return graph_or_provider
 
 
 def ppr_forward_push_batch(
@@ -437,14 +416,14 @@ def ppr_forward_push_batch(
     if not seeds:
         raise ValueError("seeds must be non-empty")
     config.validate()
-    provider, resolve = _as_provider(graph_or_provider, config)
+    provider = _as_provider(graph_or_provider)
     states: list[_PushState | None] = []
     errors: dict[int, NeighborSample] = {}
     ref_of: dict[tuple[int, int], NodeRef] = {}
     wdeg: dict[tuple[int, int], float] = {}
     for i, seed in enumerate(seeds):
         try:
-            seed_ref = resolve(seed)
+            seed_ref = provider.resolve(seed)
         except MissingNodeError as exc:
             errors[i] = NeighborSample((seed[0], seed[1]), (), "ppr-push", error=str(exc))
             states.append(None)
@@ -544,9 +523,9 @@ def ppr_two_hop_random_walk(
     among ball nodes are returned.
     """
     config.validate()
-    provider, resolve = _as_provider(graph_or_provider, config)
+    provider = _as_provider(graph_or_provider)
     try:
-        seed_ref = resolve(seed)
+        seed_ref = provider.resolve(seed)
     except MissingNodeError as exc:
         return NeighborSample((seed[0], seed[1]), (), "ppr-2hop", error=str(exc))
 

@@ -238,14 +238,10 @@ class RemoteAdjacency:
     """
 
     def __init__(
-        self,
-        client: GraphEngineClient,
-        edge_type_weights: dict[int, float] | None = None,
-        weighted: bool = True,
+        self, client: GraphEngineClient, edge_type_weights: dict[int, float] | None = None
     ):
         self.client = client
         self.multipliers = tuple(sorted((edge_type_weights or {}).items()))
-        self.weighted = weighted
         self._registry: dict[tuple[int, int], int] = {}
         self._cache: dict[tuple[int, int], tuple[list[NodeRef], np.ndarray]] = {}
         self._failed: dict[tuple[int, int], str] = {}
@@ -259,8 +255,6 @@ class RemoteAdjacency:
 
     def _view(self, entries) -> tuple[list[NodeRef], np.ndarray]:
         refs = [self._ref((e.node.node_type, e.node.node_id)) for e in entries]
-        if not self.weighted:
-            return refs, np.ones(len(refs), dtype=np.float64)
         return refs, np.array([e.score for e in entries], dtype=np.float64)
 
     def resolve(self, node) -> NodeRef:
@@ -332,25 +326,21 @@ def fan_out_sample(
     is unreachable fail the whole call with a FanOutError naming them (its
     ``partial`` holds the other results).
     """
+    provider = RemoteAdjacency(client, edge_type_weights if strategy == "weighted" else None)
     if strategy in ("random", "weighted"):
         if not fanouts:
             raise ValueError("fanouts required for multihop strategies")
-        uniform = strategy == "random"
-        provider = RemoteAdjacency(client, None if uniform else edge_type_weights)
 
         def sample(seed):
             return multihop_sample_core(
-                provider, provider.resolve, [seed], list(fanouts), rng_seed, strategy, uniform
+                provider, [seed], list(fanouts), rng_seed, strategy, strategy == "random"
             )[0]
 
     elif strategy == "ppr-push":
-        cfg = ppr or PPRConfig()
-        provider = RemoteAdjacency(client, weighted=cfg.weighted)
-        sample = partial(ppr_forward_push, provider, config=cfg)
+        sample = partial(ppr_forward_push, provider, config=ppr or PPRConfig())
     elif strategy == "ppr-2hop":
-        cfg = walk or WalkConfig(rng_seed=rng_seed)
-        provider = RemoteAdjacency(client, weighted=cfg.weighted)
-        sample = partial(ppr_two_hop_random_walk, provider, config=cfg)
+        sample = partial(ppr_two_hop_random_walk, provider,
+                         config=walk or WalkConfig(rng_seed=rng_seed))
     else:
         raise ValueError(f"unknown fan-out strategy {strategy}")
 

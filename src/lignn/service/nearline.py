@@ -1,10 +1,10 @@
 """Event-driven nearline embedding refresh.
 
-Each interaction event inserts/updates an engagement edge through a
-copy-on-write epoch swap, re-runs inference for the two endpoints with the
-2-hop random-walk PPR sampler, and writes versioned embeddings. Replaying
-the same event file against the same checkpoint reproduces the store dump
-byte for byte.
+Each interaction event inserts/updates an engagement edge of weight 1.0
+through a copy-on-write epoch swap, re-runs inference for the two endpoints
+with the 2-hop random-walk PPR sampler, and writes versioned embeddings.
+Replaying the same event file against the same checkpoint reproduces the
+store dump byte for byte.
 
 Only the event endpoints are refreshed (no cascade); embeddings of nodes
 whose sampled neighborhood merely contains an endpoint refresh on their own
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -124,8 +123,6 @@ class NearlineRefresher:
         embeddings: EmbeddingStore,
         engagement_edge_type: int = 0,
         walk: WalkConfig | None = None,
-        event_weight: float = 1.0,
-        interactor_history: int = 100,
     ):
         config = config.with_graph(graph) if not config.feature_dims else config
         for t in graph.node_types:
@@ -141,10 +138,7 @@ class NearlineRefresher:
         self.embeddings = embeddings
         self.edge_type = engagement_edge_type
         self.walk = walk or WalkConfig(num_walks=2000, top_k=50)
-        self.event_weight = event_weight
         self.report = RefreshReport()
-        self.recent_interactors: dict[tuple[int, int], deque] = {}
-        self._history = interactor_history
         self._last_ts: int | None = None
 
     def _infer(self, graph: HeteroGraph, ref: NodeRef, side: str) -> np.ndarray:
@@ -161,15 +155,8 @@ class NearlineRefresher:
         except MissingNodeError as exc:
             self.report.skipped.append((event, str(exc)))
             return
-        self.graph = self.graph.with_updated_run(
-            member, self.edge_type, item, self.event_weight, event.timestamp
-        )
-        member = self.graph.resolve(event.member)  # re-anchor on the new epoch
-        item = self.graph.resolve(event.item)
-
-        history = self.recent_interactors.setdefault(event.item, deque(maxlen=self._history))
-        history.append(event.member)
-
+        # the new epoch shares this one's node refs, so member and item stay valid
+        self.graph = self.graph.with_updated_run(member, self.edge_type, item, 1.0, event.timestamp)
         self.embeddings.put(event.member, self._infer(self.graph, member, "src"), event.timestamp)
         self.embeddings.put(event.item, self._infer(self.graph, item, "dst"), event.timestamp)
         self.report.processed += 1

@@ -54,6 +54,9 @@ def binary_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+SAMPLER_WALKS = 2000  # restart walks per ppr-2hop training query
+
+
 class GraphSampler:
     """Neighborhood sampler with per-role query/fetch counters.
 
@@ -68,10 +71,6 @@ class GraphSampler:
         strategy: str = "random",
         rng_seed: int = 0,
         hops: int = 1,
-        alpha: float = 0.15,
-        r_max: float = 1e-4,
-        num_walks: int = 2000,
-        edge_type_weights: dict[int, float] | None = None,
     ):
         if strategy not in ("random", "weighted", "ppr-push", "ppr-2hop"):
             raise ValueError(f"unknown sampling strategy {strategy}")
@@ -79,17 +78,9 @@ class GraphSampler:
         self.strategy = strategy
         self.rng_seed = rng_seed
         self.hops = hops
-        self.alpha = alpha
-        self.r_max = r_max
-        self.num_walks = num_walks
-        self.edge_type_weights = edge_type_weights
         self.queries: dict[str, int] = {}
         self.neighbors_fetched = 0
         self._lock = threading.Lock()
-
-    @property
-    def flat_attach(self) -> bool:
-        return self.strategy in ("ppr-push", "ppr-2hop") and self.hops == 1
 
     def _count(self, role: str, entries: int) -> None:
         with self._lock:
@@ -99,28 +90,18 @@ class GraphSampler:
 
     def fetch(self, ref: NodeRef, neighbor_count: int, role: str) -> list[list[NodeRef]]:
         """One engine query: the sampled compute graph for one node."""
+        fanouts = [neighbor_count] * self.hops
         if self.strategy == "random":
-            [hops] = sample_random_multihop(
-                self.graph, [ref], [neighbor_count] * self.hops, self.rng_seed
-            )
-            out = hops_from_samples(hops)
+            [sample] = sample_random_multihop(self.graph, [ref], fanouts, self.rng_seed)
         elif self.strategy == "weighted":
-            [hops] = sample_weighted_multihop(
-                self.graph, [ref], [neighbor_count] * self.hops,
-                self.edge_type_weights, self.rng_seed,
-            )
-            out = hops_from_samples(hops)
+            [sample] = sample_weighted_multihop(self.graph, [ref], fanouts, None, self.rng_seed)
         elif self.strategy == "ppr-push":
-            cfg = PPRConfig(alpha=self.alpha, r_max=self.r_max, top_k=neighbor_count)
-            sample = ppr_forward_push(self.graph, ref, cfg)
-            out = hops_from_samples(sample, flatten=self.flat_attach)
+            sample = ppr_forward_push(self.graph, ref, PPRConfig(top_k=neighbor_count))
         else:  # ppr-2hop
-            cfg = WalkConfig(
-                num_walks=self.num_walks, alpha=self.alpha,
-                top_k=neighbor_count, rng_seed=self.rng_seed,
-            )
+            cfg = WalkConfig(num_walks=SAMPLER_WALKS, top_k=neighbor_count, rng_seed=self.rng_seed)
             sample = ppr_two_hop_random_walk(self.graph, ref, cfg)
-            out = hops_from_samples(sample, flatten=self.flat_attach)
+        # a one-hop encoder aggregates a PPR sample whole
+        out = hops_from_samples(sample, flatten=self.hops == 1)
         self._count(role, sum(len(h) for h in out))
         return out
 
@@ -137,10 +118,8 @@ class TrainSettings:
     adaptive: AdaptiveState | None = None
     mlp_init_epochs: int = 0
     val_fraction: float = 0.2
-    eval_neighbor_count: int | None = None
     activity_edge_type: int = 0
     metrics_path: str | None = None
-    shuffle: bool = True
 
 
 @dataclass
@@ -216,7 +195,6 @@ class Trainer:
             mask=np.ones(len(records), dtype=bool),
             src_hops=src_hops,
             dst_hops=dst_hops,
-            flat_attach=self.sampler.flat_attach,
         )
         if self.config.temporal is not None:
             acts = [self._activities_for(ref, rec.timestamp) for ref, rec in zip(src_refs, records)]
@@ -255,19 +233,15 @@ class Trainer:
             self.model.store = mlp_init(
                 train_recs, self.graph, self.config, epochs=s.mlp_init_epochs, lr=s.lr
             )
-        eval_count = s.eval_neighbor_count or (
-            adaptive.final_count if adaptive else s.neighbor_count
-        )
+        eval_count = adaptive.final_count if adaptive else s.neighbor_count
         rng = np.random.default_rng(s.rng_seed)
         metrics_fh = open(s.metrics_path, "w", encoding="utf-8") if s.metrics_path else None
         activity_fn = self._activities_for if self.config.temporal is not None else None
         try:
             for epoch in range(1, s.epochs + 1):
                 count = adaptive.current_count if adaptive else s.neighbor_count
-                epoch_recs = list(train_recs)
-                if s.shuffle:
-                    order = rng.permutation(len(epoch_recs))
-                    epoch_recs = [epoch_recs[i] for i in order]
+                order = rng.permutation(len(train_recs))
+                epoch_recs = [train_recs[i] for i in order]
                 losses: list[float] = []
                 for batch in group_and_slice(epoch_recs, s.group_size):
                     losses.extend(
@@ -277,7 +251,6 @@ class Trainer:
                             s.gradient_step,
                             s.lr,
                             lambda ref, role: self.sampler.fetch(ref, count, role),
-                            flat_attach=self.sampler.flat_attach,
                             activity_fn=activity_fn,
                         )
                     )

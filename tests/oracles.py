@@ -4,8 +4,8 @@ Each function here restates one op of the library without the autograd tape
 (or, for PPR, densely), so tests can check the library against it: the
 aggregators of the SAGE layer, the temporal sequence head and its long-term
 pairing, the link decoders and their losses, exact personalized PageRank,
-the size-weighted aggregation of micro-batch gradients, and the one-edge
-insert of an epoch swap.
+the size-weighted aggregation of micro-batch gradients, the merged
+neighbour view, and the one-edge insert of an epoch swap.
 """
 
 from __future__ import annotations
@@ -307,7 +307,6 @@ def ppr_exact(
     seed: NodeRef | tuple[int, int],
     alpha: float,
     num_iterations: int = 500,
-    weighted: bool = True,
 ) -> PPRExactResult:
     """Power iteration of pi <- alpha*e_seed + (1-alpha)*pi P (dense, oracle).
 
@@ -318,7 +317,7 @@ def ppr_exact(
         raise ValueError("num_iterations must be >= 1")
     seed_ref = graph.resolve(seed)
     gindex = GlobalIndex(graph)
-    provider = LocalAdjacency(graph, weighted=weighted)
+    provider = LocalAdjacency(graph)
     P = _transition_matrix(graph, provider, gindex)
     e = np.zeros(gindex.n)
     e[gindex.gidx(seed_ref)] = 1.0
@@ -408,3 +407,19 @@ def fold_edges(
             runs[key] = graph.adjacency(src, edge_type)
         runs[key] = run_with_edge(runs[key], dst, weight, timestamp)
     return runs
+
+
+# -- merged neighbour view --------------------------------------------------------------
+
+
+def merged_view(graph: HeteroGraph, node: NodeRef) -> tuple[list[NodeRef], np.ndarray]:
+    """Distinct out-neighbours of ``node`` sorted by (node_type, node_id), by a
+    dict merge over its adjacency runs in edge-type order: parallel edges sum
+    their weights. Never reads the graph's memo."""
+    acc: dict[tuple[int, int], float] = {}
+    for et in graph.edge_types:
+        run = graph.adjacency(node, et)
+        for key, w in zip(zip(run.dst_type.tolist(), run.dst_id.tolist()), run.weight.tolist()):
+            acc[key] = acc.get(key, 0.0) + w
+    keys = sorted(acc)
+    return [graph.node_ref(*k) for k in keys], np.array([acc[k] for k in keys])

@@ -32,12 +32,14 @@ def graph_with_degrees(degrees):
 
 class TestDegreeThreshold:
     def test_all_equal(self):
-        graph = graph_with_degrees([3, 3, 3, 3])
+        # a directed ring of type-0 nodes, each linked to its next three
+        n = 8
+        graph, _ = build([edge_row(0, i, 0, 0, (i + j) % n, 0.5) for i in range(n)
+                          for j in (1, 2, 3)])
+        assert graph.node_types == [0]
+        assert graph.out_degrees(0).tolist() == [3] * n
         for q in (0.0, 0.3, 0.9, 1.0):
-            # sinks contribute zero degrees; restrict to the source type set
-            degs = graph.out_degrees(0)
-            assert set(degs) == {3}
-        assert degree_threshold(graph_with_degrees([3]), 0.5) >= 0
+            assert degree_threshold(graph, q) == 3
 
     def test_nearest_rank_1_to_100(self):
         graph = graph_with_degrees(list(range(1, 101)))

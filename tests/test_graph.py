@@ -24,7 +24,7 @@ from lignn.graph import (
 from lignn.pipeline import DUMMY_ITEM_ID
 
 from conftest import build, edge_row, node_row, random_weighted_digraph, schema
-from oracles import fold_edges
+from oracles import fold_edges, merged_view
 
 
 class TestSchema:
@@ -380,7 +380,7 @@ class TestAddedEdges:
             view = new.merged_neighbors(ref)
             if (ref.node_type, ref.index) in changed:
                 assert view is not parent_views[ref]
-                fresh = new.merged_neighbors(ref, edge_types=new.edge_types)
+                fresh = merged_view(new, ref)
                 assert view[0] == fresh[0]
                 assert view[1].tobytes() == fresh[1].tobytes()
             else:
@@ -397,6 +397,14 @@ class TestAddedEdges:
         # each new edge goes before the edges already at its timestamp
         assert run.dst_id.tolist() == [3, 2, 7]
         assert run.weight.tolist() == [1.0, 3.0, 0.5]
+
+    def test_new_epoch_shares_node_refs(self, tiny_graph):
+        graph, _ = tiny_graph
+        src, dst = graph.node_ref(0, 10), graph.node_ref(1, 101)
+        g2 = graph.with_added_edges([(src, 0, dst, 2.0, 55), (dst, 9, src, 1.0, 0)])
+        for t in graph.node_types:
+            for nid in graph.node_ids(t).tolist():
+                assert g2.node_ref(t, nid) is graph.node_ref(t, nid)
 
     def test_no_edges_is_the_same_epoch(self, tiny_graph):
         graph, _ = tiny_graph
@@ -457,11 +465,11 @@ class TestMergedViewMemo:
             ref = plain.node_ref(0, i)
             refs, weights = plain.merged_neighbors(ref)
             urefs, uweights = unit.merged_neighbors(ref, multipliers)
-            frefs, fweights = unit.merged_neighbors(ref, edge_types=(0, 1, 2))
+            frefs, fweights = merged_view(unit, ref)
             assert refs == urefs == frefs
             assert weights.tobytes() == uweights.tobytes() == fweights.tobytes()
 
-    @pytest.mark.parametrize("kwargs", [{}, {"edge_type_weights": {0: 2.0}}, {"edge_types": [0]}])
+    @pytest.mark.parametrize("kwargs", [{}, {"edge_type_weights": {0: 2.0}}])
     def test_weights_are_read_only(self, tiny_graph, kwargs):
         graph, _ = tiny_graph
         _, weights = graph.merged_neighbors(graph.node_ref(0, 10), **kwargs)

@@ -21,9 +21,10 @@ from lignn.model import (
     sage_encode,
 )
 from lignn.model import autograd as ag
-from lignn.samplers import sample_random_multihop
+from lignn.samplers import sample_random_multihop, sample_weighted_multihop
+from lignn.training import GraphSampler
 
-from conftest import build, edge_row, node_row
+from conftest import build, edge_row, node_row, random_weighted_digraph
 from fdcheck import central_diff, max_relative_error
 from oracles import (
     AttentionParams,
@@ -209,6 +210,59 @@ class TestSageEncode:
         np.testing.assert_allclose(out, oracle, rtol=1e-10, atol=1e-10)
 
 
+def mixed_type_graph(rng):
+    """Type-0 nodes with engagement, affinity and attribute edges."""
+    rows = random_weighted_digraph(rng, 30, 2.0)
+    rows += [edge_row(0, i, 1, 0, (i * 7 + 3) % 30, 0.4) for i in range(0, 30, 2)]
+    rows += [edge_row(0, i, 2, 1, 900 + i % 4, 1.0) for i in range(0, 30, 3)]
+    graph, _ = build(rows)
+    return graph
+
+
+class TestLevelOneLinks:
+    """Level-1 nodes hang under their seed without an adjacency check."""
+
+    def _assert_level_one_in_seed_view(self, graph, seed, hops):
+        view = {r.ext() for r in graph.merged_neighbors(seed)[0]}
+        assert {r.ext() for r in (hops[0] if hops else [])} <= view
+        return len(hops[0]) if hops else 0
+
+    @pytest.mark.parametrize("strategy,n_hops", [
+        ("random", 1), ("random", 2), ("weighted", 2), ("ppr-push", 2), ("ppr-2hop", 2),
+    ])
+    def test_sampled_level_one_is_in_seed_view(self, strategy, n_hops):
+        graph = mixed_type_graph(np.random.default_rng(4))
+        sampler = GraphSampler(graph, strategy, rng_seed=5, hops=n_hops)
+        placed = 0
+        for i in range(graph.num_nodes(0)):
+            seed = graph.node_ref_by_index(0, i)
+            placed += self._assert_level_one_in_seed_view(
+                graph, seed, sampler.fetch(seed, 4, "member"))
+        assert placed > 0
+
+    def test_weighted_with_zero_multiplier_is_in_seed_view(self):
+        graph = mixed_type_graph(np.random.default_rng(6))
+        seeds = [graph.node_ref_by_index(0, i) for i in range(graph.num_nodes(0))]
+        samples = sample_weighted_multihop(graph, seeds, [4, 3], {0: 0.0, 1: 2.0}, 7)
+        placed = sum(self._assert_level_one_in_seed_view(graph, seed, hops_from_samples(s))
+                     for seed, s in zip(seeds, samples))
+        assert placed > 0
+
+    def test_hand_built_level_one_non_neighbor_hangs_under_seed(self):
+        graph, _ = build([edge_row(0, 0, 0, 0, 1, 1.0), edge_row(0, 1, 0, 0, 2, 1.0),
+                          edge_row(0, 5, 0, 0, 4, 1.0), edge_row(0, 3, 0, 0, 4, 1.0)])
+        seed, n1, n2, n3, n5 = (graph.node_ref(0, i) for i in (0, 1, 2, 3, 5))
+        assert n5 not in graph.merged_neighbors(seed)[0]
+        batch = build_encode_batch(graph, [seed], [[[n5, n1], [n2, n3]]], 2)
+        assert batch.level_refs[1] == [n5, n1]
+        assert batch.edges[0][0].tolist() == [0, 0]
+        assert batch.edges[0][1].tolist() == [0, 1]
+        # level 2 still attaches by adjacency: 3 is no out-neighbour of 5 or 1
+        assert batch.level_refs[2] == [n2]
+        assert batch.edges[1][0].tolist() == [1]
+        assert batch.orphan_nodes == 1
+
+
 class TestDecoders:
     def test_cosine_trivials(self):
         u = np.array([1.0, 2.0, 3.0])
@@ -382,7 +436,7 @@ def tower_outputs(model, batch):
         ("src", batch.src_refs, batch.src_hops),
         ("dst", batch.dst_refs, batch.dst_hops),
     ):
-        levels = build_encode_batch(model.graph, refs, hops, model.config.hops, batch.flat_attach)
+        levels = build_encode_batch(model.graph, refs, hops, model.config.hops)
         out.append(model.encoder.encode(taped, model.config.side_for(position), levels).data)
     return out
 

@@ -160,18 +160,6 @@ class TestNearlineRefresh:
         assert graph.out_degree(member, edge_types={0}) == before  # old epoch intact
         assert final_graph.out_degree(final_graph.node_ref(0, 0), edge_types={0}) == before + 1
 
-    def test_recent_interactor_tracking(self):
-        rng = np.random.default_rng(13)
-        graph, config, store = bipartite_setup(rng)
-        refresher = NearlineRefresher(graph, store, config, EmbeddingStore())
-        refresher.run(
-            [
-                InteractionEvent(10, "click", (0, 1), (1, 105)),
-                InteractionEvent(11, "like", (0, 2), (1, 105)),
-            ]
-        )
-        assert list(refresher.recent_interactors[(1, 105)]) == [(0, 1), (0, 2)]
-
     def test_replay_determinism_byte_identical(self, tmp_path):
         rng = np.random.default_rng(17)
         graph, config, store = bipartite_setup(rng)

@@ -10,7 +10,6 @@ from .graph import (
     HeteroGraph,
     NodeRef,
     build_graph,
-    connection_affinity_weight,
     load_graph,
     mix64,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "HeteroGraph",
     "NodeRef",
     "build_graph",
-    "connection_affinity_weight",
     "load_graph",
     "mix64",
 ]

@@ -168,7 +168,7 @@ def cmd_sample(args) -> int:
             emit(seed, hops)
     elif args.strategy == "weighted":
         for seed, hops in zip(
-            seeds, sample_weighted_multihop(graph, seeds, fanouts, None, args.rng_seed)
+            seeds, sample_weighted_multihop(graph, seeds, fanouts, args.rng_seed)
         ):
             emit(seed, hops)
     elif args.strategy == "ppr-push":

@@ -215,11 +215,12 @@ class HeteroGraph:
     and the node refs, and carries the changed runs in its overlay; swapping
     to the new instance is the epoch swap.
 
-    Readers fill a per-epoch memo of unfiltered merged views
-    (``merged_neighbors``), which the next epoch inherits minus the nodes
-    whose runs changed. Filling it from many threads is safe: a view is a
-    deterministic function of the epoch, so racing readers store equal
-    values, and each store is one atomic dict assignment.
+    Readers fill a per-epoch memo of merged views (``merged_neighbors``),
+    which the next epoch inherits minus the nodes whose runs changed.
+    Filling it from many threads is safe: a view is a deterministic function
+    of the epoch, so racing readers store equal values, and each store is
+    one atomic dict assignment. The graph is its own adjacency provider for
+    the samplers (``merged_neighbors``, ``prefetch``, ``resolve``).
     """
 
     def __init__(
@@ -248,7 +249,7 @@ class HeteroGraph:
         self._edge_types = tuple(
             sorted({et for (_, et) in blocks} | {et for (_, et, _) in self._overlay})
         )
-        # (src_type, index) -> unfiltered merged view of this epoch
+        # (src_type, index) -> merged view of this epoch
         self._memo: dict[tuple[int, int], tuple[list[NodeRef], np.ndarray]] = {}
 
     # -- node accessors -----------------------------------------------------
@@ -357,48 +358,44 @@ class HeteroGraph:
             total[idx] += len(run.dst_id) - base
         return total
 
-    def merged_neighbors(
-        self, node: NodeRef, edge_type_weights: dict[int, float] | None = None
-    ) -> tuple[list[NodeRef], np.ndarray]:
-        """Distinct out-neighbors with aggregated effective weights.
+    def merged_neighbors(self, node: NodeRef) -> tuple[list[NodeRef], np.ndarray]:
+        """Distinct out-neighbors with aggregated weights.
 
-        Parallel edges (across and within edge types) sum their weights; a
-        per-edge-type multiplier map scales contributions before the sum.
-        Neighbors come back sorted by (node_type, node_id) so the ordering is
-        stable across differently-indexed graph shards.
+        Parallel edges (across and within edge types) sum their weights,
+        which are positive: ``build_graph`` and ``with_added_edges`` admit
+        only finite edge weights > 0. Neighbors come back sorted by
+        (node_type, node_id) so the ordering is stable across
+        differently-indexed graph shards.
 
-        The unfiltered view (every multiplier 1.0) is memoized on this epoch,
-        so callers share the returned list and array: neither may be
-        modified, and the weights are read-only.
+        The view is memoized on this epoch, so callers share the returned
+        list and array: neither may be modified, and the weights are
+        read-only.
         """
-        unfiltered = not edge_type_weights or all(m == 1.0 for m in edge_type_weights.values())
-        if unfiltered:
-            hit = self._memo.get((node.node_type, node.index))
-            if hit is not None:
-                return hit
-            edge_type_weights = None  # w * 1.0 == w, so the views are equal
+        key = (node.node_type, node.index)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         acc: dict[tuple[int, int], float] = {}
         idx_of: dict[tuple[int, int], int] = {}
         for et in self._edge_types:
-            mult = 1.0 if edge_type_weights is None else edge_type_weights.get(et, 1.0)
-            if mult == 0.0:
-                continue
             run = self._run(node.node_type, et, node.index)
             for dt, did, didx, w in zip(
                 run.dst_type.tolist(), run.dst_id.tolist(),
                 run.dst_index.tolist(), run.weight.tolist(),
             ):
-                key = (dt, did)
-                acc[key] = acc.get(key, 0.0) + w * mult
-                idx_of[key] = didx
+                nkey = (dt, did)
+                acc[nkey] = acc.get(nkey, 0.0) + w
+                idx_of[nkey] = didx
         keys = sorted(acc)
         refs = [self._refs[t][idx_of[(t, i)]] for t, i in keys]
         weights = np.array([acc[k] for k in keys], dtype=np.float64)
         weights.flags.writeable = False
-        view = (refs, weights)
-        if unfiltered:
-            self._memo[(node.node_type, node.index)] = view
+        view = self._memo[key] = (refs, weights)
         return view
+
+    def prefetch(self, nodes: Iterable[NodeRef]) -> None:
+        """Sampler hint that these views are needed next; every view is in
+        memory, so it does nothing and never walks ``nodes``."""
 
     # -- epoch swap ----------------------------------------------------------
 
@@ -430,10 +427,16 @@ class HeteroGraph:
         duplicate policy). Each changed run is copied and merged once. Base
         arrays, the id lookup and the node refs are shared; the memo is
         inherited without the views of the changed sources.
+
+        A weight that is not finite and > 0 (``build_graph``'s
+        ``nonpositive_weight`` rule) raises ``ValueError`` before anything
+        is copied, so every view weight stays positive.
         """
         added: dict[tuple[int, int, int], list[tuple[NodeRef, int, NodeRef, float, int]]] = {}
         for edge in edges:
-            src = edge[0]
+            src, w = edge[0], edge[3]
+            if not math.isfinite(w) or w <= 0.0:
+                raise ValueError(f"edge weight {w!r} must be finite and > 0")
             added.setdefault((src.node_type, edge[1], src.index), []).append(edge)
         if not added:
             return self
@@ -500,15 +503,6 @@ def _merged_run(
             weight.insert(pos, w)
             timestamp.insert(pos, ts)
     return cols
-
-
-def connection_affinity_weight(common_count: int, deg_u: int, deg_v: int) -> float:
-    """Shared-connection affinity: common / (sqrt(deg_u) * sqrt(deg_v))."""
-    if deg_u <= 0 or deg_v <= 0:
-        raise ValueError("degrees must be positive")
-    if common_count < 0 or common_count > min(deg_u, deg_v):
-        raise ValueError("common_count must lie in [0, min(deg_u, deg_v)]")
-    return common_count / (math.sqrt(deg_u) * math.sqrt(deg_v))
 
 
 # -- construction -------------------------------------------------------------

@@ -19,21 +19,20 @@ from .params import ModelConfig, ParamStore
 
 
 def hops_from_samples(
-    samples: NeighborSample | Sequence[NeighborSample], flatten: bool = False
+    samples: NeighborSample | Sequence[NeighborSample], hops: int
 ) -> list[list[NodeRef]]:
-    """Normalize sampler output to per-hop node lists.
+    """Normalize sampler output to per-hop node lists for a ``hops``-deep encoder.
 
     A per-hop list (multi-hop samplers) maps hop by position. A single flat
-    sample (PPR strategies) is split by hop labels, or with ``flatten`` all
-    entries become the one-hop neighborhood (a one-hop encoder aggregates
-    the whole PPR-selected support directly).
+    sample (PPR strategies) is split by hop label clamped into 1..``hops``:
+    an entry deeper than the encoder reads joins the last level, where it
+    attaches by adjacency or counts as an orphan, and with ``hops == 1`` the
+    whole PPR-selected support is the one-hop neighbourhood.
     """
     if isinstance(samples, NeighborSample):
-        if flatten:
-            return [[e.node for e in samples.entries]]
         by_hop: dict[int, list[NodeRef]] = {}
         for e in samples.entries:
-            by_hop.setdefault(max(1, e.hop), []).append(e.node)
+            by_hop.setdefault(min(max(1, e.hop), hops), []).append(e.node)
         if not by_hop:
             return []
         return [by_hop.get(h, []) for h in range(1, max(by_hop) + 1)]
@@ -275,7 +274,7 @@ def sage_encode(
 ) -> np.ndarray:
     """Encode one node given its sampled neighborhood (deterministic)."""
     seed_ref = graph.resolve(seed)
-    hops = hops_from_samples(samples, flatten=config.hops == 1)
+    hops = hops_from_samples(samples, config.hops)
     batch = build_encode_batch(graph, [seed_ref], [hops], config.hops)
     encoder = SageEncoder(graph, config)
     taped = {name: ag.constant(arr) for name, arr in store.items()}

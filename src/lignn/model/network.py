@@ -300,9 +300,6 @@ class LinkPredictionModel:
             loss, scores = self._decoder_loss(taped, src_pair, dst_emb, batch)
         return ForwardResult(loss, scores.data.reshape(-1).copy(), aux)
 
-    def loss_value(self, batch: PairBatch) -> float:
-        return float(self.forward(batch).loss.data)
-
     def loss_and_grads(self, batch: PairBatch) -> tuple[float, dict[str, np.ndarray], ForwardResult]:
         taped = self._taped(trainable=True)
         result = self._forward_taped(taped, batch)

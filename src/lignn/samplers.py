@@ -5,14 +5,16 @@ streams are counter-based (Philox) keyed by ``mix64(rng_seed, node_type,
 node_id, hop)``, never by position in a batch, so batched, threaded, and
 partitioned executions all draw the same samples.
 
-All strategies run against an adjacency provider rather than the graph
-directly; the remote fan-out client substitutes a network-backed provider
-and reuses these exact code paths. A provider has three methods:
-``neighbors(ref)``, one node's view; ``prefetch(refs)``, a hint that the
-views of ``refs`` are needed next (a remote provider fetches them in bulk, a
-local one ignores it, so callers pass a lazy iterable that the local path
-never walks); and ``resolve(node)``, which maps a seed's (node_type,
-node_id) to the provider's NodeRef or raises ``MissingNodeError``.
+All strategies read one memoized view per node from an adjacency provider:
+the in-memory ``HeteroGraph`` itself, or the fan-out client's network-backed
+``service.client.RemoteAdjacency``, which reuses these exact code paths. A
+provider has three methods (``AdjacencyProvider``): ``merged_neighbors(ref)``,
+one node's view (distinct out-neighbours sorted by (node_type, node_id),
+with summed, positive weights); ``prefetch(refs)``, a hint that the views of
+``refs`` are needed next (the remote provider fetches them in bulk, the
+graph ignores it, so callers pass a lazy iterable that the local path never
+walks); and ``resolve(node)``, which maps a seed's (node_type, node_id) to
+the provider's NodeRef or raises ``MissingNodeError``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -91,27 +93,14 @@ class NeighborSample:
 # -- adjacency providers -------------------------------------------------------
 
 
-class LocalAdjacency:
-    """Provider over an in-memory graph.
+class AdjacencyProvider(Protocol):
+    """What the samplers read: ``HeteroGraph`` or ``RemoteAdjacency``."""
 
-    ``neighbors`` returns distinct out-neighbors sorted by (node_type,
-    node_id) with aggregated effective weights. ``prefetch`` does nothing:
-    every view is already in memory. ``resolve`` is the graph's own.
-    """
+    def merged_neighbors(self, node: NodeRef) -> tuple[list[NodeRef], np.ndarray]: ...
 
-    def __init__(self, graph: HeteroGraph, edge_type_weights: dict[int, float] | None = None):
-        self.graph = graph
-        self.edge_type_weights = edge_type_weights
-        self.resolve = graph.resolve
+    def prefetch(self, nodes: Iterable[NodeRef]) -> None: ...
 
-    def neighbors(self, node: NodeRef) -> tuple[list[NodeRef], np.ndarray]:
-        return self.graph.merged_neighbors(node, self.edge_type_weights)
-
-    def prefetch(self, nodes: Iterable[NodeRef]) -> None:
-        pass
-
-
-Provider = LocalAdjacency  # structural: anything with .neighbors, .prefetch and .resolve
+    def resolve(self, node: NodeRef | tuple[int, int]) -> NodeRef: ...
 
 
 def _rng_for(rng_seed: int, node: NodeRef, hop: int | None = None) -> np.random.Generator:
@@ -125,14 +114,14 @@ def _rng_for(rng_seed: int, node: NodeRef, hop: int | None = None) -> np.random.
 
 
 def _frontier_union(
-    provider: Provider, frontier: list[NodeRef]
+    provider: AdjacencyProvider, frontier: list[NodeRef]
 ) -> tuple[list[NodeRef], np.ndarray]:
     """Union of the frontier's neighbors with summed weights, ext-sorted."""
     provider.prefetch(frontier)
     acc: dict[tuple[int, int], float] = {}
     ref_of: dict[tuple[int, int], NodeRef] = {}
     for node in frontier:
-        refs, weights = provider.neighbors(node)
+        refs, weights = provider.merged_neighbors(node)
         for ref, w in zip(refs, weights):
             key = ref.ext()
             acc[key] = acc.get(key, 0.0) + float(w)
@@ -144,14 +133,12 @@ def _frontier_union(
 def _weighted_draw_without_replacement(
     gen: np.random.Generator, weights: np.ndarray, k: int
 ) -> list[int]:
-    """Successive proportional draws; zero-weight candidates never picked."""
+    """k successive proportional draws without replacement; the weights are
+    positive and k is below their count."""
     remaining = weights.astype(np.float64).copy()
     picked: list[int] = []
     for _ in range(k):
-        total = remaining.sum()
-        if total <= 0.0:
-            break
-        target = gen.random() * total
+        target = gen.random() * remaining.sum()
         cum = np.cumsum(remaining)
         idx = int(np.searchsorted(cum, target, side="right"))
         idx = min(idx, len(remaining) - 1)
@@ -161,7 +148,7 @@ def _weighted_draw_without_replacement(
 
 
 def multihop_sample_core(
-    provider: Provider,
+    provider: AdjacencyProvider,
     seeds: Sequence[NodeRef | tuple[int, int]],
     fanouts: Sequence[int],
     rng_seed: int,
@@ -182,19 +169,14 @@ def multihop_sample_core(
         for h, fanout in enumerate(fanouts):
             cands, weights = _frontier_union(provider, frontier)
             gen = _rng_for(rng_seed, seed_ref, h)
-            if fanout <= 0 or not cands:
+            if fanout <= 0:
                 chosen: list[int] = []
+            elif fanout >= len(cands):
+                chosen = list(range(len(cands)))
             elif uniform:
-                if fanout >= len(cands):
-                    chosen = list(range(len(cands)))
-                else:
-                    chosen = sorted(gen.choice(len(cands), size=fanout, replace=False).tolist())
+                chosen = sorted(gen.choice(len(cands), size=fanout, replace=False).tolist())
             else:
-                live = int(np.count_nonzero(weights))
-                if fanout >= live:
-                    chosen = [i for i in range(len(cands)) if weights[i] > 0.0]
-                else:
-                    chosen = sorted(_weighted_draw_without_replacement(gen, weights, fanout))
+                chosen = sorted(_weighted_draw_without_replacement(gen, weights, fanout))
             entries = tuple(
                 SampleEntry(cands[i], float(weights[i]), h + 1) for i in chosen
             )
@@ -216,27 +198,18 @@ def sample_random_multihop(
     undersized frontier is returned whole. Per-seed errors do not abort the
     batch.
     """
-    return multihop_sample_core(
-        LocalAdjacency(graph), seeds, fanouts, rng_seed, "random", uniform=True
-    )
+    return multihop_sample_core(graph, seeds, fanouts, rng_seed, "random", uniform=True)
 
 
 def sample_weighted_multihop(
     graph: HeteroGraph,
     seeds: Sequence[NodeRef | tuple[int, int]],
     fanouts: Sequence[int],
-    edge_type_weights: dict[int, float] | None,
     rng_seed: int,
 ) -> list[list[NeighborSample]]:
-    """Fan-out with pick probability proportional to weight x type multiplier."""
-    if edge_type_weights:
-        for et, m in edge_type_weights.items():
-            if m < 0:
-                raise ValueError(f"negative multiplier for edge type {et}")
-    return multihop_sample_core(
-        LocalAdjacency(graph, edge_type_weights), seeds, fanouts, rng_seed, "weighted",
-        uniform=False,
-    )
+    """Fan-out like ``sample_random_multihop``, but each draw picks a
+    candidate with probability proportional to its summed edge weight."""
+    return multihop_sample_core(graph, seeds, fanouts, rng_seed, "weighted", uniform=False)
 
 
 # -- forward push ---------------------------------------------------------------
@@ -258,14 +231,18 @@ class _PushState:
     touched nodes: residuals only grow until a push, so a node once enqueued
     stays due, is pushed, and touches its neighbours, whose views the check
     after that push needs. Nothing prefetched is speculative.
+
+    ``views`` keeps the neighbour list each pushed node's push read, for the
+    hop labels of the result.
     """
 
     __slots__ = ("p", "r", "heap", "touched", "touched_max", "deferred", "pushes",
-                 "truncated", "seed_ref")
+                 "truncated", "seed_ref", "views")
 
     def __init__(self, seed_ref: NodeRef):
         self.seed_ref = seed_ref
         self.p: dict[tuple[int, int], float] = {}
+        self.views: dict[tuple[int, int], list[NodeRef]] = {}
         self.r: dict[tuple[int, int], float] = {seed_ref.ext(): 1.0}
         self.heap: list[tuple[float, tuple[int, int]]] = []
         self.touched: set[tuple[int, int]] = {seed_ref.ext()}
@@ -281,13 +258,14 @@ class _PushState:
             heapq.heappop(heap)
         return bool(self.touched) and (not heap or self.touched_max >= -heap[0][0])
 
-    def pending(self, provider: Provider, ref_of: dict) -> Iterator[NodeRef]:
+    def pending(self, provider: AdjacencyProvider, ref_of: dict) -> Iterator[NodeRef]:
         """The nodes whose views this seed's next check and pushes need."""
         yield from map(ref_of.__getitem__, self.touched)
         for node in self.deferred:
-            yield from provider.neighbors(node)[0]
+            yield from provider.merged_neighbors(node)[0]
 
-    def check(self, provider: Provider, ref_of: dict, wdeg: dict, config: PPRConfig) -> None:
+    def check(self, provider: AdjacencyProvider, ref_of: dict, wdeg: dict,
+              config: PPRConfig) -> None:
         """Enqueue the touched nodes that are due; they become ``deferred``.
         ``wdeg`` caches weighted degrees by key for the whole batch."""
         r, heap, r_max = self.r, self.heap, config.r_max
@@ -295,18 +273,19 @@ class _PushState:
         for key in self.touched:
             d = wdeg.get(key)
             if d is None:
-                d = wdeg[key] = _wdeg(provider.neighbors(ref_of[key])[1])
+                d = wdeg[key] = _wdeg(provider.merged_neighbors(ref_of[key])[1])
             if r[key] > r_max * d:
                 heapq.heappush(heap, (-r[key], key))
                 self.deferred.append(ref_of[key])
         self.touched, self.touched_max = set(), 0.0
 
-    def push(self, node: NodeRef, provider: Provider, ref_of: dict, wdeg: dict,
+    def push(self, node: NodeRef, provider: AdjacencyProvider, ref_of: dict, wdeg: dict,
              config: PPRConfig) -> None:
         key = node.ext()
         r = self.r
         rv = r[key]
-        refs, weights = provider.neighbors(node)
+        refs, weights = provider.merged_neighbors(node)
+        self.views[key] = refs
         self.p[key] = self.p.get(key, 0.0) + config.alpha * rv
         spread = (1.0 - config.alpha) * rv
         self.pushes += 1
@@ -334,34 +313,34 @@ def _wdeg(weights: np.ndarray) -> float:
     return float(weights.sum()) if len(weights) else 1.0
 
 
-def _hop_labels(
-    seed_ref: NodeRef, keys: list[tuple[int, int]], provider: Provider
-) -> dict[tuple[int, int], int]:
-    """BFS depth from the seed restricted to the sampled support.
+def _hop_labels(state: _PushState, keys: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """BFS depth from the seed over the pushed nodes, until ``keys`` are labelled.
 
-    Paths through unsampled nodes are not explored, so labels are an upper
-    bound; unreachable support nodes get 255.
+    A node has an estimate only once pushed, and gets residual only from a
+    pushed neighbour, so every pushed node is reached. The BFS walks the
+    views the pushes read, so it reads no provider.
     """
-    support = set(keys)
-    depth = {seed_ref.ext(): 0}
-    frontier = [seed_ref]
+    views = state.views
+    depth = {state.seed_ref.ext(): 0}
+    missing = set(keys) - depth.keys()
+    frontier = [state.seed_ref.ext()]
     d = 0
-    while frontier and len(depth) <= len(support):
+    while frontier and missing:
         d += 1
-        nxt: list[NodeRef] = []
-        for node in frontier:
-            refs, _ = provider.neighbors(node)
-            for nref in refs:
+        nxt: list[tuple[int, int]] = []
+        for key in frontier:
+            for nref in views[key]:
                 k = nref.ext()
-                if k in support and k not in depth:
+                if k in views and k not in depth:
                     depth[k] = d
-                    nxt.append(nref)
+                    missing.discard(k)
+                    nxt.append(k)
         frontier = nxt
-    return {k: depth.get(k, 255) for k in keys}
+    return depth
 
 
 def ppr_forward_push(
-    graph_or_provider: HeteroGraph | Provider,
+    provider: AdjacencyProvider,
     seed: NodeRef | tuple[int, int],
     config: PPRConfig,
 ) -> NeighborSample:
@@ -372,36 +351,25 @@ def ppr_forward_push(
     rest spreads over out-neighbors proportional to edge weight. Stops early
     at max_pushes with the truncated flag set.
     """
-    return ppr_forward_push_batch(graph_or_provider, [seed], config)[0]
+    return ppr_forward_push_batch(provider, [seed], config)[0]
 
 
 def _finalize_push(
-    state: _PushState,
-    provider: Provider,
-    ref_of: dict[tuple[int, int], NodeRef],
-    config: PPRConfig,
+    state: _PushState, ref_of: dict[tuple[int, int], NodeRef], config: PPRConfig
 ) -> NeighborSample:
     ranked = sorted(state.p.items(), key=lambda kv: (-kv[1], kv[0]))
     seed_key = state.seed_ref.ext()
     keep = [(k, s) for k, s in ranked if config.include_seed or k != seed_key]
     keep = keep[: config.top_k]
-    hops = _hop_labels(state.seed_ref, [k for k, _ in keep], provider)
-    entries = tuple(
-        SampleEntry(ref_of[k], float(s), hops[k] if k != seed_key else 0) for k, s in keep
-    )
+    hops = _hop_labels(state, [k for k, _ in keep])
+    entries = tuple(SampleEntry(ref_of[k], float(s), hops[k]) for k, s in keep)
     return NeighborSample(
         state.seed_ref, entries, "ppr-push", truncated=state.truncated
     )
 
 
-def _as_provider(graph_or_provider: HeteroGraph | Provider) -> Provider:
-    if isinstance(graph_or_provider, HeteroGraph):
-        return LocalAdjacency(graph_or_provider)
-    return graph_or_provider
-
-
 def ppr_forward_push_batch(
-    graph_or_provider: HeteroGraph | Provider,
+    provider: AdjacencyProvider,
     seeds: Sequence[NodeRef | tuple[int, int]],
     config: PPRConfig,
 ) -> list[NeighborSample]:
@@ -416,7 +384,6 @@ def ppr_forward_push_batch(
     if not seeds:
         raise ValueError("seeds must be non-empty")
     config.validate()
-    provider = _as_provider(graph_or_provider)
     states: list[_PushState | None] = []
     errors: dict[int, NeighborSample] = {}
     ref_of: dict[tuple[int, int], NodeRef] = {}
@@ -453,7 +420,7 @@ def ppr_forward_push_batch(
         if st is None:
             out.append(errors[i])
         else:
-            out.append(_finalize_push(st, provider, ref_of, config))
+            out.append(_finalize_push(st, ref_of, config))
     return out
 
 
@@ -463,14 +430,14 @@ def ppr_forward_push_batch(
 class _Ball:
     """2-hop ball around a seed, flattened to a local CSR for the walk."""
 
-    def __init__(self, provider: Provider, seed_ref: NodeRef):
-        one_hop, _ = provider.neighbors(seed_ref)
+    def __init__(self, provider: AdjacencyProvider, seed_ref: NodeRef):
+        one_hop, _ = provider.merged_neighbors(seed_ref)
         provider.prefetch(one_hop)
         members: dict[tuple[int, int], NodeRef] = {seed_ref.ext(): seed_ref}
         for ref in one_hop:
             members[ref.ext()] = ref
         for ref in one_hop:
-            two_hop, _ = provider.neighbors(ref)
+            two_hop, _ = provider.merged_neighbors(ref)
             for r2 in two_hop:
                 members.setdefault(r2.ext(), r2)
         keys = sorted(members)
@@ -484,7 +451,7 @@ class _Ball:
         dest: list[int] = []
         cum: list[float] = []
         for ref in self.refs:
-            refs, weights = provider.neighbors(ref)
+            refs, weights = provider.merged_neighbors(ref)
             if len(refs) == 0:
                 # dangling: self-loop
                 dest.append(self.local[ref.ext()])
@@ -511,7 +478,7 @@ class _Ball:
 
 
 def ppr_two_hop_random_walk(
-    graph_or_provider: HeteroGraph | Provider,
+    provider: AdjacencyProvider,
     seed: NodeRef | tuple[int, int],
     config: WalkConfig,
 ) -> NeighborSample:
@@ -523,7 +490,6 @@ def ppr_two_hop_random_walk(
     among ball nodes are returned.
     """
     config.validate()
-    provider = _as_provider(graph_or_provider)
     try:
         seed_ref = provider.resolve(seed)
     except MissingNodeError as exc:

@@ -222,26 +222,26 @@ class GraphEngineClient:
 
 
 class RemoteAdjacency:
-    """Adjacency provider backed by the sharded engine.
+    """Adjacency provider backed by the sharded engine: the samplers read it
+    through the same three methods as a local ``HeteroGraph``
+    (``merged_neighbors``, ``prefetch``, ``resolve``).
 
     ``prefetch`` is the only way a view reaches the client: it fetches the
     uncached nodes it is given with one ``NEIGHBORS_BATCH`` per owning shard
-    (and chunk of ``MAX_BATCH_NODES``), which answers each node with its
-    merged, weighted view. ``neighbors`` and ``resolve`` prefetch the one
-    node they need on a miss. A node whose batch result failed (the shard
-    has no such node) is remembered with the server's message, is never
-    requested again, and raises ``MissingNodeError`` on every lookup.
+    (and chunk of ``MAX_BATCH_NODES``), which answers each node with the
+    shard graph's ``merged_neighbors`` view. ``merged_neighbors`` and
+    ``resolve`` prefetch the one node they need on a miss. A node whose
+    batch result failed (the shard has no such node) is remembered with the
+    server's message, is never requested again, and raises
+    ``MissingNodeError`` on every lookup.
 
     NodeRef indices are client-side discovery indices (dense, in fetch
     order); orderings that matter for cross-partition equality use external
     (node_type, node_id) keys throughout the sampler cores.
     """
 
-    def __init__(
-        self, client: GraphEngineClient, edge_type_weights: dict[int, float] | None = None
-    ):
+    def __init__(self, client: GraphEngineClient):
         self.client = client
-        self.multipliers = tuple(sorted((edge_type_weights or {}).items()))
         self._registry: dict[tuple[int, int], int] = {}
         self._cache: dict[tuple[int, int], tuple[list[NodeRef], np.ndarray]] = {}
         self._failed: dict[tuple[int, int], str] = {}
@@ -262,7 +262,7 @@ class RemoteAdjacency:
         self.neighbors_ext(ext)  # raises MissingNodeError for unknown nodes
         return self._ref(ext)
 
-    def neighbors(self, node: NodeRef) -> tuple[list[NodeRef], np.ndarray]:
+    def merged_neighbors(self, node: NodeRef) -> tuple[list[NodeRef], np.ndarray]:
         return self.neighbors_ext(node.ext())
 
     def neighbors_ext(self, ext: tuple[int, int]) -> tuple[list[NodeRef], np.ndarray]:
@@ -285,9 +285,7 @@ class RemoteAdjacency:
         for owner, exts in sorted(by_owner.items()):
             for lo in range(0, len(exts), MAX_BATCH_NODES):
                 chunk = exts[lo : lo + MAX_BATCH_NODES]
-                request = wire.NeighborsBatchRequest(
-                    tuple(wire.WireNode(*ext) for ext in chunk), self.multipliers
-                )
+                request = wire.NeighborsBatchRequest(tuple(wire.WireNode(*ext) for ext in chunk))
                 response = self.client.call_address(pmap.addresses[owner], request)
                 for ext, result in zip(chunk, response.results):
                     if result.status == wire.Status.OK:
@@ -312,7 +310,6 @@ def fan_out_sample(
     strategy: str,
     fanouts: Sequence[int] | None = None,
     rng_seed: int = 0,
-    edge_type_weights: dict[int, float] | None = None,
     ppr: PPRConfig | None = None,
     walk: WalkConfig | None = None,
 ):
@@ -320,13 +317,14 @@ def fan_out_sample(
 
     The in-process sampler cores run over one RemoteAdjacency for the whole
     call, so a view is fetched once however many seeds read it, and P in
-    {1, 2, 4, ...} all produce identical output. Seeds run one at a time, so
-    a failure is attributed to the seeds it fails: an unknown seed or a
-    ``BAD_REQUEST`` gives that seed an error sample, and seeds whose shard
-    is unreachable fail the whole call with a FanOutError naming them (its
-    ``partial`` holds the other results).
+    {1, 2, 4, ...} all produce identical output. The weighted strategy draws
+    by summed edge weight, as ``sample_weighted_multihop`` does in process.
+    Seeds run one at a time, so a failure is attributed to the seeds it
+    fails: an unknown seed or a ``BAD_REQUEST`` gives that seed an error
+    sample, and seeds whose shard is unreachable fail the whole call with a
+    FanOutError naming them (its ``partial`` holds the other results).
     """
-    provider = RemoteAdjacency(client, edge_type_weights if strategy == "weighted" else None)
+    provider = RemoteAdjacency(client)
     if strategy in ("random", "weighted"):
         if not fanouts:
             raise ValueError("fanouts required for multihop strategies")

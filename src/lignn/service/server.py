@@ -167,10 +167,7 @@ class GraphEngineServer:
         if req.strategy == 0:
             [hops] = sample_random_multihop(self.graph, [req.seed], fanouts, req.rng_seed)
         elif req.strategy == 1:
-            multipliers = {et: m for et, m in req.multipliers}
-            [hops] = sample_weighted_multihop(
-                self.graph, [req.seed], fanouts, multipliers, req.rng_seed
-            )
+            [hops] = sample_weighted_multihop(self.graph, [req.seed], fanouts, req.rng_seed)
         else:
             return wire.error_response(
                 req.opcode, wire.Status.BAD_REQUEST, f"unknown strategy {req.strategy}"
@@ -207,25 +204,21 @@ class GraphEngineServer:
 
     def _neighbors_batch(self, req: wire.NeighborsBatchRequest) -> wire.SampleBatchResponse:
         """Per node, what SAMPLE_NEIGHBORS with strategy 1 and FANOUT_ALL returns:
-        the merged view's entries of positive weight, at hop 1."""
+        every entry of the node's ``merged_neighbors`` view, at hop 1."""
         if not 0 < len(req.nodes) <= MAX_BATCH_NODES:
             raise ValueError(f"batch of {len(req.nodes)} nodes, not 1 to {MAX_BATCH_NODES}")
-        multipliers = dict(req.multipliers)
-        for et, m in multipliers.items():
-            if m < 0:
-                raise ValueError(f"negative multiplier for edge type {et}")
         if not all(map(self._owned, req.nodes)):
             return wire.error_response(req.opcode, wire.Status.NOT_OWNED, "nodes not owned")
         op, results = req.opcode, []
         for node in req.nodes:
             try:
-                refs, weights = self.graph.merged_neighbors(self.graph.resolve(node), multipliers)
+                refs, weights = self.graph.merged_neighbors(self.graph.resolve(node))
             except MissingNodeError as exc:
                 results.append(wire.SampleResponse(op, wire.Status.BAD_REQUEST, error=str(exc)))
                 continue
             entries = tuple(
                 wire.WireEntry(wire.WireNode(ref.node_type, ref.node_id), w, 1)
-                for ref, w in zip(refs, weights.tolist()) if w > 0.0
+                for ref, w in zip(refs, weights.tolist())
             )
             results.append(wire.SampleResponse(op, wire.Status.OK, entries))
         return wire.SampleBatchResponse(op, wire.Status.OK, tuple(results))

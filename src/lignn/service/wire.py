@@ -163,7 +163,6 @@ class _Results:
 
 _U8, _U16, _U32, _U64, _I64, _F64, _BOOL = map(_Struct, "BHIQqd?")
 _NODE = _Struct("HQ", WireNode._make, tuple)
-_PAIR = _Struct("Hd", tuple, tuple)
 _COUNT = _Struct("HQ", tuple, tuple)
 _ENTRY = _Struct("HQdB", lambda v: WireEntry(WireNode(v[0], v[1]), v[2], v[3]),
                  lambda e: (e.node[0], e.node[1], e.score, e.hop))
@@ -178,14 +177,13 @@ _ERROR_LAYOUT = (("error", _Text()),)
 @dataclass(frozen=True)
 class SampleNeighborsRequest:
     seed: WireNode
-    strategy: int = 0  # 0 random, 1 weighted
+    strategy: int = 0  # 0 uniform, 1 weighted by summed edge weight
     fanouts: tuple[int, ...] = (FANOUT_ALL,)
     rng_seed: int = 0
-    multipliers: tuple[tuple[int, float], ...] = ()  # (edge_type, multiplier)
 
     opcode = Opcode.SAMPLE_NEIGHBORS
     layout = (("strategy", _U8), ("seed", _NODE), ("rng_seed", _U64),
-              ("fanouts", _Seq("B", _U32)), ("multipliers", _Seq("H", _PAIR)))
+              ("fanouts", _Seq("B", _U32)))
 
 
 @dataclass(frozen=True)
@@ -222,11 +220,10 @@ class PPRPushBatchRequest:
 
 @dataclass(frozen=True)
 class NeighborsBatchRequest:
-    nodes: tuple[WireNode, ...]
-    multipliers: tuple[tuple[int, float], ...] = ()  # (edge_type, multiplier)
+    nodes: tuple[WireNode, ...]  # each answered with its merged view, at hop 1
 
     opcode = Opcode.NEIGHBORS_BATCH
-    layout = (("nodes", _Seq("I", _NODE)), ("multipliers", _Seq("H", _PAIR)))
+    layout = (("nodes", _Seq("I", _NODE)),)
 
 
 @dataclass(frozen=True)

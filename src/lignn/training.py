@@ -94,14 +94,13 @@ class GraphSampler:
         if self.strategy == "random":
             [sample] = sample_random_multihop(self.graph, [ref], fanouts, self.rng_seed)
         elif self.strategy == "weighted":
-            [sample] = sample_weighted_multihop(self.graph, [ref], fanouts, None, self.rng_seed)
+            [sample] = sample_weighted_multihop(self.graph, [ref], fanouts, self.rng_seed)
         elif self.strategy == "ppr-push":
             sample = ppr_forward_push(self.graph, ref, PPRConfig(top_k=neighbor_count))
         else:  # ppr-2hop
             cfg = WalkConfig(num_walks=SAMPLER_WALKS, top_k=neighbor_count, rng_seed=self.rng_seed)
             sample = ppr_two_hop_random_walk(self.graph, ref, cfg)
-        # a one-hop encoder aggregates a PPR sample whole
-        out = hops_from_samples(sample, flatten=self.hops == 1)
+        out = hops_from_samples(sample, self.hops)
         self._count(role, sum(len(h) for h in out))
         return out
 

@@ -23,7 +23,6 @@ from lignn.model.temporal import (
     sinusoidal_positions,
     timestamp_positions,
 )
-from lignn.samplers import LocalAdjacency, Provider
 
 
 # -- SAGE aggregators -------------------------------------------------------------
@@ -286,13 +285,13 @@ class PPRExactResult(NamedTuple):
         return float(self.scores[self.index.gidx(ref)])
 
 
-def _transition_matrix(graph: HeteroGraph, provider: Provider, gindex: GlobalIndex) -> np.ndarray:
+def _transition_matrix(graph: HeteroGraph, gindex: GlobalIndex) -> np.ndarray:
     P = np.zeros((gindex.n, gindex.n), dtype=np.float64)
     for t in gindex.types:
         for i in range(graph.num_nodes(t)):
             ref = graph.node_ref_by_index(t, i)
             g = gindex.gidx(ref)
-            refs, weights = provider.neighbors(ref)
+            refs, weights = merged_view(graph, ref)
             total = float(weights.sum()) if len(refs) else 0.0
             if total <= 0.0:
                 P[g, g] = 1.0  # dangling node keeps its mass
@@ -317,8 +316,7 @@ def ppr_exact(
         raise ValueError("num_iterations must be >= 1")
     seed_ref = graph.resolve(seed)
     gindex = GlobalIndex(graph)
-    provider = LocalAdjacency(graph)
-    P = _transition_matrix(graph, provider, gindex)
+    P = _transition_matrix(graph, gindex)
     e = np.zeros(gindex.n)
     e[gindex.gidx(seed_ref)] = 1.0
     pi = e.copy()

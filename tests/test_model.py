@@ -21,7 +21,7 @@ from lignn.model import (
     sage_encode,
 )
 from lignn.model import autograd as ag
-from lignn.samplers import sample_random_multihop, sample_weighted_multihop
+from lignn.samplers import sample_random_multihop
 from lignn.training import GraphSampler
 
 from conftest import build, edge_row, node_row, random_weighted_digraph
@@ -240,14 +240,6 @@ class TestLevelOneLinks:
                 graph, seed, sampler.fetch(seed, 4, "member"))
         assert placed > 0
 
-    def test_weighted_with_zero_multiplier_is_in_seed_view(self):
-        graph = mixed_type_graph(np.random.default_rng(6))
-        seeds = [graph.node_ref_by_index(0, i) for i in range(graph.num_nodes(0))]
-        samples = sample_weighted_multihop(graph, seeds, [4, 3], {0: 0.0, 1: 2.0}, 7)
-        placed = sum(self._assert_level_one_in_seed_view(graph, seed, hops_from_samples(s))
-                     for seed, s in zip(seeds, samples))
-        assert placed > 0
-
     def test_hand_built_level_one_non_neighbor_hangs_under_seed(self):
         graph, _ = build([edge_row(0, 0, 0, 0, 1, 1.0), edge_row(0, 1, 0, 0, 2, 1.0),
                           edge_row(0, 5, 0, 0, 4, 1.0), edge_row(0, 3, 0, 0, 4, 1.0)])
@@ -261,6 +253,21 @@ class TestLevelOneLinks:
         assert batch.level_refs[2] == [n2]
         assert batch.edges[1][0].tolist() == [1]
         assert batch.orphan_nodes == 1
+
+
+class TestPPRHopLists:
+    """A ppr-push sample's hop lists are no deeper than the encoder."""
+
+    def test_ppr_push_entries_are_placed_or_counted(self):
+        graph, _ = build(random_weighted_digraph(np.random.default_rng(21), 120, 2.0))
+        sampler = GraphSampler(graph, "ppr-push", rng_seed=5, hops=2)
+        seeds = [graph.node_ref_by_index(0, i) for i in range(graph.num_nodes(0))]
+        hop_lists = [sampler.fetch(seed, 20, "member") for seed in seeds]
+        assert max(len(hops) for hops in hop_lists) == 2
+        batch = build_encode_batch(graph, seeds, hop_lists, 2)
+        placed = sum(len(level) for level in batch.level_refs[1:])
+        assert batch.orphan_nodes > 0
+        assert placed + batch.orphan_nodes == sum(len(h) for hops in hop_lists for h in hops)
 
 
 class TestDecoders:
@@ -423,8 +430,8 @@ def make_batch(graph, config, pairs, rng_seed=0, fanouts=None):
         dst_refs=dst_refs,
         labels=labels,
         mask=np.ones(len(pairs), dtype=bool),
-        src_hops=[hops_from_samples(s) for s in src_samples],
-        dst_hops=[hops_from_samples(s) for s in dst_samples],
+        src_hops=[hops_from_samples(s, config.hops) for s in src_samples],
+        dst_hops=[hops_from_samples(s, config.hops) for s in dst_samples],
     )
 
 
@@ -454,7 +461,7 @@ class TestNetworkGradients:
         batch = make_batch(graph, cfg, pairs)
         _, grads, _ = model.loss_and_grads(batch)
         arrays = {n: model.store[n] for n in model.store.names()}
-        numeric = central_diff(lambda: model.loss_value(batch), arrays)
+        numeric = central_diff(lambda: float(model.forward(batch).loss.data), arrays)
         err, name = max_relative_error(grads, numeric)
         assert err < 1e-4, f"{name}: {err}"
 
@@ -481,7 +488,7 @@ class TestNetworkGradients:
         assert result.aux["missing_features"] == 0
         assert result.aux["long_term_loss"] > 0.0
         arrays = {n: model.store[n] for n in model.store.names()}
-        numeric = central_diff(lambda: model.loss_value(batch), arrays)
+        numeric = central_diff(lambda: float(model.forward(batch).loss.data), arrays)
         err, name = max_relative_error(grads, numeric)
         assert err < 1e-4, f"{name}: {err}"
         assert any(np.abs(grads[n]).max() > 0 for n in grads if "/id/" in n)

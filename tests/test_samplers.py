@@ -88,32 +88,16 @@ class TestRandomMultihop:
 class TestWeightedMultihop:
     def test_zero_weight_never_sampled(self):
         graph = star(2, weights=[1.0, 0.5])
-        mult = {0: 1.0}
         for t in range(50):
-            [[hop]] = sample_weighted_multihop(
-                graph, [(0, 0)], [1], {0: 1.0}, rng_seed=t
-            )
+            [[hop]] = sample_weighted_multihop(graph, [(0, 0)], [1], rng_seed=t)
             assert len(hop.entries) == 1
-        # now force neighbor 2's contribution to zero via edge-type multiplier
-        rows = [edge_row(0, 0, 0, 0, 1, 1.0), edge_row(0, 0, 1, 0, 2, 5.0)]
-        graph2, _ = build(rows)
-        for t in range(50):
-            [[hop]] = sample_weighted_multihop(
-                graph2, [(0, 0)], [1], {0: 1.0, 1: 0.0}, rng_seed=t
-            )
-            assert [e.node.node_id for e in hop.entries] == [1]
-
-    def test_all_zero_probabilities_empty_hop(self):
-        graph = star(3)
-        [[hop]] = sample_weighted_multihop(graph, [(0, 0)], [2], {0: 0.0}, rng_seed=1)
-        assert hop.entries == ()
 
     def test_equal_weights_uniform_chi_square(self):
         leaves, trials = 6, 10_000
         graph = star(leaves)
         counts = np.zeros(leaves)
         for t in range(trials):
-            [[hop]] = sample_weighted_multihop(graph, [(0, 0)], [1], None, rng_seed=t)
+            [[hop]] = sample_weighted_multihop(graph, [(0, 0)], [1], rng_seed=t)
             counts[hop.entries[0].node.node_id - 1] += 1
         expected = trials / leaves
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -125,16 +109,11 @@ class TestWeightedMultihop:
         graph = star(2, weights=[3.0, 1.0])
         first = 0
         for t in range(trials):
-            [[hop]] = sample_weighted_multihop(graph, [(0, 0)], [1], None, rng_seed=t)
+            [[hop]] = sample_weighted_multihop(graph, [(0, 0)], [1], rng_seed=t)
             first += hop.entries[0].node.node_id == 1
         p = 0.75
         sigma = math.sqrt(trials * p * (1 - p))
         assert abs(first - trials * p) <= 3.5 * sigma
-
-    def test_negative_multiplier_rejected(self):
-        graph = star(2)
-        with pytest.raises(ValueError):
-            sample_weighted_multihop(graph, [(0, 0)], [1], {0: -1.0}, rng_seed=0)
 
 
 class TestPPRExact:
@@ -213,6 +192,13 @@ class TestForwardPush:
         graph = two_cycle()
         sample = ppr_forward_push(graph, (0, 42), PPRConfig())
         assert sample.error is not None
+
+    def test_hop_label_through_pushed_node_outside_top_k(self):
+        # 0 -> 1 -> 2 with 2 dangling: 2 keeps all the mass it gets and
+        # outranks 1, so top_k=1 keeps only 2, which is reached through 1
+        graph, _ = build([edge_row(0, 0, 0, 0, 1, 1.0), edge_row(0, 1, 0, 0, 2, 1.0)])
+        sample = ppr_forward_push(graph, (0, 0), PPRConfig(alpha=0.15, r_max=1e-6, top_k=1))
+        assert [(e.node.node_id, e.hop) for e in sample.entries] == [(2, 2)]
 
 
 class TestForwardPushBatch:

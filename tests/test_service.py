@@ -59,11 +59,10 @@ class TestCodec:
         st.integers(0, 1),
         st.lists(st.integers(0, 0xFFFFFFFF), min_size=1, max_size=5).map(tuple),
         st.integers(0, 2**64 - 1),
-        st.lists(st.tuples(st.integers(0, 0xFFFF), scores_st), max_size=4).map(tuple),
     )
     @settings(max_examples=200, deadline=None)
-    def test_sample_neighbors_round_trip(self, seed, strategy, fanouts, rng, mult):
-        req = wire.SampleNeighborsRequest(seed, strategy, fanouts, rng, mult)
+    def test_sample_neighbors_round_trip(self, seed, strategy, fanouts, rng):
+        req = wire.SampleNeighborsRequest(seed, strategy, fanouts, rng)
         assert wire.decode_request(wire.encode_request(req)[4:]) == req
 
     @given(nodes_st)
@@ -85,11 +84,10 @@ class TestCodec:
         req = wire.PPRPushBatchRequest(seeds, alpha, rmax, topk)
         assert wire.decode_request(wire.encode_request(req)[4:]) == req
 
-    @given(st.lists(nodes_st, max_size=6).map(tuple),
-           st.lists(st.tuples(st.integers(0, 0xFFFF), scores_st), max_size=4).map(tuple))
+    @given(st.lists(nodes_st, max_size=6).map(tuple))
     @settings(max_examples=100, deadline=None)
-    def test_neighbors_batch_round_trip(self, nodes, mult):
-        req = wire.NeighborsBatchRequest(nodes, mult)
+    def test_neighbors_batch_round_trip(self, nodes):
+        req = wire.NeighborsBatchRequest(nodes)
         assert wire.decode_request(wire.encode_request(req)[4:]) == req
 
     @given(nodes_st, st.integers(0, 0xFFFF), st.integers(-(2**62), 2**62),
@@ -174,12 +172,10 @@ OP, ST = wire.Opcode, wire.Status
 # empty sequences. The hex was taken from the per-message codec this module
 # replaced, so any change to these bytes is a change to the protocol.
 GOLDEN_REQUESTS = [
-    (wire.SampleNeighborsRequest(W(3, 0x0102030405060708), 1, (7, wire.FANOUT_ALL), 99,
-                                 ((2, 0.5), (9, 2.0))),
-     "3300000001010300080706050403020163000000000000000207000000ffffffff0200"
-     "0200000000000000e03f09000000000000000040"),
-    (wire.SampleNeighborsRequest(W(1, 2), 0, (), 0, ()),
-     "170000000100010002000000000000000000000000000000000000"),
+    (wire.SampleNeighborsRequest(W(3, 0x0102030405060708), 1, (7, wire.FANOUT_ALL), 99),
+     "1d00000001010300080706050403020163000000000000000207000000ffffffff"),
+    (wire.SampleNeighborsRequest(W(1, 2), 0, (), 0),
+     "15000000010001000200000000000000000000000000000000"),
     (wire.GetFeaturesRequest(W(0xFFFF, 2**64 - 1)), "0b00000002ffffffffffffffffffff"),
     (wire.PPR2HopRequest(W(2, 40), 0.25, 1234, 17, 5),
      "230000000302002800000000000000000000000000d03fd2040000110000000500000000000000"),
@@ -193,8 +189,8 @@ GOLDEN_REQUESTS = [
     (wire.HealthRequest(), "0100000006"),
     # the rows below were added with NEIGHBORS_BATCH; their hex was checked by
     # hand against the layout tables
-    (wire.NeighborsBatchRequest((W(0, 1), W(2, 0x0102)), ((1, 0.5),)),
-     "250000000702000000000001000000000000000200020100000000000001000100000000000000e03f"),
+    (wire.NeighborsBatchRequest((W(0, 1), W(2, 0x0102))),
+     "1900000007020000000000010000000000000002000201000000000000"),
 ]
 
 GOLDEN_RESPONSES = [
@@ -459,16 +455,15 @@ class TestServer:
         np.testing.assert_allclose(resp.values, graph.features_of(graph.node_ref(0, 5)))
         client.close()
 
-    @pytest.mark.parametrize("multipliers", [(), ((0, 2.5),), ((0, 0.0),)])
-    def test_neighbors_batch_equals_sample_neighbors(self, single_server, multipliers):
+    def test_neighbors_batch_equals_sample_neighbors(self, single_server):
         _, _, server, pmap = single_server
         client = make_client(pmap)
         nodes = tuple(wire.WireNode(0, i) for i in range(60))
-        resp = client.call_address(server.address, wire.NeighborsBatchRequest(nodes, multipliers))
+        resp = client.call_address(server.address, wire.NeighborsBatchRequest(nodes))
         assert resp.opcode == wire.Opcode.NEIGHBORS_BATCH and len(resp.results) == 60
         for node, result in zip(nodes, resp.results):
             single = client.call(wire.SampleNeighborsRequest(
-                node, strategy=1, fanouts=(wire.FANOUT_ALL,), multipliers=multipliers
+                node, strategy=1, fanouts=(wire.FANOUT_ALL,)
             ))
             assert result.status == wire.Status.OK
             assert result.entries == single.entries
@@ -499,14 +494,10 @@ INVALID_REQUESTS = {
     "push-top_k-0": wire.PPRPushBatchRequest((SEED,), top_k=0),
     "2hop-num_walks-0": wire.PPR2HopRequest(SEED, num_walks=0),
     "2hop-top_k-0": wire.PPR2HopRequest(SEED, top_k=0),
-    "negative-multiplier": wire.SampleNeighborsRequest(
-        SEED, strategy=1, fanouts=(3,), multipliers=((0, -1.0),)
-    ),
     "empty-fanouts": wire.SampleNeighborsRequest(SEED, fanouts=()),
     "255-hops": wire.SampleNeighborsRequest(SEED, fanouts=(1,) * 255),
     "weighted-fanout-u32": wire.SampleNeighborsRequest(SEED, strategy=1, fanouts=(2**32 - 2,)),
     "batch-empty": wire.NeighborsBatchRequest(()),
-    "batch-negative-multiplier": wire.NeighborsBatchRequest((SEED,), ((0, -1.0),)),
     "batch-too-many-nodes": wire.NeighborsBatchRequest((SEED,) * (server_mod.MAX_BATCH_NODES + 1)),
 }
 
@@ -562,7 +553,7 @@ class TestInvalidRequests:
         _, _, server, _ = single_server
         calls = []
 
-        def record(graph, seeds, fanouts, multipliers, rng_seed):
+        def record(graph, seeds, fanouts, rng_seed):
             calls.append(len(fanouts))
             return [[NeighborSample(seeds[0], (), "weighted")] * len(fanouts)]
 
@@ -809,8 +800,7 @@ def in_process(graph, seeds, strategy, kw) -> list:
     if strategy == "random":
         return sample_random_multihop(graph, seeds, kw["fanouts"], kw["rng_seed"])
     if strategy == "weighted":
-        return sample_weighted_multihop(graph, seeds, kw["fanouts"], kw["edge_type_weights"],
-                                        kw["rng_seed"])
+        return sample_weighted_multihop(graph, seeds, kw["fanouts"], kw["rng_seed"])
     if strategy == "ppr-2hop":
         return [ppr_two_hop_random_walk(graph, seed, kw["walk"]) for seed in seeds]
     return [ppr_forward_push(graph, seed, kw["ppr"]) for seed in seeds]
@@ -818,7 +808,7 @@ def in_process(graph, seeds, strategy, kw) -> list:
 
 STRATEGY_ARGS = [
     ("random", {"fanouts": [3, 2], "rng_seed": 9}),
-    ("weighted", {"fanouts": [3, 2], "rng_seed": 9, "edge_type_weights": {0: 1.0}}),
+    ("weighted", {"fanouts": [3, 2], "rng_seed": 9}),
     ("ppr-2hop", {"walk": WalkConfig(num_walks=400, top_k=10, rng_seed=5)}),
     ("ppr-push", {"ppr": PPRConfig(alpha=0.2, r_max=1e-4, top_k=10)}),
 ]

@@ -434,10 +434,14 @@ class TestMergedViewMemo:
         assert g2.merged_neighbors(g2.node_ref(0, 11)) is view
         assert g2.merged_neighbors(g2.node_ref(0, 11))[0][0] is g2.node_ref(0, 10)
 
-    def test_view_equals_merged_view_oracle(self):
+    @pytest.mark.parametrize("extra_dst_type", [None, 0, 1],
+                             ids=["one-edge-type", "parallel-edge-types", "cross-node-types"])
+    def test_view_equals_merged_view_oracle(self, extra_dst_type):
         rng = np.random.default_rng(8)
         lines = random_weighted_digraph(rng, 25, 3.0)
-        lines += [edge_row(0, i, 1, 0, (i * 3) % 25, 0.1 + i / 50) for i in range(25)]
+        if extra_dst_type is not None:
+            lines += [edge_row(0, i, 1, extra_dst_type, (i * 3) % 25, 0.1 + i / 50)
+                      for i in range(25)]
         graph, _ = build(lines)
         for i in range(25):
             ref = graph.node_ref(0, i)

@@ -71,6 +71,9 @@ class NodeRef(NamedTuple):
         return (self.node_type, self.node_id)
 
 
+KeyedView = tuple[tuple[list[NodeRef], np.ndarray], np.ndarray]  # (refs, weights), keys
+
+
 class EdgeKind(IntEnum):
     ENGAGEMENT = 0
     AFFINITY = 1
@@ -215,12 +218,12 @@ class HeteroGraph:
     and the node refs, and carries the changed runs in its overlay; swapping
     to the new instance is the epoch swap.
 
-    Readers fill a per-epoch memo of merged views (``merged_neighbors``),
-    which the next epoch inherits minus the nodes whose runs changed.
-    Filling it from many threads is safe: a view is a deterministic function
-    of the epoch, so racing readers store equal values, and each store is
-    one atomic dict assignment. The graph is its own adjacency provider for
-    the samplers (``merged_neighbors``, ``prefetch``, ``resolve``).
+    Readers fill a per-epoch memo of merged views and their key arrays
+    (``keyed_neighbors``), which the next epoch inherits minus the nodes
+    whose runs changed. Filling it from many threads is safe: a view is a
+    deterministic function of the epoch, so racing readers store equal
+    values, and each store is one atomic dict assignment. The graph is its
+    own adjacency provider (``samplers.AdjacencyProvider``).
     """
 
     def __init__(
@@ -249,8 +252,11 @@ class HeteroGraph:
         self._edge_types = tuple(
             sorted({et for (_, et) in blocks} | {et for (_, et, _) in self._overlay})
         )
-        # (src_type, index) -> merged view of this epoch
-        self._memo: dict[tuple[int, int], tuple[list[NodeRef], np.ndarray]] = {}
+        # node key = type offset + index, which sorts like (node_type, node_id)
+        sizes = [len(node_ids[t]) for t in sorted(node_ids)]
+        self._key_offset = dict(zip(sorted(node_ids), np.cumsum([0] + sizes).tolist()))
+        # (src_type, index) -> (merged view, its key array) of this epoch
+        self._memo: dict[tuple[int, int], KeyedView] = {}
 
     # -- node accessors -----------------------------------------------------
 
@@ -367,10 +373,16 @@ class HeteroGraph:
         (node_type, node_id) so the ordering is stable across
         differently-indexed graph shards.
 
-        The view is memoized on this epoch, so callers share the returned
-        list and array: neither may be modified, and the weights are
-        read-only.
+        The view is memoized on this epoch together with its key array
+        (``keyed_neighbors``), so callers share the returned list and
+        array: neither may be modified, and the weights are read-only.
         """
+        hit = self._memo.get((node.node_type, node.index))
+        return (hit or self.keyed_neighbors(node))[0]
+
+    def keyed_neighbors(self, node: NodeRef) -> KeyedView:
+        """The memoized ``merged_neighbors`` view and its read-only int64 key
+        array: neighbour i's ``node_keys`` key, ascending like the view."""
         key = (node.node_type, node.index)
         hit = self._memo.get(key)
         if hit is not None:
@@ -389,9 +401,18 @@ class HeteroGraph:
         keys = sorted(acc)
         refs = [self._refs[t][idx_of[(t, i)]] for t, i in keys]
         weights = np.array([acc[k] for k in keys], dtype=np.float64)
-        weights.flags.writeable = False
-        view = self._memo[key] = (refs, weights)
-        return view
+        node_keys = self.node_keys(refs)
+        weights.flags.writeable = node_keys.flags.writeable = False
+        entry = self._memo[key] = ((refs, weights), node_keys)
+        return entry
+
+    def node_keys(self, nodes: Iterable[NodeRef]) -> np.ndarray:
+        """int64 keys of ``nodes`` of this graph: the node type's offset plus
+        the index, so keys sort like (node_type, node_id)."""
+        return np.array([self._key_offset[n.node_type] + n.index for n in nodes], dtype=np.int64)
+
+    def ext_order(self, keys: np.ndarray) -> None:
+        """Keys already sort like (node_type, node_id): no reordering."""
 
     def prefetch(self, nodes: Iterable[NodeRef]) -> None:
         """Sampler hint that these views are needed next; every view is in

@@ -20,8 +20,8 @@ from .params import ModelConfig, ParamStore
 
 def hops_from_samples(
     samples: NeighborSample | Sequence[NeighborSample], hops: int
-) -> list[list[NodeRef]]:
-    """Normalize sampler output to per-hop node lists for a ``hops``-deep encoder.
+) -> tuple[tuple[NodeRef, ...], ...]:
+    """Normalize sampler output to per-hop node tuples for a ``hops``-deep encoder.
 
     A per-hop list (multi-hop samplers) maps hop by position. A single flat
     sample (PPR strategies) is split by hop label clamped into 1..``hops``:
@@ -33,10 +33,8 @@ def hops_from_samples(
         by_hop: dict[int, list[NodeRef]] = {}
         for e in samples.entries:
             by_hop.setdefault(min(max(1, e.hop), hops), []).append(e.node)
-        if not by_hop:
-            return []
-        return [by_hop.get(h, []) for h in range(1, max(by_hop) + 1)]
-    return [[e.node for e in s.entries] for s in samples]
+        return tuple(tuple(by_hop.get(h, ())) for h in range(1, max(by_hop, default=0) + 1))
+    return tuple(tuple(e.node for e in s.entries) for s in samples)
 
 
 @dataclass
@@ -73,17 +71,6 @@ def build_encode_batch(
     level_refs: list[list[NodeRef]] = [list(seeds)]
     level_seed: list[list[int]] = [list(range(len(seeds)))]
     edges: list[tuple[list[int], list[int]]] = []
-    neighbor_cache: dict[tuple[int, int], set[tuple[int, int]]] = {}
-
-    def out_set(ref: NodeRef) -> set[tuple[int, int]]:
-        key = ref.ext()
-        hit = neighbor_cache.get(key)
-        if hit is None:
-            refs, _ = graph.merged_neighbors(ref)
-            hit = {r.ext() for r in refs}
-            neighbor_cache[key] = hit
-        return hit
-
     orphans = 0
     for h in range(depth):
         refs_h: list[NodeRef] = []
@@ -94,24 +81,20 @@ def build_encode_batch(
         prev_slots: dict[int, list[int]] = {}
         for slot, s in enumerate(level_seed[h]):
             prev_slots.setdefault(s, []).append(slot)
+        # each previous-level slot's view as a set of node keys
+        views = [set(graph.keyed_neighbors(ref)[1].tolist()) for ref in level_refs[h]] if h else []
         for s in range(len(seeds)):
-            entries = hop_lists[s][h] if h < len(hop_lists[s]) else []
-            if not entries:
-                continue
+            entries = hop_lists[s][h] if h < len(hop_lists[s]) else ()
             parents = prev_slots.get(s, [])
-            for ref in entries:
-                child_slot = len(refs_h)
-                links = parents if h == 0 else [  # level 0: the seed's one slot
-                    p for p in parents if ref.ext() in out_set(level_refs[h][p])
-                ]
+            for ref, key in zip(entries, graph.node_keys(entries).tolist() if h else entries):
+                links = [p for p in parents if key in views[p]] if h else parents
                 if not links:
                     orphans += 1
                     continue
+                parent_idx += links
+                child_idx += [len(refs_h)] * len(links)
                 refs_h.append(ref)
                 seed_h.append(s)
-                for p in links:
-                    parent_idx.append(p)
-                    child_idx.append(child_slot)
         level_refs.append(refs_h)
         level_seed.append(seed_h)
         edges.append((parent_idx, child_idx))

@@ -35,12 +35,12 @@ class PairBatch:
     dst_refs: list[NodeRef]
     labels: np.ndarray
     mask: np.ndarray
-    src_hops: list[list[list[NodeRef]]]
-    dst_hops: list[list[list[NodeRef]]]
+    src_hops: list[Sequence[Sequence[NodeRef]]]
+    dst_hops: list[Sequence[Sequence[NodeRef]]]
     src_slot: np.ndarray | None = None
     activity_refs: list[list[NodeRef]] = field(default_factory=list)
     activity_ages: list[list[float]] = field(default_factory=list)
-    dst_neighbor_refs: list[list[NodeRef]] = field(default_factory=list)
+    dst_neighbor_refs: list[Sequence[NodeRef]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.dst_refs)

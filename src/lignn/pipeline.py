@@ -168,7 +168,7 @@ def adaptive_step(state: AdaptiveState, current_metric: float) -> AdaptiveState:
 # -- grouped training step ---------------------------------------------------------
 
 
-SampleFn = Callable[[NodeRef, str], list[list[NodeRef]]]  # (node, role)
+SampleFn = Callable[[NodeRef, str], Sequence[Sequence[NodeRef]]]  # (node, role)
 ActivityFn = Callable[[NodeRef, int], tuple[list[NodeRef], list[float]]]
 
 
@@ -199,7 +199,7 @@ def grouped_step(
     member_ref = graph.resolve(batch.member)
     member_hops = sample_fn(member_ref, "member")
     item_refs: list[NodeRef | None] = []
-    item_hops: dict[int, list[list[NodeRef]]] = {}
+    item_hops: dict[int, Sequence[Sequence[NodeRef]]] = {}
     for j, (item, real) in enumerate(zip(batch.items, batch.mask)):
         if not real:
             item_refs.append(None)

@@ -5,16 +5,18 @@ streams are counter-based (Philox) keyed by ``mix64(rng_seed, node_type,
 node_id, hop)``, never by position in a batch, so batched, threaded, and
 partitioned executions all draw the same samples.
 
-All strategies read one memoized view per node from an adjacency provider:
-the in-memory ``HeteroGraph`` itself, or the fan-out client's network-backed
-``service.client.RemoteAdjacency``, which reuses these exact code paths. A
-provider has three methods (``AdjacencyProvider``): ``merged_neighbors(ref)``,
-one node's view (distinct out-neighbours sorted by (node_type, node_id),
-with summed, positive weights); ``prefetch(refs)``, a hint that the views of
-``refs`` are needed next (the remote provider fetches them in bulk, the
-graph ignores it, so callers pass a lazy iterable that the local path never
-walks); and ``resolve(node)``, which maps a seed's (node_type, node_id) to
-the provider's NodeRef or raises ``MissingNodeError``.
+All strategies read one memoized view per node from an adjacency provider
+(``AdjacencyProvider``): the in-memory ``HeteroGraph`` itself, or the
+fan-out client's network-backed ``service.client.RemoteAdjacency``, which
+reuses these exact code paths. ``merged_neighbors(ref)`` is a node's view
+(distinct out-neighbours sorted by (node_type, node_id), summed positive
+weights); ``keyed_neighbors(ref)`` adds an int64 key per neighbour, which
+sorts like (node_type, node_id) on the graph (type offset + index) but not
+on the remote provider (discovery index), whose ``ext_order`` sorts keys.
+``prefetch(refs)`` hints that views are needed next (the remote provider
+fetches them in bulk; the graph ignores it, so callers pass a lazy iterable
+the local path never walks); ``resolve(node)`` maps a seed's (node_type,
+node_id) to the provider's NodeRef or raises ``MissingNodeError``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .graph import HeteroGraph, MissingNodeError, NodeRef, mix64
+from .graph import HeteroGraph, KeyedView, MissingNodeError, NodeRef, mix64
 
 
 @dataclass(frozen=True)
@@ -86,17 +88,21 @@ class NeighborSample:
     truncated: bool = False
     error: str | None = None
 
-    def refs(self) -> list[NodeRef]:
-        return [e.node for e in self.entries]
-
 
 # -- adjacency providers -------------------------------------------------------
 
 
 class AdjacencyProvider(Protocol):
-    """What the samplers read: ``HeteroGraph`` or ``RemoteAdjacency``."""
+    """What the samplers read: ``HeteroGraph`` or ``RemoteAdjacency``. Views
+    and key arrays are shared and never modified; distinct nodes have
+    distinct keys. ``ext_order`` sorts distinct ascending keys by (node_type,
+    node_id), or returns None where they already are so (the graph)."""
 
     def merged_neighbors(self, node: NodeRef) -> tuple[list[NodeRef], np.ndarray]: ...
+
+    def keyed_neighbors(self, node: NodeRef) -> KeyedView: ...
+
+    def ext_order(self, keys: np.ndarray) -> np.ndarray | None: ...
 
     def prefetch(self, nodes: Iterable[NodeRef]) -> None: ...
 
@@ -112,22 +118,29 @@ def _rng_for(rng_seed: int, node: NodeRef, hop: int | None = None) -> np.random.
 
 # -- multi-hop fan-out sampling ------------------------------------------------
 
+_EMPTY_VIEW: KeyedView = (([], np.empty(0)), np.empty(0, dtype=np.int64))
+
 
 def _frontier_union(
     provider: AdjacencyProvider, frontier: list[NodeRef]
-) -> tuple[list[NodeRef], np.ndarray]:
-    """Union of the frontier's neighbors with summed weights, ext-sorted."""
+) -> tuple[list[NodeRef], Sequence[int], np.ndarray]:
+    """Union of the frontier's views in (node_type, node_id) order: candidate
+    i is ``refs[pos[i]]`` with summed weight ``weights[i]``, bit-equal to a
+    dict merge because ``bincount`` adds in frontier order (and counts an
+    empty union in int64, hence the cast). A one-node frontier's is its view."""
+    if len(frontier) <= 1:
+        (refs, weights), _ = provider.keyed_neighbors(frontier[0]) if frontier else _EMPTY_VIEW
+        return refs, range(len(refs)), weights
     provider.prefetch(frontier)
-    acc: dict[tuple[int, int], float] = {}
-    ref_of: dict[tuple[int, int], NodeRef] = {}
-    for node in frontier:
-        refs, weights = provider.merged_neighbors(node)
-        for ref, w in zip(refs, weights):
-            key = ref.ext()
-            acc[key] = acc.get(key, 0.0) + float(w)
-            ref_of[key] = ref
-    keys = sorted(acc)
-    return [ref_of[k] for k in keys], np.array([acc[k] for k in keys], dtype=np.float64)
+    views = [provider.keyed_neighbors(node) for node in frontier]
+    keys, pos, inv = np.unique(
+        np.concatenate([keys for _, keys in views]), return_index=True, return_inverse=True
+    )
+    weights = np.bincount(inv, np.concatenate([w for (_, w), _ in views])).astype(float, copy=False)
+    order = provider.ext_order(keys)
+    if order is not None:
+        pos, weights = pos[order], weights[order]
+    return list(chain.from_iterable(refs for (refs, _), _ in views)), pos, weights
 
 
 def _weighted_draw_without_replacement(
@@ -167,21 +180,21 @@ def multihop_sample_core(
         hops: list[NeighborSample] = []
         frontier = [seed_ref]
         for h, fanout in enumerate(fanouts):
-            cands, weights = _frontier_union(provider, frontier)
+            refs, pos, weights = _frontier_union(provider, frontier)
             gen = _rng_for(rng_seed, seed_ref, h)
             if fanout <= 0:
                 chosen: list[int] = []
-            elif fanout >= len(cands):
-                chosen = list(range(len(cands)))
+            elif fanout >= len(weights):
+                chosen = list(range(len(weights)))
             elif uniform:
-                chosen = sorted(gen.choice(len(cands), size=fanout, replace=False).tolist())
+                chosen = sorted(gen.choice(len(weights), size=fanout, replace=False).tolist())
             else:
                 chosen = sorted(_weighted_draw_without_replacement(gen, weights, fanout))
             entries = tuple(
-                SampleEntry(cands[i], float(weights[i]), h + 1) for i in chosen
+                SampleEntry(refs[pos[i]], float(weights[i]), h + 1) for i in chosen
             )
             hops.append(NeighborSample(seed_ref, entries, strategy))
-            frontier = [cands[i] for i in chosen]
+            frontier = [e.node for e in entries]
         out.append(hops)
     return out
 

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..graph import MissingNodeError, NodeRef
+from ..graph import KeyedView, MissingNodeError, NodeRef
 from ..samplers import (
     NeighborSample,
     PPRConfig,
@@ -236,26 +236,28 @@ class RemoteAdjacency:
     ``MissingNodeError`` on every lookup.
 
     NodeRef indices are client-side discovery indices (dense, in fetch
-    order); orderings that matter for cross-partition equality use external
-    (node_type, node_id) keys throughout the sampler cores.
+    order) and serve as view keys; orderings that matter for cross-partition
+    equality use external (node_type, node_id) keys (``ext_order``).
     """
 
     def __init__(self, client: GraphEngineClient):
         self.client = client
         self._registry: dict[tuple[int, int], int] = {}
-        self._cache: dict[tuple[int, int], tuple[list[NodeRef], np.ndarray]] = {}
+        self._exts: list[tuple[int, int]] = []  # discovery index -> external key
+        self._cache: dict[tuple[int, int], KeyedView] = {}
         self._failed: dict[tuple[int, int], str] = {}
 
     def _ref(self, ext: tuple[int, int]) -> NodeRef:
         idx = self._registry.get(ext)
         if idx is None:
-            idx = len(self._registry)
-            self._registry[ext] = idx
+            idx = self._registry[ext] = len(self._exts)
+            self._exts.append(ext)
         return NodeRef(ext[0], ext[1], idx)
 
-    def _view(self, entries) -> tuple[list[NodeRef], np.ndarray]:
+    def _view(self, entries) -> KeyedView:
         refs = [self._ref((e.node.node_type, e.node.node_id)) for e in entries]
-        return refs, np.array([e.score for e in entries], dtype=np.float64)
+        weights = np.array([e.score for e in entries], dtype=np.float64)
+        return (refs, weights), np.array([r.index for r in refs], dtype=np.int64)
 
     def resolve(self, node) -> NodeRef:
         ext = (node[0], node[1])
@@ -266,6 +268,15 @@ class RemoteAdjacency:
         return self.neighbors_ext(node.ext())
 
     def neighbors_ext(self, ext: tuple[int, int]) -> tuple[list[NodeRef], np.ndarray]:
+        hit = self._cache.get(ext)
+        return (hit or self.keyed_neighbors(ext))[0]
+
+    def ext_order(self, keys: np.ndarray) -> np.ndarray:
+        exts = [self._exts[k] for k in keys.tolist()]
+        return np.array(sorted(range(len(exts)), key=exts.__getitem__), dtype=np.int64)
+
+    def keyed_neighbors(self, node) -> KeyedView:
+        ext = (node[0], node[1])
         hit = self._cache.get(ext)
         if hit is None:
             self.prefetch([ext])

@@ -63,6 +63,11 @@ class GraphSampler:
     Counters are locked so threads may share an instance.
     Evaluation queries are tracked separately and excluded from the
     training fetch totals.
+
+    ``fetch`` memoizes each (node_type, index, neighbour count) across roles:
+    exact, as the graph never changes and a sample is a pure function of
+    (rng_seed, node, hop). Callers share the returned tuples. ``memo_hits``
+    and ``truncated`` (pushes cut at ``max_pushes``) count beside ``queries``.
     """
 
     def __init__(
@@ -80,28 +85,35 @@ class GraphSampler:
         self.hops = hops
         self.queries: dict[str, int] = {}
         self.neighbors_fetched = 0
+        self.memo_hits = 0
+        self.truncated = 0
+        self._memo: dict[tuple[int, int, int], tuple[tuple[tuple[NodeRef, ...], ...], bool]] = {}
         self._lock = threading.Lock()
 
-    def _count(self, role: str, entries: int) -> None:
+    def fetch(self, ref: NodeRef, neighbor_count: int, role: str) -> tuple[tuple[NodeRef, ...], ...]:
+        """One engine query: the sampled compute graph for one node."""
+        key = (ref.node_type, ref.index, neighbor_count)
+        hit = key in self._memo
+        if not hit:
+            fanouts = [neighbor_count] * self.hops
+            if self.strategy == "random":
+                [sample] = sample_random_multihop(self.graph, [ref], fanouts, self.rng_seed)
+            elif self.strategy == "weighted":
+                [sample] = sample_weighted_multihop(self.graph, [ref], fanouts, self.rng_seed)
+            elif self.strategy == "ppr-push":
+                sample = ppr_forward_push(self.graph, ref, PPRConfig(top_k=neighbor_count))
+            else:  # ppr-2hop
+                cfg = WalkConfig(num_walks=SAMPLER_WALKS, top_k=neighbor_count, rng_seed=self.rng_seed)
+                sample = ppr_two_hop_random_walk(self.graph, ref, cfg)
+            truncated = self.strategy == "ppr-push" and sample.truncated  # only a push stops early
+            self._memo[key] = (hops_from_samples(sample, self.hops), truncated)
+        out, truncated = self._memo[key]
         with self._lock:
             self.queries[role] = self.queries.get(role, 0) + 1
             if role != "eval":
-                self.neighbors_fetched += entries
-
-    def fetch(self, ref: NodeRef, neighbor_count: int, role: str) -> list[list[NodeRef]]:
-        """One engine query: the sampled compute graph for one node."""
-        fanouts = [neighbor_count] * self.hops
-        if self.strategy == "random":
-            [sample] = sample_random_multihop(self.graph, [ref], fanouts, self.rng_seed)
-        elif self.strategy == "weighted":
-            [sample] = sample_weighted_multihop(self.graph, [ref], fanouts, self.rng_seed)
-        elif self.strategy == "ppr-push":
-            sample = ppr_forward_push(self.graph, ref, PPRConfig(top_k=neighbor_count))
-        else:  # ppr-2hop
-            cfg = WalkConfig(num_walks=SAMPLER_WALKS, top_k=neighbor_count, rng_seed=self.rng_seed)
-            sample = ppr_two_hop_random_walk(self.graph, ref, cfg)
-        out = hops_from_samples(sample, self.hops)
-        self._count(role, sum(len(h) for h in out))
+                self.neighbors_fetched += sum(len(h) for h in out)
+            self.memo_hits += hit
+            self.truncated += truncated
         return out
 
 

@@ -5,7 +5,8 @@ Each function here restates one op of the library without the autograd tape
 aggregators of the SAGE layer, the temporal sequence head and its long-term
 pairing, the link decoders and their losses, exact personalized PageRank,
 the size-weighted aggregation of micro-batch gradients, the merged
-neighbour view, and the one-edge insert of an epoch swap.
+neighbour view, the union of a sampling frontier's views, the parent links
+of an encode batch, and the one-edge insert of an epoch swap.
 """
 
 from __future__ import annotations
@@ -421,3 +422,52 @@ def merged_view(graph: HeteroGraph, node: NodeRef) -> tuple[list[NodeRef], np.nd
             acc[key] = acc.get(key, 0.0) + w
     keys = sorted(acc)
     return [graph.node_ref(*k) for k in keys], np.array([acc[k] for k in keys])
+
+
+def frontier_union(provider, frontier: Sequence[NodeRef]) -> tuple[list[NodeRef], np.ndarray]:
+    """Distinct neighbours of the ``frontier`` nodes sorted by (node_type,
+    node_id), by a dict merge over their ``merged_neighbors`` views in
+    frontier order: a neighbour of several frontier nodes sums its weights
+    in that order. Reads only ``merged_neighbors``, never the samplers'
+    union or the key arrays."""
+    acc: dict[tuple[int, int], float] = {}
+    ref_of: dict[tuple[int, int], NodeRef] = {}
+    for node in frontier:
+        refs, weights = provider.merged_neighbors(node)
+        for ref, w in zip(refs, weights.tolist()):
+            acc[ref.ext()] = acc.get(ref.ext(), 0.0) + w
+            ref_of[ref.ext()] = ref
+    keys = sorted(acc)
+    return [ref_of[k] for k in keys], np.array([acc[k] for k in keys], dtype=np.float64)
+
+
+# -- encode-batch links ------------------------------------------------------------------
+
+
+def encode_links(graph: HeteroGraph, seeds, hop_lists, depth: int):
+    """``(level_refs, level_seed, edges, orphans)`` of an encode batch, by a
+    loop over (parent, child) pairs with ext-keyed neighbour sets: hop-1
+    nodes hang under their seed, a deeper node under every slot of its
+    seed's previous level whose merged view holds it, and a node with no
+    such slot is an orphan."""
+    level_refs, level_seed, edges, orphans = [list(seeds)], [list(range(len(seeds)))], [], 0
+    for h in range(depth):
+        refs_h, seed_h, parent_idx, child_idx = [], [], [], []
+        for s in range(len(seeds)):
+            parents = [p for p, owner in enumerate(level_seed[h]) if owner == s]
+            for ref in (hop_lists[s][h] if h < len(hop_lists[s]) else ()):
+                links = parents if h == 0 else [
+                    p for p in parents
+                    if ref.ext() in {r.ext() for r in graph.merged_neighbors(level_refs[h][p])[0]}
+                ]
+                if not links:
+                    orphans += 1
+                    continue
+                parent_idx += links
+                child_idx += [len(refs_h)] * len(links)
+                refs_h.append(ref)
+                seed_h.append(s)
+        level_refs.append(refs_h)
+        level_seed.append(seed_h)
+        edges.append((parent_idx, child_idx))
+    return level_refs, level_seed, edges, orphans

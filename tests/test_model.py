@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lignn.model import (
     DecoderKind,
@@ -28,6 +30,7 @@ from conftest import build, edge_row, node_row, random_weighted_digraph
 from fdcheck import central_diff, max_relative_error
 from oracles import (
     AttentionParams,
+    encode_links,
     assemble_temporal_sequence,
     attention_aggregate,
     bce_loss,
@@ -253,6 +256,33 @@ class TestLevelOneLinks:
         assert batch.level_refs[2] == [n2]
         assert batch.edges[1][0].tolist() == [1]
         assert batch.orphan_nodes == 1
+
+
+_LINK_GRAPH = mixed_type_graph(np.random.default_rng(4))
+_LINK_NODES = [_LINK_GRAPH.node_ref_by_index(t, i)
+               for t in _LINK_GRAPH.node_types for i in range(_LINK_GRAPH.num_nodes(t))]
+_NODE = st.sampled_from(range(len(_LINK_NODES)))
+
+
+class TestEncodeBatchLinks:
+    @given(st.lists(st.tuples(_NODE, st.lists(st.lists(_NODE, max_size=6), max_size=3)),
+                    max_size=4),
+           st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_pairwise_loop(self, seeded, depth):
+        """The array membership test links exactly the pairs the loop over
+        ext-keyed neighbour sets links, in the same order."""
+        seeds = [_LINK_NODES[s] for s, _ in seeded]
+        hop_lists = [tuple(tuple(_LINK_NODES[i] for i in level) for level in levels)
+                     for _, levels in seeded]
+        batch = build_encode_batch(_LINK_GRAPH, seeds, hop_lists, depth)
+        refs, owners, edges, orphans = encode_links(_LINK_GRAPH, seeds, hop_lists, depth)
+        assert batch.level_refs == refs
+        assert [a.tolist() for a in batch.level_seed] == owners
+        assert [(p.tolist(), c.tolist()) for p, c in batch.edges] == edges
+        assert all(a.dtype == np.int64 for a in batch.level_seed)
+        assert all(a.dtype == np.int64 for edge in batch.edges for a in edge)
+        assert batch.orphan_nodes == orphans
 
 
 class TestPPRHopLists:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lignn.model import LinkPredictionModel, ModelConfig, PairBatch
+from lignn import samplers, training
+from lignn.model import (
+    LinkPredictionModel,
+    ModelConfig,
+    PairBatch,
+    TemporalConfig,
+    build_encode_batch,
+    sage_encode,
+)
 from lignn.pipeline import (
     DUMMY_ITEM_ID,
     AdaptiveState,
@@ -211,6 +221,145 @@ class TestGroupedStep:
         [loss_padded] = grouped_step(model, padded, 1, 0.0, fetch)
         [loss_real] = grouped_step(model, unpadded, 1, 0.0, fetch)
         assert loss_padded == pytest.approx(loss_real, abs=1e-12)
+
+
+def memo_world():
+    """16 members and 12 items with engagements both ways and member
+    affinities, so two-hop samples reach past the seed's own view; 60
+    records, both labels."""
+    rng = np.random.default_rng(23)
+    rows = []
+    for m in range(16):
+        for j in rng.choice(12, size=4, replace=False).tolist():
+            rows.append(edge_row(0, m, 0, 1, 100 + j, 1.0, ts=int(rng.integers(1, 50))))
+            rows.append(edge_row(1, 100 + j, 0, 0, m, 0.5, ts=int(rng.integers(1, 50))))
+        rows.append(edge_row(0, m, 1, 0, (5 * m + 1) % 16, 0.25))
+    nodes = [node_row(0, m, rng.normal(size=4)) for m in range(16)]
+    nodes += [node_row(1, 100 + i, rng.normal(size=4)) for i in range(12)]
+    graph, _ = build(rows, nodes)
+    records = [rec(int(m), 100 + int(rng.integers(0, 12)), label=int(m) % 2, ts=60)
+               for m in rng.integers(0, 16, size=60)]
+    return graph, records
+
+
+class TestSamplerMemo:
+    """``GraphSampler`` samples each (node, neighbour count) once per trainer."""
+
+    def _trainer(self, tmp_path, tag, epochs=1, **model):
+        graph, records = memo_world()
+        settings = TrainSettings(
+            epochs=epochs, lr=0.2, group_size=4, neighbor_count=3, rng_seed=3,
+            val_fraction=0.3, metrics_path=str(tmp_path / f"{tag}.jsonl"),
+        )
+        config = ModelConfig(out_dim=6, hops=2, init_seed=1, **model)
+        return Trainer(graph, config, settings), records
+
+    def test_one_core_call_per_distinct_node_and_count(self, tmp_path, monkeypatch):
+        calls = []
+        core = samplers.multihop_sample_core
+
+        def counting_core(provider, seeds, fanouts, *args, **kwargs):
+            calls.extend((s.node_type, s.index, fanouts[0]) for s in seeds)
+            return core(provider, seeds, fanouts, *args, **kwargs)
+
+        monkeypatch.setattr(samplers, "multihop_sample_core", counting_core)
+        trainer, records = self._trainer(tmp_path, "memo")
+        trainer.train(records)
+        sampler = trainer.sampler
+        assert sorted(calls) == sorted(set(calls)) == sorted(sampler._memo)
+        # every requested query is still counted, eval included
+        assert set(sampler.queries) == {"member", "item", "eval"}
+        assert sum(sampler.queries.values()) == len(calls) + sampler.memo_hits
+        assert (len(calls), sampler.memo_hits) == (28, 68)
+        assert sampler.truncated == 0
+
+    def test_outputs_equal_a_run_without_the_memo(self, tmp_path):
+        runs, hits = [], []
+        for cleared in (False, True):
+            trainer, records = self._trainer(tmp_path, f"cleared{cleared}", epochs=2)
+            sampler = trainer.sampler
+            if cleared:
+                def fetch_cleared(*args, fetch=sampler.fetch, memo=sampler._memo):
+                    memo.clear()
+                    return fetch(*args)
+
+                sampler.fetch = fetch_cleared
+            history = trainer.train(records)
+            ckpt = tmp_path / f"cleared{cleared}.ckpt"
+            trainer.model.store.save(str(ckpt))
+            metrics = (tmp_path / f"cleared{cleared}.jsonl").read_bytes()
+            runs.append((history, metrics, ckpt.read_bytes(), sampler.queries))
+            hits.append(sampler.memo_hits)
+        assert runs[0] == runs[1]
+        assert hits[0] > 0 and hits[1] == 0
+
+    def test_truncated_counts_each_query_of_a_cut_push(self, monkeypatch):
+        graph, _ = memo_world()
+        monkeypatch.setattr(training, "PPRConfig",
+                            lambda top_k: samplers.PPRConfig(top_k=top_k, max_pushes=2))
+        sampler = GraphSampler(graph, "ppr-push", hops=2)
+        member = graph.node_ref(0, 3)
+        for role in ("member", "eval"):
+            sampler.fetch(member, 3, role)
+        assert (sampler.truncated, sampler.memo_hits) == (2, 1)
+
+    def test_threads_share_one_sampler(self):
+        graph, _ = memo_world()
+        refs = [graph.node_ref_by_index(t, i) for t in (0, 1) for i in range(graph.num_nodes(t))]
+        serial = GraphSampler(graph, "random", rng_seed=3, hops=2)
+        expect = [serial.fetch(ref, 3, "item") for ref in refs]
+        shared = GraphSampler(graph, "random", rng_seed=3, hops=2)
+        results: list[list] = [[] for _ in range(8)]
+
+        def read(k):
+            for i in np.random.default_rng(k).permutation(len(refs)).tolist() * 2:
+                results[k].append((i, shared.fetch(refs[i], 3, "item")))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert all(hops == expect[i] for rows in results for i, hops in rows)
+        total = 8 * 2 * len(refs)
+        assert shared.queries == {"item": total}
+        assert shared.neighbors_fetched == 16 * serial.neighbors_fetched
+        # racing misses of one key may each sample it; the memo keeps one
+        assert len(refs) == len(shared._memo) <= total - shared.memo_hits <= 8 * len(refs)
+
+    def test_shared_hop_lists_are_read_only(self, tmp_path):
+        temporal = TemporalConfig(heads=3, token_dim=2, seq_len=4, future_len=1,
+                                  dst_neighbor_count=2)
+        trainer, records = self._trainer(tmp_path, "read-only", temporal=temporal)
+        graph, sampler = trainer.graph, trainer.sampler
+        member = graph.node_ref(0, 3)
+        hops = sampler.fetch(member, 3, "member")
+        assert sampler.fetch(member, 3, "eval") is hops
+        assert sampler.fetch(member, 2, "member") != hops
+        assert [type(h) for h in (hops, *hops)] == [tuple] * 3
+        with pytest.raises(TypeError):
+            hops[1][0] = member
+        with pytest.raises(AttributeError):
+            hops[0].append(member)
+        # every consumer takes the shared tuples as they are
+        batch = build_encode_batch(graph, [member], [hops], 2)
+        assert sum(len(level) for level in batch.level_refs[1:]) + batch.orphan_nodes == 6
+        group = GroupedBatch((0, 3), ((1, 100), (1, 101)), (1, 0), (True, True), (60, 60))
+        model = LinkPredictionModel(graph, replace(trainer.config, temporal=None))
+        fetch = lambda ref, role: sampler.fetch(ref, 3, role)  # noqa: E731
+        assert len(grouped_step(model, group, 2, 0.1, fetch)) == 2
+        pairs = trainer.eval_batch(records[:5], 3)
+        assert pairs.dst_neighbor_refs == [h[0][:2] for h in pairs.dst_hops]
+        assert np.all(np.isfinite(trainer.model.pair_scores(pairs)))
+        [sample] = samplers.sample_random_multihop(graph, [member], [3, 3], 3)
+        embedding = sage_encode(graph, member, sample, trainer.model.store, trainer.config)
+        assert np.all(np.isfinite(embedding))
 
 
 class TestMlpInit:

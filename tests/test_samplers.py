@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lignn.graph import NodeRef
 from lignn.samplers import (
     PPRConfig,
     WalkConfig,
+    _frontier_union,
     ppr_forward_push,
     ppr_forward_push_batch,
     ppr_two_hop_random_walk,
@@ -18,9 +21,10 @@ from lignn.samplers import (
     sample_temporal_last_n,
     sample_weighted_multihop,
 )
+from lignn.service import GraphEngineClient, PartitionMap, RemoteAdjacency, RetryPolicy, serve
 
-from conftest import build, edge_row, random_weighted_digraph
-from oracles import ppr_exact
+from conftest import build, edge_row, node_row, random_weighted_digraph
+from oracles import frontier_union, ppr_exact
 
 
 def star(n_leaves, weights=None):
@@ -83,6 +87,113 @@ class TestRandomMultihop:
         assert [e.node.node_id for e in hops[0].entries] == [1]
         assert [e.node.node_id for e in hops[1].entries] == [2]
         assert [e.hop for e in hops[1].entries] == [2]
+
+
+# -- frontier union -------------------------------------------------------------
+
+_UNION_NODES = [(0, 1), (0, 2), (0, 3), (1, 7), (1, 8), (2, 4)]
+# weights whose sums round differently in different orders
+_UNION_WEIGHTS = st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.7, 2.5])
+_UNION_EDGES = st.lists(st.tuples(  # edge types 0 and 1: parallel edges across types
+    st.integers(0, 5), st.sampled_from([0, 1]), st.integers(0, 5), _UNION_WEIGHTS,
+    st.sampled_from([0, 10]),
+), max_size=30)
+_UNION_ADDED = st.lists(st.tuples(  # overlay runs, in a new edge type too
+    st.integers(0, 5), st.sampled_from([0, 1, 5]), st.integers(0, 5), _UNION_WEIGHTS,
+    st.sampled_from([0, 10, 20]),
+), max_size=12)
+
+
+def union_candidates(provider, frontier):
+    """The library's union as (candidate refs, weights)."""
+    refs, pos, weights = _frontier_union(provider, frontier)
+    return [refs[p] for p in pos], weights
+
+
+def assert_union_equals_oracle(provider, frontier):
+    refs, weights = union_candidates(provider, frontier)
+    orefs, oweights = frontier_union(provider, frontier)
+    assert refs == orefs
+    assert weights.dtype == np.float64
+    assert weights.tobytes() == oweights.tobytes()
+    return refs, weights
+
+
+class TestFrontierUnion:
+    """The array union equals the dict merge: same refs in the same order,
+    bit-equal weights."""
+
+    @given(_UNION_EDGES, _UNION_ADDED, st.lists(st.integers(0, 5), max_size=6))
+    @example(  # one neighbour reached from three frontier nodes over both edge types
+        [(0, 0, 5, 0.1, 0), (0, 1, 5, 0.2, 0), (1, 0, 5, 0.3, 0), (2, 1, 5, 1 / 3, 10)],
+        [(2, 5, 5, 0.7, 20)], [0, 1, 2],
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_graph_provider(self, base, added, frontier):
+        rows = [edge_row(*_UNION_NODES[s], et, *_UNION_NODES[d], w, ts=ts)
+                for s, et, d, w, ts in base]
+        nodes = [node_row(nt, nid, [0.0] * 4) for nt, nid in _UNION_NODES]
+        graph, _ = build(rows, nodes)
+        refs = [graph.node_ref(*n) for n in _UNION_NODES]
+        graph = graph.with_added_edges(
+            [(refs[s], et, refs[d], w, ts) for s, et, d, w, ts in added]
+        )
+        assert_union_equals_oracle(graph, [refs[i] for i in frontier])
+
+    def test_one_node_frontier_is_its_view(self):
+        graph = star(4)
+        seed = graph.node_ref(0, 0)
+        refs, pos, weights = _frontier_union(graph, [seed])
+        view_refs, view_weights = graph.merged_neighbors(seed)
+        assert refs is view_refs and weights is view_weights
+        assert list(pos) == [0, 1, 2, 3]
+
+    @given(st.permutations(range(30)), st.lists(st.integers(0, 29), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_remote_provider(self, union_server, discovery, frontier):
+        graph, pmap = union_server
+        client = GraphEngineClient(pmap, RetryPolicy(max_attempts=3), sleep=lambda s: None)
+        try:
+            provider = RemoteAdjacency(client)
+            # discovery indices, the remote keys, in an order unlike (node_type, node_id)
+            nodes = [graph.node_ref_by_index(*_union_server_node(i)) for i in discovery]
+            remote = [provider.resolve(n.ext()) for n in nodes]
+            frontier = [remote[discovery.index(i)] for i in frontier]
+            refs, weights = assert_union_equals_oracle(provider, frontier)
+            local, lweights = union_candidates(graph, [graph.resolve(n) for n in frontier])
+            assert [r.ext() for r in refs] == [r.ext() for r in local]
+            assert weights.tobytes() == lweights.tobytes()
+        finally:
+            client.close()
+
+
+def _union_server_node(i):
+    """(node_type, index) of the i-th of the served graph's 30 nodes."""
+    return (0, i) if i < 20 else (1, i - 20) if i < 26 else (2, i - 26)
+
+
+@pytest.fixture(scope="module")
+def union_server():
+    """A served graph with three node types, parallel edges across edge types
+    and overlay runs."""
+    rng = np.random.default_rng(5)
+    rows = [edge_row(0, int(rng.integers(0, 20)), int(rng.integers(0, 2)), *dst, float(w))
+            for dst, w in zip(
+                [(0, i % 20) for i in range(40)] + [(1, 100 + i % 6) for i in range(20)]
+                + [(2, 500 + i % 4) for i in range(12)],
+                rng.choice([0.1, 0.2, 0.3, 1 / 3, 0.7], size=72))]
+    rows += [edge_row(1, 100 + i % 6, 0, 0, i, 0.3) for i in range(20)]
+    rows += [edge_row(2, 500 + i, 1, 1, 100 + i, 0.1) for i in range(4)]
+    graph, _ = build(rows)
+    assert [graph.num_nodes(t) for t in (0, 1, 2)] == [20, 6, 4]
+    refs = [graph.node_ref_by_index(*_union_server_node(i)) for i in range(30)]
+    graph = graph.with_added_edges(
+        [(refs[i], 1, refs[(7 * i) % 30], 1 / 3, 5) for i in range(0, 30, 2)]
+    )
+    server = serve(graph, "127.0.0.1:0", PartitionMap(("127.0.0.1:0",)), 0)
+    server.pmap = PartitionMap((server.address,))
+    yield graph, server.pmap
+    server.stop()
 
 
 class TestWeightedMultihop:

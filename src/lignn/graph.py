@@ -307,12 +307,15 @@ class HeteroGraph:
             return self._features[node_type].shape[1]
         return self.schema.feature_dims.get(node_type, 0)
 
+    def feature_rows(self, node_type: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Feature rows of the ``node_type`` nodes at ``index`` (zeros for a node
+        without stored features) and the mask of the nodes that have them."""
+        return self._features[node_type][index], self._feature_mask[node_type][index]
+
     def features_of(self, ref: NodeRef) -> np.ndarray | None:
         """Feature row, or None when the node has no stored features."""
-        mask = self._feature_mask.get(ref.node_type)
-        if mask is None or not mask[ref.index]:
-            return None
-        return self._features[ref.node_type][ref.index]
+        rows, stored = self.feature_rows(ref.node_type, [ref.index])
+        return rows[0] if stored[0] else None
 
     # -- adjacency ----------------------------------------------------------
 

@@ -4,10 +4,22 @@ Each primitive carries a hand-derived vector-Jacobian product; ``backward``
 replays the tape in reverse topological order. Arrays are float64 row-major;
 embedding batches are (B, d) rows, token batches (B, T, d). Only parameters
 (``requires_grad=True`` leaves) accumulate gradients.
+
+Three fused ops record one tape node each for the chains a SAGE layer runs
+every step: ``project`` (per-type ``feats @ W + b`` plus id-embedding rows,
+in slot order), ``gather_mean`` (row gather, per-segment sum, times
+1/count) and ``concat_affine_tanh`` (the SAGE combine and the MLP decoder's
+hidden layers). Each keeps the float operations of the unfused chain in the
+same order, so outputs and gradients equal the chain's bit for bit.
+
+A VJP never writes into the gradient it receives, and ``backward``
+accumulates out of place: one gradient array may be handed to several
+parents (``add`` gives both sides the same ``g``).
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -102,10 +114,8 @@ class Tensor:
             for parent, pg in zip(node._parents, parent_grads):
                 if pg is None:
                     continue
-                if id(parent) in grads:
-                    grads[id(parent)] += pg
-                else:
-                    grads[id(parent)] = pg
+                k = id(parent)
+                grads[k] = grads[k] + pg if k in grads else pg
 
 
 def as_tensor(x) -> Tensor:
@@ -189,39 +199,14 @@ def matmul(a, b) -> Tensor:
 # -- elementwise nonlinearities --------------------------------------------------
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.tanh(a.data)
-    return _make(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def _sigmoid(x: Array) -> Array:
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    y = _sigmoid(a.data)
-    return _make(y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
 def softplus(a) -> Tensor:
-    """log(1 + e^x), evaluated as max(x,0) + log1p(e^-|x|)."""
+    """log(1 + e^x), evaluated as max(x,0) + log1p(e^-|x|); its VJP is the
+    sigmoid, from the same e^-|x|."""
     a = as_tensor(a)
-    y = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
-    return _make(y, (a,), lambda g: (g * _sigmoid(a.data),))
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.exp(a.data)
-    return _make(y, (a,), lambda g: (g * y,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+    z = np.exp(-np.abs(a.data))
+    y = np.maximum(a.data, 0.0) + np.log1p(z)
+    sigmoid = np.where(a.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return _make(y, (a,), lambda g: (g * sigmoid,))
 
 
 def sqrt(a) -> Tensor:
@@ -339,22 +324,6 @@ def segment_sum(x, segment_ids: Array, num_segments: int, weights: Array | None 
     return _make(out, (x,), vjp)
 
 
-def segment_mean(x, segment_ids: Array, num_segments: int, weights: Array | None = None) -> Tensor:
-    """Weighted mean per segment, zero rows for empty segments."""
-    x = as_tensor(x)
-    ids = np.asarray(segment_ids, dtype=np.int64)
-    if weights is None:
-        denom = np.zeros(num_segments, dtype=np.float64)
-        np.add.at(denom, ids, 1.0)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        denom = np.zeros(num_segments, dtype=np.float64)
-        np.add.at(denom, ids, w)
-    safe = np.where(denom == 0.0, 1.0, denom).reshape(-1, 1)
-    total = segment_sum(x, ids, num_segments, weights)
-    return mul(total, constant(1.0 / safe))
-
-
 def segment_softmax(scores, segment_ids: Array, num_segments: int) -> Tensor:
     """Softmax over each segment of a 1-D score vector."""
     s = as_tensor(scores)
@@ -416,3 +385,73 @@ def log_softmax(x) -> Tensor:
         return (g - np.exp(y) * g.sum(axis=-1, keepdims=True),)
 
     return _make(y, (x,), vjp)
+
+
+# -- fused SAGE layers ----------------------------------------------------------------
+
+
+def project(parts: Sequence[tuple], num_rows: int) -> Tensor:
+    """Per-type affine projection, placed into slot order, as one node.
+
+    ``parts`` holds one ``(slots, feats, W, b, table, index)`` per node type:
+    output rows ``slots`` are ``feats @ W + b`` (``feats`` constant), followed
+    by the id-embedding rows ``table[index]`` unless ``table`` is None.
+    """
+    _, _, w0, _, table0, _ = parts[0]
+    out = np.empty((num_rows, w0.shape[1] + (0 if table0 is None else table0.shape[1])))
+    parents: list[Tensor] = []
+    for slots, feats, w, b, table, index in parts:
+        out[slots, : w.shape[1]] = feats @ w.data + b.data
+        parents += [w, b]
+        if table is not None:
+            out[slots, w.shape[1] :] = table.data[index]
+            parents.append(table)
+
+    def vjp(g: Array):
+        grads = []
+        for slots, feats, w, b, table, index in parts:
+            gp = g[slots, : w.shape[1]]
+            grads += [feats.T @ gp, _unbroadcast(gp, b.shape)]
+            if table is not None:
+                full = np.zeros_like(table.data)
+                np.add.at(full, index, g[slots, w.shape[1] :])
+                grads.append(full)
+        return tuple(grads)
+
+    return _make(out, tuple(parents), vjp)
+
+
+def gather_mean(rows, index: Array, segment_ids: Array, num_segments: int) -> Tensor:
+    """Mean of ``rows[index]`` per segment, zero rows for empty segments.
+
+    Sums with ``np.add.at`` in edge order, then multiplies by 1/count.
+    """
+    rows = as_tensor(rows)
+    idx = np.asarray(index, dtype=np.int64)
+    ids = np.asarray(segment_ids, dtype=np.int64)
+    scale = 1.0 / np.maximum(np.bincount(ids, minlength=num_segments), 1).reshape(-1, 1)
+    total = np.zeros((num_segments,) + rows.shape[1:], dtype=np.float64)
+    np.add.at(total, ids, rows.data[idx])
+
+    def vjp(g: Array):
+        full = np.zeros_like(rows.data)
+        np.add.at(full, idx, (g * scale)[ids])
+        return (full,)
+
+    return _make(total * scale, (rows,), vjp)
+
+
+def concat_affine_tanh(parts: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
+    """``tanh(concat(parts, axis=1) @ w + b)`` as one node."""
+    parts = [as_tensor(p) for p in parts]
+    x = np.concatenate([p.data for p in parts], axis=1)
+    y = np.tanh(x @ w.data + b.data)
+    ends = list(accumulate(p.shape[1] for p in parts))
+
+    def vjp(g: Array):
+        gz = g * (1.0 - y * y)
+        gx = gz @ w.data.T
+        grads = [gx[:, lo:hi] for lo, hi in zip([0] + ends, ends)]
+        return (*grads, x.T @ gz, _unbroadcast(gz, b.shape))
+
+    return _make(y, (*parts, w, b), vjp)

@@ -125,35 +125,20 @@ class SageEncoder:
         refs without features (projected from zeros). ``with_ids`` appends
         the id embedding when the config has them."""
         cfg = self.config
-        missing = 0
         by_type: dict[int, list[int]] = {}
         for i, ref in enumerate(refs):
             by_type.setdefault(ref.node_type, []).append(i)
-        blocks: list[ag.Tensor] = []
-        perm: list[int] = []
+        missing = 0
+        parts = []
         for t in sorted(by_type):
             slots = by_type[t]
-            feats = np.zeros((len(slots), cfg.feature_dims[t]))
-            for row, slot in enumerate(slots):
-                vec = self.graph.features_of(refs[slot])
-                if vec is None:
-                    missing += 1
-                else:
-                    feats[row] = vec
-            proj = ag.add(
-                ag.matmul(ag.constant(feats), taped[f"{side}/proj/{t}/W"]),
-                taped[f"{side}/proj/{t}/b"],
-            )
-            if with_ids and cfg.id_embeddings:
-                idx = np.array([refs[slot].index for slot in slots], dtype=np.int64)
-                ids = ag.gather_rows(taped[f"{side}/id/{t}"], idx)
-                proj = ag.concat([proj, ids], axis=1)
-            blocks.append(proj)
-            perm.extend(slots)
-        stacked = blocks[0] if len(blocks) == 1 else ag.concat(blocks, axis=0)
-        inv = np.empty(len(perm), dtype=np.int64)
-        inv[np.asarray(perm)] = np.arange(len(perm))
-        return ag.gather_rows(stacked, inv), missing
+            index = np.array([refs[slot].index for slot in slots], dtype=np.int64)
+            feats, stored = self.graph.feature_rows(t, index)
+            missing += len(slots) - int(stored.sum())
+            table = taped[f"{side}/id/{t}"] if with_ids and cfg.id_embeddings else None
+            w, b = taped[f"{side}/proj/{t}/W"], taped[f"{side}/proj/{t}/b"]
+            parts.append((slots, feats, w, b, table, index))
+        return ag.project(parts, len(refs)), missing
 
     def _aggregate(
         self,
@@ -170,8 +155,7 @@ class SageEncoder:
         if cfg.aggregator == "mean":
             if children is None or len(child_idx) == 0:
                 return ag.constant(np.zeros((n_parents, parents.shape[1])))
-            rows = ag.gather_rows(children, child_idx)
-            return ag.segment_mean(rows, parent_idx, n_parents)
+            return ag.gather_mean(children, child_idx, parent_idx, n_parents)
 
         # attention variants: self_attention adds a parent self-edge
         if cfg.aggregator == "self_attention":
@@ -237,12 +221,8 @@ class SageEncoder:
                     np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
                 )
                 agg = self._aggregate(taped, side, k, parents, children, edge)
-                combined = ag.concat([parents, agg], axis=1)
-                emb[(j, k)] = ag.tanh(
-                    ag.add(
-                        ag.matmul(combined, taped[f"{side}/combine/{k}/W"]),
-                        taped[f"{side}/combine/{k}/b"],
-                    )
+                emb[(j, k)] = ag.concat_affine_tanh(
+                    [parents, agg], taped[f"{side}/combine/{k}/W"], taped[f"{side}/combine/{k}/b"]
                 )
         return emb[(0, cfg.hops)]
 

@@ -213,13 +213,14 @@ class LinkPredictionModel:
     ) -> ag.Tensor:
         """Per-pair decoder score column (B, 1)."""
         kind = self.config.decoder.kind
-        b = src.shape[0]
         if kind == "mlp":
-            x = ag.concat([src, dst], axis=1)
+            parts = [src, dst]
             i = 0
             while f"dec/mlp/{i}/W" in self.store:
-                x = ag.tanh(ag.add(ag.matmul(x, taped[f"dec/mlp/{i}/W"]), taped[f"dec/mlp/{i}/b"]))
+                w, b = taped[f"dec/mlp/{i}/W"], taped[f"dec/mlp/{i}/b"]
+                parts = [ag.concat_affine_tanh(parts, w, b)]
                 i += 1
+            x = parts[0] if len(parts) == 1 else ag.concat(parts, axis=1)
             return ag.add(ag.matmul(x, taped["dec/mlp/out/W"]), taped["dec/mlp/out/b"])
         if kind == "in_batch_negative":
             dots = ag.tsum(ag.mul(src, dst), axis=1, keepdims=True)
@@ -310,10 +311,11 @@ class LinkPredictionModel:
         }
         return float(result.loss.data), grads, result
 
-    def step(self, batch: PairBatch, lr: float) -> float:
-        loss, grads, _ = self.loss_and_grads(batch)
+    def step(self, batch: PairBatch, lr: float) -> tuple[float, dict]:
+        """One SGD update; returns the loss and the forward's ``aux``."""
+        loss, grads, result = self.loss_and_grads(batch)
         self.store.sgd_step(grads, lr)
-        return loss
+        return loss, result.aux
 
     def pair_scores(self, batch: PairBatch) -> np.ndarray:
         return self.forward(batch).scores

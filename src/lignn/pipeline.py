@@ -179,6 +179,7 @@ def grouped_step(
     lr: float,
     sample_fn: SampleFn,
     activity_fn: ActivityFn | None = None,
+    aux_sums: dict[str, int] | None = None,
 ) -> list[float]:
     """Train on one grouped batch with the configured number of updates.
 
@@ -188,7 +189,8 @@ def grouped_step(
     loss, backward, update. gradient_step=1 is one averaged update;
     gradient_step=group_size is per-pair updates. With ``activity_fn`` the
     member's activity sequence is cut at the slice's earliest real timestamp
-    (no future leakage into the sequence).
+    (no future leakage into the sequence). Each update adds its forward's
+    ``aux`` counts into ``aux_sums``, for the keys it holds.
     """
     group_size = len(batch.items)
     if gradient_step < 1 or group_size % gradient_step != 0:
@@ -231,7 +233,10 @@ def grouped_step(
             act_refs, act_ages = activity_fn(member_ref, cut_ts)
             pair.activity_refs = [act_refs]
             pair.activity_ages = [act_ages]
-        losses.append(model.step(pair, lr))
+        loss, aux = model.step(pair, lr)
+        losses.append(loss)
+        for key in aux_sums or ():
+            aux_sums[key] += aux[key]
     return losses
 
 

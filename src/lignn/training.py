@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -135,22 +135,23 @@ class TrainSettings:
 
 @dataclass
 class EpochMetrics:
+    """One epoch's line of the metrics log. ``memo_hits`` and ``truncated``
+    count the sampler's fetches during the epoch, validation included;
+    ``orphans`` and ``missing_features`` sum the training steps' forward
+    ``aux``."""
+
     epoch: int
     auc: float | None  # None when the validation split holds one label
     neighbor_count: int
     ge_queries: int
     train_loss: float
+    memo_hits: int
+    truncated: int
+    orphans: int
+    missing_features: int
 
     def as_json(self) -> str:
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "auc": self.auc,
-                "neighbor_count": self.neighbor_count,
-                "ge_queries": self.ge_queries,
-                "train_loss": self.train_loss,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def split_records(
@@ -254,6 +255,8 @@ class Trainer:
                 order = rng.permutation(len(train_recs))
                 epoch_recs = [train_recs[i] for i in order]
                 losses: list[float] = []
+                hits, truncated = self.sampler.memo_hits, self.sampler.truncated
+                aux_sums = {"orphans": 0, "missing_features": 0}
                 for batch in group_and_slice(epoch_recs, s.group_size):
                     losses.extend(
                         grouped_step(
@@ -263,6 +266,7 @@ class Trainer:
                             s.lr,
                             lambda ref, role: self.sampler.fetch(ref, count, role),
                             activity_fn=activity_fn,
+                            aux_sums=aux_sums,
                         )
                     )
 
@@ -277,6 +281,9 @@ class Trainer:
                         v for k, v in self.sampler.queries.items() if k != "eval"
                     ),
                     train_loss=float(np.mean(losses)) if losses else 0.0,
+                    memo_hits=self.sampler.memo_hits - hits,
+                    truncated=self.sampler.truncated - truncated,
+                    **aux_sums,
                 )
                 self.history.append(m)
                 if metrics_fh:

@@ -6,7 +6,8 @@ aggregators of the SAGE layer, the temporal sequence head and its long-term
 pairing, the link decoders and their losses, exact personalized PageRank,
 the size-weighted aggregation of micro-batch gradients, the merged
 neighbour view, the union of a sampling frontier's views, the parent links
-of an encode batch, and the one-edge insert of an epoch swap.
+of an encode batch, the one-edge insert of an epoch swap, and the unfused
+tape chains behind each fused op of ``lignn.model.autograd``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from lignn.graph import AdjacencySlice, HeteroGraph, NodeRef
+from lignn.model import autograd as ag
 from lignn.model.params import TemporalConfig
 from lignn.model.temporal import (
     build_prefix_causal_mask,
@@ -471,3 +473,48 @@ def encode_links(graph: HeteroGraph, seeds, hop_lists, depth: int):
         level_seed.append(seed_h)
         edges.append((parent_idx, child_idx))
     return level_refs, level_seed, edges, orphans
+
+
+# -- unfused tape chains -------------------------------------------------------------------
+#
+# Each takes the arguments of the fused op of the same name and records the
+# chain of primitives the fused op replaced, one tape node per primitive.
+
+
+def tanh(a: ag.Tensor) -> ag.Tensor:
+    y = np.tanh(a.data)
+    return ag.Tensor(y, parents=(a,), vjp=lambda g: (g * (1.0 - y * y),))
+
+
+def segment_mean(x: ag.Tensor, segment_ids: np.ndarray, num_segments: int) -> ag.Tensor:
+    """Mean per segment, zero rows for empty segments."""
+    denom = np.zeros(num_segments, dtype=np.float64)
+    np.add.at(denom, segment_ids, 1.0)
+    safe = np.where(denom == 0.0, 1.0, denom).reshape(-1, 1)
+    total = ag.segment_sum(x, segment_ids, num_segments)
+    return ag.mul(total, ag.constant(1.0 / safe))
+
+
+def project(parts, num_rows: int) -> ag.Tensor:
+    """Per type: constant features times W plus b, id-embedding rows
+    concatenated; blocks stacked in type order, then gathered into slot order."""
+    blocks, perm = [], []
+    for slots, feats, w, b, table, index in parts:
+        proj = ag.add(ag.matmul(ag.constant(feats), w), b)
+        if table is not None:
+            proj = ag.concat([proj, ag.gather_rows(table, index)], axis=1)
+        blocks.append(proj)
+        perm.extend(slots)
+    assert len(perm) == num_rows
+    stacked = blocks[0] if len(blocks) == 1 else ag.concat(blocks, axis=0)
+    inv = np.empty(len(perm), dtype=np.int64)
+    inv[np.asarray(perm)] = np.arange(len(perm))
+    return ag.gather_rows(stacked, inv)
+
+
+def gather_mean(rows, index: np.ndarray, segment_ids: np.ndarray, num_segments: int) -> ag.Tensor:
+    return segment_mean(ag.gather_rows(rows, index), segment_ids, num_segments)
+
+
+def concat_affine_tanh(parts, w: ag.Tensor, b: ag.Tensor) -> ag.Tensor:
+    return tanh(ag.add(ag.matmul(ag.concat(parts, axis=1), w), b))

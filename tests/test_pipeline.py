@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 from dataclasses import replace
@@ -223,10 +224,11 @@ class TestGroupedStep:
         assert loss_padded == pytest.approx(loss_real, abs=1e-12)
 
 
-def memo_world():
+def memo_world(featureless=0):
     """16 members and 12 items with engagements both ways and member
     affinities, so two-hop samples reach past the seed's own view; 60
-    records, both labels."""
+    records, both labels. The first ``featureless`` members have no stored
+    features."""
     rng = np.random.default_rng(23)
     rows = []
     for m in range(16):
@@ -234,7 +236,7 @@ def memo_world():
             rows.append(edge_row(0, m, 0, 1, 100 + j, 1.0, ts=int(rng.integers(1, 50))))
             rows.append(edge_row(1, 100 + j, 0, 0, m, 0.5, ts=int(rng.integers(1, 50))))
         rows.append(edge_row(0, m, 1, 0, (5 * m + 1) % 16, 0.25))
-    nodes = [node_row(0, m, rng.normal(size=4)) for m in range(16)]
+    nodes = [node_row(0, m, rng.normal(size=4)) for m in range(16)][featureless:]
     nodes += [node_row(1, 100 + i, rng.normal(size=4)) for i in range(12)]
     graph, _ = build(rows, nodes)
     records = [rec(int(m), 100 + int(rng.integers(0, 12)), label=int(m) % 2, ts=60)
@@ -245,11 +247,11 @@ def memo_world():
 class TestSamplerMemo:
     """``GraphSampler`` samples each (node, neighbour count) once per trainer."""
 
-    def _trainer(self, tmp_path, tag, epochs=1, **model):
-        graph, records = memo_world()
+    def _trainer(self, tmp_path, tag, epochs=1, strategy="random", featureless=0, **model):
+        graph, records = memo_world(featureless)
         settings = TrainSettings(
             epochs=epochs, lr=0.2, group_size=4, neighbor_count=3, rng_seed=3,
-            val_fraction=0.3, metrics_path=str(tmp_path / f"{tag}.jsonl"),
+            val_fraction=0.3, metrics_path=str(tmp_path / f"{tag}.jsonl"), strategy=strategy,
         )
         config = ModelConfig(out_dim=6, hops=2, init_seed=1, **model)
         return Trainer(graph, config, settings), records
@@ -287,11 +289,45 @@ class TestSamplerMemo:
             history = trainer.train(records)
             ckpt = tmp_path / f"cleared{cleared}.ckpt"
             trainer.model.store.save(str(ckpt))
-            metrics = (tmp_path / f"cleared{cleared}.jsonl").read_bytes()
-            runs.append((history, metrics, ckpt.read_bytes(), sampler.queries))
-            hits.append(sampler.memo_hits)
+            # the memo's own hit count is the one field that may differ
+            lines = [json.loads(line) for line in (tmp_path / f"cleared{cleared}.jsonl").read_text().splitlines()]
+            epoch_hits = [line.pop("memo_hits") for line in lines]
+            assert epoch_hits == [m.memo_hits for m in history]
+            history = [replace(m, memo_hits=0) for m in history]
+            runs.append((history, lines, ckpt.read_bytes(), sampler.queries))
+            hits.append((sampler.memo_hits, sum(epoch_hits)))
         assert runs[0] == runs[1]
-        assert hits[0] > 0 and hits[1] == 0
+        assert hits[0][0] == hits[0][1] > 0 and hits[1] == (0, 0)
+
+    def test_epoch_metrics_count_the_epoch(self, tmp_path, monkeypatch):
+        """Per-epoch memo hits and truncated pushes add up to the sampler's
+        totals, and orphans and missing features to the training steps' aux."""
+        monkeypatch.setattr(training, "PPRConfig",
+                            lambda top_k: samplers.PPRConfig(top_k=top_k, max_pushes=20))
+        trainer, records = self._trainer(tmp_path, "epochs", 2, "ppr-push", featureless=3)
+        trainer.settings = replace(trainer.settings, neighbor_count=8)  # entries past hop 2: orphans
+        sums = {"orphans": 0, "missing_features": 0}
+        step = LinkPredictionModel.step
+
+        def counting_step(model, batch, lr):
+            loss, aux = step(model, batch, lr)
+            for key in sums:
+                sums[key] += aux[key]
+            return loss, aux
+
+        monkeypatch.setattr(LinkPredictionModel, "step", counting_step)
+        history = trainer.train(records)
+        sampler = trainer.sampler
+        totals = {key: sum(getattr(m, key) for m in history) for key in
+                  ("memo_hits", "truncated", "orphans", "missing_features")}
+        assert totals == {"memo_hits": sampler.memo_hits, "truncated": sampler.truncated, **sums}
+        assert all(totals.values())
+        assert all(m.memo_hits for m in history)
+        lines = [json.loads(line) for line in (tmp_path / "epochs.jsonl").read_text().splitlines()]
+        assert [list(line) for line in lines] == [[
+            "epoch", "auc", "neighbor_count", "ge_queries", "train_loss",
+            "memo_hits", "truncated", "orphans", "missing_features",
+        ]] * 2
 
     def test_truncated_counts_each_query_of_a_cut_push(self, monkeypatch):
         graph, _ = memo_world()

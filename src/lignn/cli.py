@@ -78,7 +78,12 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 
 def _load(args) -> tuple:
     schema = GraphSchema.load(args.schema)
+    t0 = time.perf_counter()
     graph, report = load_graph(args.edges, args.nodes, schema)
+    seconds = max(time.perf_counter() - t0, 1e-9)
+    logger.info("graph built: %d rows read in %.3f s (%.0f rows/s), %d rejected %s",
+                report.rows_read, seconds, report.rows_read / seconds, report.rejected_rows,
+                json.dumps(report.rejected_reasons, sort_keys=True))
     return graph, report
 
 

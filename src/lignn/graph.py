@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -40,6 +41,20 @@ def mix64(*parts: int) -> int:
         h = (h * 0xBF58476D1CE4E5B9) & MASK64
         h ^= h >> 27
         h = (h * 0x94D049BB133111EB) & MASK64
+        h ^= h >> 31
+    return h
+
+
+def mix64_array(*parts: np.ndarray) -> np.ndarray:
+    """``mix64`` of each row of int64 or uint64 columns, as uint64: uint64
+    arithmetic wraps, and int64 viewed as uint64 equals ``p & MASK64``."""
+    h = np.full(len(parts[0]), 0x9E3779B97F4A7C15, dtype=np.uint64)
+    for p in parts:
+        h += p.view(np.uint64)
+        h ^= h >> 30
+        h *= 0xBF58476D1CE4E5B9
+        h ^= h >> 27
+        h *= 0x94D049BB133111EB
         h ^= h >> 31
     return h
 
@@ -146,10 +161,12 @@ class GraphBuildReport:
     rejected_rows: int = 0
     rejected_reasons: dict[str, int] = field(default_factory=dict)
     duplicates_collapsed: int = 0
+    rows_read: int = field(default=0, compare=False)  # blank and comment rows too
 
-    def reject(self, reason: str) -> None:
-        self.rejected_rows += 1
-        self.rejected_reasons[reason] = self.rejected_reasons.get(reason, 0) + 1
+    def reject(self, reason: str, rows: int = 1) -> None:
+        if rows:
+            self.rejected_rows += rows
+            self.rejected_reasons[reason] = self.rejected_reasons.get(reason, 0) + rows
 
     @property
     def total_nodes(self) -> int:
@@ -531,41 +548,130 @@ def _merged_run(
 
 # -- construction -------------------------------------------------------------
 
+_CHUNK_ROWS = 1024  # rows parsed together: bounds the token lists alive at once
 
-def _parse_edge_line(line: str) -> tuple[int, int, int, int, int, float, int] | None:
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) == 6:
-        parts = parts + ["0"]  # timestamp absent -> oldest
-    if len(parts) != 7:
-        return None
+
+def _chunks(rows: Iterable[str]) -> Iterator[list[str]]:
+    it = iter(rows)
+    while chunk := list(islice(it, _CHUNK_ROWS)):
+        yield chunk
+
+
+def _parsed(fn, tokens: list[str], bad: set[int]) -> list:
+    """``fn`` of each token; where ``fn`` raises ValueError the value is 0 and
+    the position joins ``bad``."""
+    out: list = []
+    it = iter(tokens)
+    while True:
+        try:
+            out.extend(map(fn, it))  # keeps the values before a failing token
+            return out
+        except ValueError:
+            bad.add(len(out))
+            out.append(0)
+
+
+def _columns(chunk: list[str], fns: list, bad: set[int]) -> tuple[list[list], list[str], list[str]]:
+    """Column k of the rows of ``chunk`` with ``len(fns)`` tab-separated
+    tokens (one short gets an empty last one) through ``fns[k]``, with bad
+    tokens' rows in ``bad``; those rows; and the rows of other lengths."""
+    tabs = list(map(str.count, chunk, repeat("\t")))
+    width = len(fns)
+    rows = [raw if n == width - 1 else raw.rstrip("\n") + "\t"
+            for raw, n in zip(chunk, tabs) if width - 2 <= n < width]
+    tokens = "\t".join(rows).split("\t") if rows else []
+    odd = [raw for raw, n in zip(chunk, tabs) if not width - 2 <= n < width]
+    return [_parsed(fn, tokens[k::width], bad) for k, fn in enumerate(fns)], rows, odd
+
+
+def _unparsed(report: GraphBuildReport, reason: str, rows: list[str], odd: list[str],
+              bad: set[int]) -> np.ndarray:
+    """Rejects ``odd`` and the ``bad`` rows as ``reason``, except blank and ``#``
+    comment rows; returns the mask of the other ``rows``."""
+    report.reject(reason, sum(bool(raw.strip()) and not raw.lstrip().startswith("#")
+                              for raw in odd + [rows[i] for i in bad]))
+    alive = np.ones(len(rows), dtype=bool)
+    alive[list(bad)] = False
+    return alive
+
+
+def _fitted(values: list[int], dtype, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as a ``dtype`` array and the mask of values outside
+    [lo, hi], which may lie outside the dtype (they read ``lo``)."""
     try:
-        st, sid, et, dt, did = (int(parts[i]) for i in range(5))
-        w = float(parts[5])
-        ts = int(parts[6]) if parts[6] != "" else 0
-    except ValueError:
-        return None
-    return st, sid, et, dt, did, w, ts
+        array = np.array(values, dtype=dtype)
+        return array, (array < lo) | (array > hi)
+    except OverflowError:
+        out = np.array([not lo <= v <= hi for v in values], dtype=bool)
+        return np.array([lo if o else v for v, o in zip(values, out)], dtype=dtype), out
 
 
-def _parse_node_line(line: str) -> tuple[int, int, np.ndarray] | None:
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != 3:
-        return None
-    try:
-        nt, nid = int(parts[0]), int(parts[1])
-        feats = np.array([float(x) for x in parts[2].split(",")], dtype=np.float64)
-    except ValueError:
-        return None
-    return nt, nid, feats
+def _accepted(report: GraphBuildReport, alive: np.ndarray, rules) -> np.ndarray:
+    """Rejects each live row for the first (reason, broken mask) of ``rules``
+    it breaks; returns the mask of live rows that break none."""
+    for reason, broken in rules:
+        report.reject(reason, int(np.count_nonzero(alive & broken)))
+        alive = alive & ~broken
+    return alive
 
 
-def _identity_problem(node_type: int, node_id: int) -> str | None:
-    """The rejection reason for a node outside the identity range, or None."""
-    if not 0 <= node_type <= MAX_NODE_TYPE:
-        return "node_type_out_of_range"
-    if not 0 <= node_id <= MAX_NODE_ID:
-        return "node_id_out_of_range"
-    return None
+def _stamp(token: str) -> int:
+    return int(token.rstrip("\n") or "0")  # an empty timestamp reads 0
+
+
+def _edge_chunk(chunk: list[str], code_of: dict[int, int], is_attr: np.ndarray,
+                report: GraphBuildReport) -> list[np.ndarray]:
+    """Columns (src type, src id, edge type code, dst type, dst id, weight,
+    timestamp) of the accepted edge rows of one chunk."""
+    report.rows_read += len(chunk)
+    bad: set[int] = set()
+    cols, rows, odd = _columns(chunk, [int, int, int, int, int, float, _stamp], bad)
+    alive = _unparsed(report, "malformed_edge_row", rows, odd, bad)
+    st, st_out = _fitted(cols[0], np.int64, 0, MAX_NODE_TYPE)
+    sid, sid_out = _fitted(cols[1], np.uint64, 0, MAX_NODE_ID)
+    code = np.fromiter(map(code_of.get, cols[2], repeat(-1)), np.int64, len(rows))
+    dt, dt_out = _fitted(cols[3], np.int64, 0, MAX_NODE_TYPE)
+    did, did_out = _fitted(cols[4], np.uint64, 0, MAX_NODE_ID)
+    w = np.array(cols[5], dtype=np.float64)
+    ts, ts_out = _fitted(cols[6], np.int64, -(1 << 63), (1 << 63) - 1)
+    keep = _accepted(report, alive, [
+        ("node_type_out_of_range", st_out), ("node_id_out_of_range", sid_out),
+        ("node_type_out_of_range", dt_out), ("node_id_out_of_range", did_out),
+        ("unknown_edge_type", code < 0),
+        ("attribute_weight_not_one", is_attr[code] & (w != 1.0)),
+        ("nonpositive_weight", ~np.isfinite(w) | (w <= 0.0)),
+        ("timestamp_out_of_range", ts_out),
+    ])
+    return [a[keep] for a in (st, sid, code, dt, did, w, ts)]
+
+
+def _node_chunk(chunk: list[str], declared: dict[int, int],
+                report: GraphBuildReport) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(node type, ids, feature rows) of the accepted node rows of one chunk,
+    per type. ``declared`` gains the dim of a new type from its first row that
+    passes the identity rules."""
+    report.rows_read += len(chunk)
+    bad: set[int] = set()
+    (nt, nid, texts), rows, odd = _columns(chunk, [int, int, str], bad)
+    counts = np.array([text.count(",") + 1 for text in texts], dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    bad_values: set[int] = set()
+    values = np.array(_parsed(float, ",".join(texts).split(",") if texts else [], bad_values),
+                      dtype=np.float64)
+    bad.update(np.searchsorted(starts, sorted(bad_values), side="right") - 1)
+    alive = _unparsed(report, "malformed_node_row", rows, odd, bad)
+    nt, nt_out = _fitted(nt, np.int64, 0, MAX_NODE_TYPE)
+    nid, nid_out = _fitted(nid, np.uint64, 0, MAX_NODE_ID)
+    alive = _accepted(report, alive, [("node_type_out_of_range", nt_out),
+                                      ("node_id_out_of_range", nid_out)])
+    for t, first in zip(*np.unique(nt[alive], return_index=True)):
+        declared.setdefault(int(t), int(counts[alive][first]))
+    dims = np.fromiter(map(declared.get, nt.tolist(), repeat(-1)), np.int64, len(rows))
+    finite = np.logical_and.reduceat(np.isfinite(values), starts) if len(values) else alive
+    keep = _accepted(report, alive, [("feature_dim_mismatch", counts != dims),
+                                     ("nonfinite_feature", ~finite)])
+    return [(t, nid[m], values[starts[m][:, None] + np.arange(declared[t])])
+            for t in np.flatnonzero(np.bincount(nt[keep])).tolist() for m in [keep & (nt == t)]]
 
 
 def build_graph(
@@ -575,122 +681,84 @@ def build_graph(
 ) -> tuple[HeteroGraph, GraphBuildReport]:
     """Build a HeteroGraph from TSV row streams.
 
-    Bad rows are rejected (counted with a reason), never fatal. Duplicate
-    (src, edge_type, dst, timestamp) rows collapse keeping the max weight.
-    Node indices are assigned by sorting external ids per type, so identical
-    inputs rebuild identical CSR arrays.
+    Rows are parsed ``_CHUNK_ROWS`` at a time, column by column. Only a row
+    with another column count or a token ``int``/``float`` rejects is read
+    alone: it is skipped if blank or a ``#`` comment, else malformed. A
+    6-column edge row and an empty timestamp read timestamp 0. Bad rows are
+    rejected (counted with a reason), never fatal; edge rules run in order:
+    source then destination identity (type before id), unknown edge type,
+    attribute weight != 1, weight not finite and > 0, and a timestamp
+    outside int64 (``timestamp_out_of_range``). Duplicate (src, edge_type,
+    dst, timestamp) rows collapse keeping the max weight. A node row of an
+    undeclared type sets its feature dim if first to pass the identity
+    rules; a later row of a node replaces an earlier one. Node indices sort
+    external ids per type, so identical inputs rebuild identical CSR arrays.
     """
     report = GraphBuildReport()
-    # (st, et) -> {(sid, dt, did, ts) -> weight}
-    edges: dict[tuple[int, int], dict[tuple[int, int, int, int], float]] = {}
-    node_set: dict[int, set[int]] = {}
-
-    def touch(nt: int, nid: int) -> None:
-        node_set.setdefault(nt, set()).add(nid)
-
-    for raw in edge_source:
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        parsed = _parse_edge_line(raw)
-        if parsed is None:
-            report.reject("malformed_edge_row")
-            continue
-        st, sid, et, dt, did, w, ts = parsed
-        reason = _identity_problem(st, sid) or _identity_problem(dt, did)
-        if reason:
-            report.reject(reason)
-            continue
-        kind = schema.kind_of(et)
-        if kind is None:
-            report.reject("unknown_edge_type")
-            continue
-        if kind == EdgeKind.ATTRIBUTE and w != 1.0:
-            report.reject("attribute_weight_not_one")
-            continue
-        if not math.isfinite(w) or w <= 0.0:
-            report.reject("nonpositive_weight")
-            continue
-        bucket = edges.setdefault((st, et), {})
-        key = (sid, dt, did, ts)
-        if key in bucket:
-            report.duplicates_collapsed += 1
-            bucket[key] = max(bucket[key], w)
-        else:
-            bucket[key] = w
-        touch(st, sid)
-        touch(dt, did)
-
-    feat_rows: dict[int, dict[int, np.ndarray]] = {}
+    types = sorted(schema.edge_kinds)
+    code_of = {et: code for code, et in enumerate(types)}  # codes sort like types
+    # code -1 (unknown edge type) reads the trailing False
+    is_attr = np.array([schema.edge_kinds[et] == EdgeKind.ATTRIBUTE for et in types] + [False])
+    # the empty first chunk gives every column its dtype
+    chunks = [_edge_chunk(c, code_of, is_attr, report) for c in chain([[]], _chunks(edge_source))]
+    st, sid, code, dt, did, w, ts = (np.concatenate(col) for col in zip(*chunks))
+    del chunks
     declared = dict(schema.feature_dims)
-    for raw in node_source:
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        parsed = _parse_node_line(raw)
-        if parsed is None:
-            report.reject("malformed_node_row")
-            continue
-        nt, nid, feats = parsed
-        reason = _identity_problem(nt, nid)
-        if reason:
-            report.reject(reason)
-            continue
-        dim = declared.setdefault(nt, len(feats))
-        if len(feats) != dim:
-            report.reject("feature_dim_mismatch")
-            continue
-        if not np.all(np.isfinite(feats)):
-            report.reject("nonfinite_feature")
-            continue
-        feat_rows.setdefault(nt, {})[nid] = feats
-        touch(nt, nid)
+    node_parts = [part for c in _chunks(node_source) for part in _node_chunk(c, declared, report)]
 
-    node_ids = {t: np.array(sorted(s), dtype=np.uint64) for t, s in sorted(node_set.items())}
-    lookup = {t: {int(nid): i for i, nid in enumerate(ids)} for t, ids in node_ids.items()}
+    # per node type: ids, the index of each edge end and the feature rows;
+    # src_key and dst_key sort like (src type, edge type, src id) and
+    # (dst type, dst id), as ids sort like indices
+    node_ids, features, feature_mask = {}, {}, {}
+    src_index, dst_index, src_key, dst_key = (np.empty(len(w), dtype=np.int64) for _ in range(4))
+    offset = 0
+    node_types = np.array([t for t, _, _ in node_parts], dtype=np.int64)
+    for nt in np.flatnonzero(np.bincount(np.concatenate([st, dt, node_types]))).tolist():
+        at_src, at_dst = st == nt, dt == nt
+        parts = [(ids, rows) for t, ids, rows in node_parts if t == nt]
+        ids, index = np.unique(np.concatenate([sid[at_src], did[at_dst]] + [p[0] for p in parts]),
+                               return_inverse=True)
+        n_src, n_dst, n = int(np.count_nonzero(at_src)), int(np.count_nonzero(at_dst)), len(ids)
+        src_index[at_src], dst_index[at_dst] = index[:n_src], index[n_src:n_src + n_dst]
+        src_key[at_src] = offset * len(types) + code[at_src] * n + src_index[at_src]
+        dst_key[at_dst] = offset + dst_index[at_dst]
+        offset += n
+        features[nt] = np.zeros((n, declared.get(nt, 0)), dtype=np.float64)
+        feature_mask[nt] = np.zeros(n, dtype=bool)
+        if parts:
+            # the last row of a node wins: the first in reversed order
+            at, last = np.unique(index[n_src + n_dst:][::-1], return_index=True)
+            features[nt][at] = np.concatenate([p[1] for p in parts])[::-1][last]
+            feature_mask[nt][at] = True
+        node_ids[nt] = ids
+        report.node_counts[nt] = n
 
-    features: dict[int, np.ndarray] = {}
-    feature_mask: dict[int, np.ndarray] = {}
-    for nt, ids in node_ids.items():
-        dim = declared.get(nt, 0)
-        n = len(ids)
-        mat = np.zeros((n, dim), dtype=np.float64)
-        mask = np.zeros(n, dtype=bool)
-        rows = feat_rows.get(nt, {})
-        for nid, vec in rows.items():
-            i = lookup[nt][nid]
-            mat[i] = vec
-            mask[i] = True
-        features[nt] = mat
-        feature_mask[nt] = mask
+    # canonical run order (src type, edge type, src index, timestamp, dst
+    # type, dst id); rows with equal keys are duplicates
+    order = np.lexsort((dst_key, ts, src_key))
+    first = np.ones(len(w), dtype=bool)  # first row of each duplicate group
+    first[1:] = np.any([a[1:] != a[:-1] for a in (src_key[order], ts[order], dst_key[order])], axis=0)
+    starts = np.flatnonzero(first)
+    report.duplicates_collapsed = len(w) - len(starts)
+    w = np.maximum.reduceat(w[order], starts) if len(w) else w
+    keep = order[starts]
+    st, code, dt, did, ts = st[keep], code[keep], dt[keep], did[keep], ts[keep]
+    src_index, dst_index = src_index[keep], dst_index[keep]
 
     blocks: dict[tuple[int, int], _CSRBlock] = {}
-    for (st, et), bucket in sorted(edges.items()):
-        n_src = len(node_ids[st])
-        # sort by (src index, timestamp, dst_type, dst_id) for canonical runs
-        rows = sorted(
-            ((lookup[st][sid], ts, dt, did, w) for (sid, dt, did, ts), w in bucket.items())
+    head = np.ones(len(w), dtype=bool)  # first edge of each (src type, edge type) block
+    head[1:] = (st[1:] != st[:-1]) | (code[1:] != code[:-1])
+    lo = np.flatnonzero(head)
+    for a, b in zip(lo.tolist(), np.append(lo[1:], len(w)).tolist()):
+        s, et = int(st[a]), types[code[a]]
+        indptr = np.zeros(len(node_ids[s]) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src_index[a:b], minlength=len(node_ids[s])), out=indptr[1:])
+        blocks[(s, et)] = _CSRBlock(
+            indptr, dt[a:b].astype(np.int16), did[a:b], dst_index[a:b], w[a:b], ts[a:b]
         )
-        indptr = np.zeros(n_src + 1, dtype=np.int64)
-        dst_type = np.empty(len(rows), dtype=np.int16)
-        dst_id = np.empty(len(rows), dtype=np.uint64)
-        dst_index = np.empty(len(rows), dtype=np.int64)
-        weight = np.empty(len(rows), dtype=np.float64)
-        timestamp = np.empty(len(rows), dtype=np.int64)
-        for j, (sidx, ts, dt, did, w) in enumerate(rows):
-            indptr[sidx + 1] += 1
-            dst_type[j] = dt
-            dst_id[j] = did
-            dst_index[j] = lookup[dt][did]
-            weight[j] = w
-            timestamp[j] = ts
-        np.cumsum(indptr, out=indptr)
-        blocks[(st, et)] = _CSRBlock(indptr, dst_type, dst_id, dst_index, weight, timestamp)
-        report.edge_counts[et] = report.edge_counts.get(et, 0) + len(rows)
+        report.edge_counts[et] = report.edge_counts.get(et, 0) + b - a
 
-    for nt, ids in node_ids.items():
-        report.node_counts[nt] = len(ids)
-
-    graph = HeteroGraph(schema, node_ids, features, feature_mask, blocks)
-    return graph, report
+    return HeteroGraph(schema, node_ids, features, feature_mask, blocks), report
 
 
 def load_graph(edges_path: str, nodes_path: str | None, schema: GraphSchema):

@@ -190,7 +190,9 @@ def grouped_step(
     gradient_step=group_size is per-pair updates. With ``activity_fn`` the
     member's activity sequence is cut at the slice's earliest real timestamp
     (no future leakage into the sequence). Each update adds its forward's
-    ``aux`` counts into ``aux_sums``, for the keys it holds.
+    ``aux`` counts into ``aux_sums``, for the keys it holds. Under the
+    in-batch decoder a slice with one real pair has no negative and is
+    skipped, counted in ``aux_sums["inbatch_skips"]``.
     """
     group_size = len(batch.items)
     if gradient_step < 1 or group_size % gradient_step != 0:
@@ -211,12 +213,17 @@ def grouped_step(
         item_hops[j] = sample_fn(ref, "item")
 
     filler = next((r for r in item_refs if r is not None), member_ref)
+    in_batch = model.config.decoder.kind == "in_batch_negative"
     losses = []
     for i in range(gradient_step):
         sl = slice(i * slice_size, (i + 1) * slice_size)
         mask = np.array(batch.mask[sl], dtype=bool)
         if not mask.any():
             continue  # all-padded slice: nothing to learn from
+        if in_batch and mask.sum() == 1:
+            if aux_sums is not None:
+                aux_sums["inbatch_skips"] = aux_sums.get("inbatch_skips", 0) + 1
+            continue
         refs = [r if r is not None else filler for r in item_refs[sl]]
         hops = [item_hops.get(i * slice_size + j, []) for j in range(slice_size)]
         pair = PairBatch(
@@ -236,7 +243,7 @@ def grouped_step(
         loss, aux = model.step(pair, lr)
         losses.append(loss)
         for key in aux_sums or ():
-            aux_sums[key] += aux[key]
+            aux_sums[key] += aux.get(key, 0)
     return losses
 
 

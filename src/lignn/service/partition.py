@@ -7,8 +7,11 @@ the mixing function bit-exactly (see ``lignn.graph.mix64``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from ..graph import mix64
+import numpy as np
+
+from ..graph import _chunks, _parsed, mix64, mix64_array
 
 
 @dataclass(frozen=True)
@@ -32,14 +35,18 @@ class PartitionMap:
 
 
 def shard_edge_lines(lines, pmap: PartitionMap, shard: int):
-    """Edge rows whose source this shard owns (client routes by source)."""
-    for raw in lines:
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        parts = raw.split("\t")
+    """Edge rows whose source this shard owns (client routes by source), in
+    order. A row whose first two tokens are not integers (blank and comment
+    rows among them) is dropped. Owners come from ``mix64_array`` per chunk,
+    or from the scalar ``mix64`` for a chunk with a source outside int64."""
+    for chunk in _chunks(lines):
+        bad: set[int] = set()
+        heads = [(raw + "\t").split("\t", 2) for raw in chunk]
+        src = [_parsed(int, [h[k] for h in heads], bad) for k in (0, 1)]
         try:
-            node = (int(parts[0]), int(parts[1]))
-        except (ValueError, IndexError):
-            continue
-        if pmap.owner(node) == shard:
-            yield raw
+            owner = mix64_array(*(np.array(col, dtype=np.int64) for col in src))
+        except OverflowError:
+            owner = np.array(list(map(mix64, *src)), dtype=np.uint64)
+        mine = owner % pmap.count == shard
+        mine[list(bad)] = False
+        yield from compress(chunk, mine.tolist())

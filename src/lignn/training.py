@@ -138,7 +138,8 @@ class EpochMetrics:
     """One epoch's line of the metrics log. ``memo_hits`` and ``truncated``
     count the sampler's fetches during the epoch, validation included;
     ``orphans`` and ``missing_features`` sum the training steps' forward
-    ``aux``."""
+    ``aux``; ``inbatch_skips`` counts slices the in-batch decoder skipped for
+    holding one real pair."""
 
     epoch: int
     auc: float | None  # None when the validation split holds one label
@@ -149,6 +150,7 @@ class EpochMetrics:
     truncated: int
     orphans: int
     missing_features: int
+    inbatch_skips: int
 
     def as_json(self) -> str:
         return json.dumps(asdict(self))
@@ -256,7 +258,7 @@ class Trainer:
                 epoch_recs = [train_recs[i] for i in order]
                 losses: list[float] = []
                 hits, truncated = self.sampler.memo_hits, self.sampler.truncated
-                aux_sums = {"orphans": 0, "missing_features": 0}
+                aux_sums = {"orphans": 0, "missing_features": 0, "inbatch_skips": 0}
                 for batch in group_and_slice(epoch_recs, s.group_size):
                     losses.extend(
                         grouped_step(

@@ -6,19 +6,31 @@ aggregators of the SAGE layer, the temporal sequence head and its long-term
 pairing, the link decoders and their losses, exact personalized PageRank,
 the size-weighted aggregation of micro-batch gradients, the merged
 neighbour view, the union of a sampling frontier's views, the parent links
-of an encode batch, the one-edge insert of an epoch swap, and the unfused
-tape chains behind each fused op of ``lignn.model.autograd``.
+of an encode batch, the one-edge insert of an epoch swap, the unfused
+tape chains behind each fused op of ``lignn.model.autograd``, and graph
+ingest and shard routing one row at a time.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from lignn.graph import AdjacencySlice, HeteroGraph, NodeRef
+from lignn.graph import (
+    MAX_NODE_ID,
+    MAX_NODE_TYPE,
+    AdjacencySlice,
+    EdgeKind,
+    GraphBuildReport,
+    GraphSchema,
+    HeteroGraph,
+    NodeRef,
+    _CSRBlock,
+)
+from lignn.service.partition import PartitionMap
 from lignn.model import autograd as ag
 from lignn.model.params import TemporalConfig
 from lignn.model.temporal import (
@@ -518,3 +530,183 @@ def gather_mean(rows, index: np.ndarray, segment_ids: np.ndarray, num_segments: 
 
 def concat_affine_tanh(parts, w: ag.Tensor, b: ag.Tensor) -> ag.Tensor:
     return tanh(ag.add(ag.matmul(ag.concat(parts, axis=1), w), b))
+
+
+# -- row-at-a-time ingest and routing ----------------------------------------------------
+# ``build_graph`` and ``shard_edge_lines`` as they were before ingest read
+# columns: one row at a time through the scalar parsers and ``mix64``.
+
+
+def _parse_edge_line(line: str) -> tuple[int, int, int, int, int, float, int] | None:
+    parts = line.rstrip("\n").split("\t")
+    if len(parts) == 6:
+        parts = parts + ["0"]  # timestamp absent -> oldest
+    if len(parts) != 7:
+        return None
+    try:
+        st, sid, et, dt, did = (int(parts[i]) for i in range(5))
+        w = float(parts[5])
+        ts = int(parts[6]) if parts[6] != "" else 0
+    except ValueError:
+        return None
+    return st, sid, et, dt, did, w, ts
+
+
+def _parse_node_line(line: str) -> tuple[int, int, np.ndarray] | None:
+    parts = line.rstrip("\n").split("\t")
+    if len(parts) != 3:
+        return None
+    try:
+        nt, nid = int(parts[0]), int(parts[1])
+        feats = np.array([float(x) for x in parts[2].split(",")], dtype=np.float64)
+    except ValueError:
+        return None
+    return nt, nid, feats
+
+
+def _identity_problem(node_type: int, node_id: int) -> str | None:
+    """The rejection reason for a node outside the identity range, or None."""
+    if not 0 <= node_type <= MAX_NODE_TYPE:
+        return "node_type_out_of_range"
+    if not 0 <= node_id <= MAX_NODE_ID:
+        return "node_id_out_of_range"
+    return None
+
+
+def build_graph_rowwise(
+    edge_source: Iterable[str],
+    node_source: Iterable[str],
+    schema: GraphSchema,
+) -> tuple[HeteroGraph, GraphBuildReport]:
+    """Build a HeteroGraph from TSV row streams.
+
+    Bad rows are rejected (counted with a reason), never fatal. Duplicate
+    (src, edge_type, dst, timestamp) rows collapse keeping the max weight.
+    Node indices are assigned by sorting external ids per type, so identical
+    inputs rebuild identical CSR arrays.
+    """
+    report = GraphBuildReport()
+    # (st, et) -> {(sid, dt, did, ts) -> weight}
+    edges: dict[tuple[int, int], dict[tuple[int, int, int, int], float]] = {}
+    node_set: dict[int, set[int]] = {}
+
+    def touch(nt: int, nid: int) -> None:
+        node_set.setdefault(nt, set()).add(nid)
+
+    for raw in edge_source:
+        if not raw.strip() or raw.lstrip().startswith("#"):
+            continue
+        parsed = _parse_edge_line(raw)
+        if parsed is None:
+            report.reject("malformed_edge_row")
+            continue
+        st, sid, et, dt, did, w, ts = parsed
+        reason = _identity_problem(st, sid) or _identity_problem(dt, did)
+        if reason:
+            report.reject(reason)
+            continue
+        kind = schema.kind_of(et)
+        if kind is None:
+            report.reject("unknown_edge_type")
+            continue
+        if kind == EdgeKind.ATTRIBUTE and w != 1.0:
+            report.reject("attribute_weight_not_one")
+            continue
+        if not math.isfinite(w) or w <= 0.0:
+            report.reject("nonpositive_weight")
+            continue
+        bucket = edges.setdefault((st, et), {})
+        key = (sid, dt, did, ts)
+        if key in bucket:
+            report.duplicates_collapsed += 1
+            bucket[key] = max(bucket[key], w)
+        else:
+            bucket[key] = w
+        touch(st, sid)
+        touch(dt, did)
+
+    feat_rows: dict[int, dict[int, np.ndarray]] = {}
+    declared = dict(schema.feature_dims)
+    for raw in node_source:
+        if not raw.strip() or raw.lstrip().startswith("#"):
+            continue
+        parsed = _parse_node_line(raw)
+        if parsed is None:
+            report.reject("malformed_node_row")
+            continue
+        nt, nid, feats = parsed
+        reason = _identity_problem(nt, nid)
+        if reason:
+            report.reject(reason)
+            continue
+        dim = declared.setdefault(nt, len(feats))
+        if len(feats) != dim:
+            report.reject("feature_dim_mismatch")
+            continue
+        if not np.all(np.isfinite(feats)):
+            report.reject("nonfinite_feature")
+            continue
+        feat_rows.setdefault(nt, {})[nid] = feats
+        touch(nt, nid)
+
+    node_ids = {t: np.array(sorted(s), dtype=np.uint64) for t, s in sorted(node_set.items())}
+    lookup = {t: {int(nid): i for i, nid in enumerate(ids)} for t, ids in node_ids.items()}
+
+    features: dict[int, np.ndarray] = {}
+    feature_mask: dict[int, np.ndarray] = {}
+    for nt, ids in node_ids.items():
+        dim = declared.get(nt, 0)
+        n = len(ids)
+        mat = np.zeros((n, dim), dtype=np.float64)
+        mask = np.zeros(n, dtype=bool)
+        rows = feat_rows.get(nt, {})
+        for nid, vec in rows.items():
+            i = lookup[nt][nid]
+            mat[i] = vec
+            mask[i] = True
+        features[nt] = mat
+        feature_mask[nt] = mask
+
+    blocks: dict[tuple[int, int], _CSRBlock] = {}
+    for (st, et), bucket in sorted(edges.items()):
+        n_src = len(node_ids[st])
+        # sort by (src index, timestamp, dst_type, dst_id) for canonical runs
+        rows = sorted(
+            ((lookup[st][sid], ts, dt, did, w) for (sid, dt, did, ts), w in bucket.items())
+        )
+        indptr = np.zeros(n_src + 1, dtype=np.int64)
+        dst_type = np.empty(len(rows), dtype=np.int16)
+        dst_id = np.empty(len(rows), dtype=np.uint64)
+        dst_index = np.empty(len(rows), dtype=np.int64)
+        weight = np.empty(len(rows), dtype=np.float64)
+        timestamp = np.empty(len(rows), dtype=np.int64)
+        for j, (sidx, ts, dt, did, w) in enumerate(rows):
+            indptr[sidx + 1] += 1
+            dst_type[j] = dt
+            dst_id[j] = did
+            dst_index[j] = lookup[dt][did]
+            weight[j] = w
+            timestamp[j] = ts
+        np.cumsum(indptr, out=indptr)
+        blocks[(st, et)] = _CSRBlock(indptr, dst_type, dst_id, dst_index, weight, timestamp)
+        report.edge_counts[et] = report.edge_counts.get(et, 0) + len(rows)
+
+    for nt, ids in node_ids.items():
+        report.node_counts[nt] = len(ids)
+
+    graph = HeteroGraph(schema, node_ids, features, feature_mask, blocks)
+    return graph, report
+
+
+def shard_edge_lines_rowwise(lines, pmap: PartitionMap, shard: int):
+    """Edge rows whose source this shard owns (client routes by source)."""
+    for raw in lines:
+        if not raw.strip() or raw.lstrip().startswith("#"):
+            continue
+        parts = raw.split("\t")
+        try:
+            node = (int(parts[0]), int(parts[1]))
+        except (ValueError, IndexError):
+            continue
+        if pmap.owner(node) == shard:
+            yield raw

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import logging
 import sys
 import warnings
 
@@ -47,6 +48,19 @@ class TestBuild:
         report = json.loads(capsys.readouterr().out)
         assert report["node_counts"]["0"] == 30
         assert dump.exists()
+
+    def test_logs_rows_and_rejections_at_info(self, workdir, capsys, caplog):
+        with open(workdir / "edges.tsv", "a") as fh:
+            fh.write("# comment\n0\tx\t0\t1\t5\t1.0\t7\n0\t1\t9\t1\t5\t1.0\t7\n")
+        rows = sum(len(open(workdir / name).readlines()) for name in ("edges.tsv", "nodes.tsv"))
+        main(["build", *graph_flags(workdir)])
+        quiet = capsys.readouterr().out
+        caplog.set_level(logging.INFO, logger="lignn")
+        main(["build", *graph_flags(workdir)])
+        assert capsys.readouterr().out == quiet
+        [message] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("graph built")]
+        assert message.startswith(f"graph built: {rows} rows read in ")
+        assert message.endswith(' rows/s), 2 rejected {"malformed_edge_row": 1, "unknown_edge_type": 1}')
 
     def test_round_trip_via_dump(self, workdir, capsys):
         dump = workdir / "dump.tsv"

@@ -105,6 +105,23 @@ class TestBuild:
         adj = graph.adjacency(graph.node_ref(0, 1), 0)
         assert adj.timestamp[0] == 0
 
+    @pytest.mark.parametrize("ts", [str(1 << 63), "99999999999999999999",
+                                    str(-(1 << 63) - 1), "-99999999999999999999"])
+    def test_out_of_range_timestamp_rejected(self, ts):
+        rows = [f"0\t1\t0\t1\t5\t1.0\t{ts}\n", edge_row(0, 1, 0, 1, 3, 0.5)]
+        graph, report = build(rows)
+        assert report.rejected_reasons == {"timestamp_out_of_range": 1}
+        assert report.total_edges == 1
+
+    def test_timestamp_rule_follows_the_weight_rules(self):
+        far = "99999999999999999999"
+        rows = [f"0\t1\t{et}\t1\t5\t{w}\t{far}\n" for et, w in ((9, 1.0), (2, 2.0), (0, -1.0))]
+        rows += [edge_row(0, 1, 0, 1, 3, 0.5, ts=(1 << 63) - 1), edge_row(0, 1, 0, 1, 4, 0.5, ts=-(1 << 63))]
+        graph, report = build(rows)
+        assert report.rejected_reasons == {
+            "unknown_edge_type": 1, "attribute_weight_not_one": 1, "nonpositive_weight": 1}
+        assert graph.adjacency(graph.node_ref(0, 1), 0).timestamp.tolist() == [-(1 << 63), (1 << 63) - 1]
+
     def test_duplicates_keep_max_weight(self):
         rows = [
             edge_row(0, 1, 0, 1, 2, 0.3, ts=5),

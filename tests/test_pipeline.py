@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from lignn import samplers, training
 from lignn.model import (
+    DecoderKind,
     LinkPredictionModel,
     ModelConfig,
     PairBatch,
@@ -223,6 +224,20 @@ class TestGroupedStep:
         [loss_real] = grouped_step(model, unpadded, 1, 0.0, fetch)
         assert loss_padded == pytest.approx(loss_real, abs=1e-12)
 
+    def test_in_batch_decoder_skips_a_slice_with_one_real_pair(self):
+        graph, _, sampler = self._setup()
+        cfg = ModelConfig(out_dim=6, hops=1, init_seed=1,
+                          decoder=DecoderKind("in_batch_negative")).with_graph(graph)
+        model = LinkPredictionModel(graph, cfg)
+        batch = GroupedBatch((0, 1), ((1, 100), (1, 101), (1, 102), (1, DUMMY_ITEM_ID)),
+                             (1, 0, 1, 0), (True, True, True, False), (0,) * 4)
+        sums = {"orphans": 0, "missing_features": 0, "inbatch_skips": 0}
+        fetch = lambda r, role: sampler.fetch(r, 3, role)
+        assert len(grouped_step(model, batch, 2, 0.1, fetch, aux_sums=sums)) == 1
+        assert sums["inbatch_skips"] == 1
+        assert len(grouped_step(model, batch, 1, 0.1, fetch, aux_sums=sums)) == 1
+        assert sums["inbatch_skips"] == 1
+
 
 def memo_world(featureless=0):
     """16 members and 12 items with engagements both ways and member
@@ -326,8 +341,18 @@ class TestSamplerMemo:
         lines = [json.loads(line) for line in (tmp_path / "epochs.jsonl").read_text().splitlines()]
         assert [list(line) for line in lines] == [[
             "epoch", "auc", "neighbor_count", "ge_queries", "train_loss",
-            "memo_hits", "truncated", "orphans", "missing_features",
+            "memo_hits", "truncated", "orphans", "missing_features", "inbatch_skips",
         ]] * 2
+
+    def test_in_batch_decoder_trains_past_single_pair_slices(self, tmp_path):
+        trainer, records = self._trainer(tmp_path, "inbatch", 2,
+                                         decoder=DecoderKind("in_batch_negative"))
+        history = trainer.train(records)
+        groups = list(group_and_slice(records, 4))
+        assert all(np.isfinite(m.train_loss) for m in history)
+        # the validation split leaves members with one record in the epoch
+        assert all(m.inbatch_skips > 0 for m in history)
+        assert all(m.inbatch_skips <= len(groups) for m in history)
 
     def test_truncated_counts_each_query_of_a_cut_push(self, monkeypatch):
         graph, _ = memo_world()

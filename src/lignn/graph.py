@@ -26,6 +26,7 @@ MASK64 = (1 << 64) - 1
 # dst_type column, and node id MASK64 is reserved (pipeline.DUMMY_ITEM_ID).
 MAX_NODE_TYPE = (1 << 15) - 1
 MAX_NODE_ID = MASK64 - 1
+MAX_EDGE_TYPE = (1 << 16) - 1  # edge types travel as the wire's u16
 
 
 def mix64(*parts: int) -> int:
@@ -133,6 +134,8 @@ class GraphSchema:
             except ValueError as exc:
                 raise SchemaError(f"line {lineno}: bad key {key!r}") from exc
             if prefix == "edge":
+                if not 0 <= ident_i <= MAX_EDGE_TYPE:
+                    raise SchemaError(f"line {lineno}: edge type {ident_i} is not a u16")
                 if value not in _KIND_NAMES:
                     raise SchemaError(f"line {lineno}: unknown edge kind {value!r}")
                 schema.edge_kinds[ident_i] = _KIND_NAMES[value]

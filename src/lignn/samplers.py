@@ -96,7 +96,11 @@ class AdjacencyProvider(Protocol):
     """What the samplers read: ``HeteroGraph`` or ``RemoteAdjacency``. Views
     and key arrays are shared and never modified; distinct nodes have
     distinct keys. ``ext_order`` sorts distinct ascending keys by (node_type,
-    node_id), or returns None where they already are so (the graph)."""
+    node_id), or returns None where they already are so (the graph).
+
+    A provider gives each (node_type, node_id) one NodeRef, in views and
+    from ``resolve`` alike, so its NodeRefs hash and sort like (node_type,
+    node_id): push and the walk key their dicts, sets and heaps by them."""
 
     def merged_neighbors(self, node: NodeRef) -> tuple[list[NodeRef], np.ndarray]: ...
 
@@ -166,7 +170,6 @@ def multihop_sample_core(
     fanouts: Sequence[int],
     rng_seed: int,
     strategy: str,
-    uniform: bool,
 ) -> list[list[NeighborSample]]:
     if not fanouts:
         raise ValueError("fanouts must be non-empty")
@@ -186,7 +189,7 @@ def multihop_sample_core(
                 chosen: list[int] = []
             elif fanout >= len(weights):
                 chosen = list(range(len(weights)))
-            elif uniform:
+            elif strategy == "random":
                 chosen = sorted(gen.choice(len(weights), size=fanout, replace=False).tolist())
             else:
                 chosen = sorted(_weighted_draw_without_replacement(gen, weights, fanout))
@@ -211,7 +214,7 @@ def sample_random_multihop(
     undersized frontier is returned whole. Per-seed errors do not abort the
     batch.
     """
-    return multihop_sample_core(graph, seeds, fanouts, rng_seed, "random", uniform=True)
+    return multihop_sample_core(graph, seeds, fanouts, rng_seed, "random")
 
 
 def sample_weighted_multihop(
@@ -222,18 +225,20 @@ def sample_weighted_multihop(
 ) -> list[list[NeighborSample]]:
     """Fan-out like ``sample_random_multihop``, but each draw picks a
     candidate with probability proportional to its summed edge weight."""
-    return multihop_sample_core(graph, seeds, fanouts, rng_seed, "weighted", uniform=False)
+    return multihop_sample_core(graph, seeds, fanouts, rng_seed, "weighted")
 
 
 # -- forward push ---------------------------------------------------------------
 
 
 class _PushState:
-    """Per-seed forward-push state.
+    """Per-seed forward-push state, keyed by the provider's NodeRefs.
 
-    ``heap`` holds (-residual, key) for the nodes known to be due a push
-    (r > r_max * wdeg); ties pop by the external key (node_type, node_id),
-    never by provider indices. An entry whose residual changed is stale.
+    One provider gives each (node_type, node_id) one NodeRef, so NodeRefs
+    hash and sort like (node_type, node_id): ``heap`` holds (-residual, node)
+    for the nodes known to be due a push (r > r_max * wdeg), and ties pop in
+    (node_type, node_id) order, never by provider indices. An entry whose
+    residual changed is stale.
 
     A push does not look up the degrees of the neighbours it changes: it
     marks them *touched* and keeps ``touched_max``, their largest residual.
@@ -244,21 +249,17 @@ class _PushState:
     touched nodes: residuals only grow until a push, so a node once enqueued
     stays due, is pushed, and touches its neighbours, whose views the check
     after that push needs. Nothing prefetched is speculative.
-
-    ``views`` keeps the neighbour list each pushed node's push read, for the
-    hop labels of the result.
     """
 
     __slots__ = ("p", "r", "heap", "touched", "touched_max", "deferred", "pushes",
-                 "truncated", "seed_ref", "views")
+                 "truncated", "seed_ref")
 
     def __init__(self, seed_ref: NodeRef):
         self.seed_ref = seed_ref
-        self.p: dict[tuple[int, int], float] = {}
-        self.views: dict[tuple[int, int], list[NodeRef]] = {}
-        self.r: dict[tuple[int, int], float] = {seed_ref.ext(): 1.0}
-        self.heap: list[tuple[float, tuple[int, int]]] = []
-        self.touched: set[tuple[int, int]] = {seed_ref.ext()}
+        self.p: dict[NodeRef, float] = {}
+        self.r: dict[NodeRef, float] = {seed_ref: 1.0}
+        self.heap: list[tuple[float, NodeRef]] = []
+        self.touched: set[NodeRef] = {seed_ref}
         self.touched_max = 1.0
         self.deferred: list[NodeRef] = []
         self.pushes = 0
@@ -271,51 +272,46 @@ class _PushState:
             heapq.heappop(heap)
         return bool(self.touched) and (not heap or self.touched_max >= -heap[0][0])
 
-    def pending(self, provider: AdjacencyProvider, ref_of: dict) -> Iterator[NodeRef]:
+    def pending(self, provider: AdjacencyProvider) -> Iterator[NodeRef]:
         """The nodes whose views this seed's next check and pushes need."""
-        yield from map(ref_of.__getitem__, self.touched)
+        yield from self.touched
         for node in self.deferred:
             yield from provider.merged_neighbors(node)[0]
 
-    def check(self, provider: AdjacencyProvider, ref_of: dict, wdeg: dict,
-              config: PPRConfig) -> None:
+    def check(self, provider: AdjacencyProvider, wdeg: dict, config: PPRConfig) -> None:
         """Enqueue the touched nodes that are due; they become ``deferred``.
-        ``wdeg`` caches weighted degrees by key for the whole batch."""
+        ``wdeg`` caches weighted degrees by node for the whole batch."""
         r, heap, r_max = self.r, self.heap, config.r_max
         self.deferred = []
-        for key in self.touched:
-            d = wdeg.get(key)
+        for node in self.touched:
+            d = wdeg.get(node)
             if d is None:
-                d = wdeg[key] = _wdeg(provider.merged_neighbors(ref_of[key])[1])
-            if r[key] > r_max * d:
-                heapq.heappush(heap, (-r[key], key))
-                self.deferred.append(ref_of[key])
+                d = wdeg[node] = _wdeg(provider.merged_neighbors(node)[1])
+            if r[node] > r_max * d:
+                heapq.heappush(heap, (-r[node], node))
+                self.deferred.append(node)
         self.touched, self.touched_max = set(), 0.0
 
-    def push(self, node: NodeRef, provider: AdjacencyProvider, ref_of: dict, wdeg: dict,
+    def push(self, node: NodeRef, provider: AdjacencyProvider, wdeg: dict,
              config: PPRConfig) -> None:
-        key = node.ext()
         r = self.r
-        rv = r[key]
+        rv = r[node]
         refs, weights = provider.merged_neighbors(node)
-        self.views[key] = refs
-        self.p[key] = self.p.get(key, 0.0) + config.alpha * rv
+        self.p[node] = self.p.get(node, 0.0) + config.alpha * rv
         spread = (1.0 - config.alpha) * rv
         self.pushes += 1
         if len(refs) == 0:
             # self-loop: the residual returns to the node, whose degree is known
-            r[key] = spread
+            r[node] = spread
             if spread > config.r_max:
-                heapq.heappush(self.heap, (-spread, key))
+                heapq.heappush(self.heap, (-spread, node))
             return
-        r[key] = 0.0
-        total = wdeg[key]  # every node popped with neighbours was checked
+        r[node] = 0.0
+        total = wdeg[node]  # every node popped with neighbours was checked
         touched, top = self.touched, self.touched_max
         for nref, w in zip(refs, weights.tolist()):
-            nkey = nref.ext()
-            rn = r[nkey] = r.get(nkey, 0.0) + spread * w / total
-            ref_of[nkey] = nref
-            touched.add(nkey)
+            rn = r[nref] = r.get(nref, 0.0) + spread * w / total
+            touched.add(nref)
             if rn > top:
                 top = rn
         self.touched_max = top
@@ -326,28 +322,29 @@ def _wdeg(weights: np.ndarray) -> float:
     return float(weights.sum()) if len(weights) else 1.0
 
 
-def _hop_labels(state: _PushState, keys: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
-    """BFS depth from the seed over the pushed nodes, until ``keys`` are labelled.
+def _hop_labels(
+    provider: AdjacencyProvider, state: _PushState, nodes: list[NodeRef]
+) -> dict[NodeRef, int]:
+    """BFS depth from the seed over the pushed nodes, until ``nodes`` are labelled.
 
     A node has an estimate only once pushed, and gets residual only from a
-    pushed neighbour, so every pushed node is reached. The BFS walks the
-    views the pushes read, so it reads no provider.
+    pushed neighbour, so every pushed node is reached. The BFS re-reads the
+    pushed nodes' views, which the provider already holds.
     """
-    views = state.views
-    depth = {state.seed_ref.ext(): 0}
-    missing = set(keys) - depth.keys()
-    frontier = [state.seed_ref.ext()]
+    pushed = state.p
+    depth = {state.seed_ref: 0}
+    missing = set(nodes) - depth.keys()
+    frontier = [state.seed_ref]
     d = 0
     while frontier and missing:
         d += 1
-        nxt: list[tuple[int, int]] = []
-        for key in frontier:
-            for nref in views[key]:
-                k = nref.ext()
-                if k in views and k not in depth:
-                    depth[k] = d
-                    missing.discard(k)
-                    nxt.append(k)
+        nxt: list[NodeRef] = []
+        for node in frontier:
+            for nref in provider.merged_neighbors(node)[0]:
+                if nref in pushed and nref not in depth:
+                    depth[nref] = d
+                    missing.discard(nref)
+                    nxt.append(nref)
         frontier = nxt
     return depth
 
@@ -368,14 +365,13 @@ def ppr_forward_push(
 
 
 def _finalize_push(
-    state: _PushState, ref_of: dict[tuple[int, int], NodeRef], config: PPRConfig
+    provider: AdjacencyProvider, state: _PushState, config: PPRConfig
 ) -> NeighborSample:
     ranked = sorted(state.p.items(), key=lambda kv: (-kv[1], kv[0]))
-    seed_key = state.seed_ref.ext()
-    keep = [(k, s) for k, s in ranked if config.include_seed or k != seed_key]
+    keep = [(n, s) for n, s in ranked if config.include_seed or n != state.seed_ref]
     keep = keep[: config.top_k]
-    hops = _hop_labels(state, [k for k, _ in keep])
-    entries = tuple(SampleEntry(ref_of[k], float(s), hops[k]) for k, s in keep)
+    hops = _hop_labels(provider, state, [n for n, _ in keep])
+    entries = tuple(SampleEntry(n, float(s), hops[n]) for n, s in keep)
     return NeighborSample(
         state.seed_ref, entries, "ppr-push", truncated=state.truncated
     )
@@ -399,8 +395,7 @@ def ppr_forward_push_batch(
     config.validate()
     states: list[_PushState | None] = []
     errors: dict[int, NeighborSample] = {}
-    ref_of: dict[tuple[int, int], NodeRef] = {}
-    wdeg: dict[tuple[int, int], float] = {}
+    wdeg: dict[NodeRef, float] = {}
     for i, seed in enumerate(seeds):
         try:
             seed_ref = provider.resolve(seed)
@@ -408,15 +403,14 @@ def ppr_forward_push_batch(
             errors[i] = NeighborSample((seed[0], seed[1]), (), "ppr-push", error=str(exc))
             states.append(None)
             continue
-        ref_of[seed_ref.ext()] = seed_ref
         states.append(_PushState(seed_ref))
     active = [st for st in states if st is not None]
     while active:
         due = [st for st in active if st.check_due()]
         if due:
-            provider.prefetch(chain.from_iterable(st.pending(provider, ref_of) for st in due))
+            provider.prefetch(chain.from_iterable(st.pending(provider) for st in due))
             for st in due:
-                st.check(provider, ref_of, wdeg, config)
+                st.check(provider, wdeg, config)
         still = []
         for st in active:
             if not st.heap:
@@ -424,8 +418,8 @@ def ppr_forward_push_batch(
             if st.pushes >= config.max_pushes:
                 st.truncated = True
                 continue
-            _, key = heapq.heappop(st.heap)
-            st.push(ref_of[key], provider, ref_of, wdeg, config)
+            _, node = heapq.heappop(st.heap)
+            st.push(node, provider, wdeg, config)
             still.append(st)
         active = still
     out: list[NeighborSample] = []
@@ -433,7 +427,7 @@ def ppr_forward_push_batch(
         if st is None:
             out.append(errors[i])
         else:
-            out.append(_finalize_push(st, ref_of, config))
+            out.append(_finalize_push(provider, st, config))
     return out
 
 
@@ -441,33 +435,29 @@ def ppr_forward_push_batch(
 
 
 class _Ball:
-    """2-hop ball around a seed, flattened to a local CSR for the walk."""
+    """2-hop ball around a seed, flattened to a local CSR for the walk; local
+    indices follow NodeRef order, which is (node_type, node_id) order."""
 
     def __init__(self, provider: AdjacencyProvider, seed_ref: NodeRef):
         one_hop, _ = provider.merged_neighbors(seed_ref)
         provider.prefetch(one_hop)
-        members: dict[tuple[int, int], NodeRef] = {seed_ref.ext(): seed_ref}
+        members = {seed_ref, *one_hop}
         for ref in one_hop:
-            members[ref.ext()] = ref
-        for ref in one_hop:
-            two_hop, _ = provider.merged_neighbors(ref)
-            for r2 in two_hop:
-                members.setdefault(r2.ext(), r2)
-        keys = sorted(members)
-        self.refs = [members[k] for k in keys]
-        self.local = {k: i for i, k in enumerate(keys)}
-        self.seed_local = self.local[seed_ref.ext()]
-        self.one_hop = {r.ext() for r in one_hop}
+            members.update(provider.merged_neighbors(ref)[0])
+        self.refs = sorted(members)
+        self.local = {ref: i for i, ref in enumerate(self.refs)}
+        self.seed_local = self.local[seed_ref]
+        self.one_hop = set(one_hop)
         provider.prefetch(self.refs)
 
         indptr = [0]
         dest: list[int] = []
         cum: list[float] = []
-        for ref in self.refs:
+        for i, ref in enumerate(self.refs):
             refs, weights = provider.merged_neighbors(ref)
             if len(refs) == 0:
                 # dangling: self-loop
-                dest.append(self.local[ref.ext()])
+                dest.append(i)
                 cum.append(1.0)
             else:
                 total = float(weights.sum())
@@ -475,7 +465,7 @@ class _Ball:
                 for nref, w in zip(refs, weights):
                     c += float(w) / total
                     # leaving the ball restarts the walk at the seed
-                    dest.append(self.local.get(nref.ext(), self.seed_local))
+                    dest.append(self.local.get(nref, self.seed_local))
                     cum.append(min(c, 1.0))
                 cum[-1] = 1.0
             indptr.append(len(dest))
@@ -500,7 +490,7 @@ def ppr_two_hop_random_walk(
     Simulates num_walks alpha-restart walk segments; any step that would
     leave the 2-hop ball restarts at the seed instead. Scores are visit
     fractions (they sum to 1 over all visited nodes); the top_k by score
-    among ball nodes are returned.
+    among ball nodes are returned, ties in (node_type, node_id) order.
     """
     config.validate()
     try:
@@ -524,21 +514,17 @@ def ppr_two_hop_random_walk(
         total += len(pos)
 
     scores = counts / float(total)
-    order = sorted(
-        range(len(ball.refs)), key=lambda i: (-scores[i], ball.refs[i].ext())
-    )
     entries: list[SampleEntry] = []
-    for i in order:
-        ref = ball.refs[i]
+    for i in np.argsort(-scores, kind="stable").tolist():
         if scores[i] <= 0.0:
             break
-        if ref.ext() == seed_ref.ext():
+        if i == ball.seed_local:
             if not config.include_seed:
                 continue
             hop = 0
         else:
-            hop = 1 if ref.ext() in ball.one_hop else 2
-        entries.append(SampleEntry(ref, float(scores[i]), hop))
+            hop = 1 if ball.refs[i] in ball.one_hop else 2
+        entries.append(SampleEntry(ball.refs[i], float(scores[i]), hop))
         if len(entries) == config.top_k:
             break
     return NeighborSample(seed_ref, tuple(entries), "ppr-2hop")

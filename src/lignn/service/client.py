@@ -223,8 +223,9 @@ class GraphEngineClient:
 
 class RemoteAdjacency:
     """Adjacency provider backed by the sharded engine: the samplers read it
-    through the same three methods as a local ``HeteroGraph``
-    (``merged_neighbors``, ``prefetch``, ``resolve``).
+    through the same five methods as a local ``HeteroGraph``
+    (``merged_neighbors``, ``keyed_neighbors``, ``ext_order``, ``prefetch``,
+    ``resolve``).
 
     ``prefetch`` is the only way a view reaches the client: it fetches the
     uncached nodes it is given with one ``NEIGHBORS_BATCH`` per owning shard
@@ -237,7 +238,8 @@ class RemoteAdjacency:
 
     NodeRef indices are client-side discovery indices (dense, in fetch
     order) and serve as view keys; orderings that matter for cross-partition
-    equality use external (node_type, node_id) keys (``ext_order``).
+    equality use external (node_type, node_id) keys (``ext_order``). Each
+    (node_type, node_id) has one index, so NodeRefs sort by that key.
     """
 
     def __init__(self, client: GraphEngineClient):
@@ -341,9 +343,7 @@ def fan_out_sample(
             raise ValueError("fanouts required for multihop strategies")
 
         def sample(seed):
-            return multihop_sample_core(
-                provider, [seed], list(fanouts), rng_seed, strategy, strategy == "random"
-            )[0]
+            return multihop_sample_core(provider, [seed], list(fanouts), rng_seed, strategy)[0]
 
     elif strategy == "ppr-push":
         sample = partial(ppr_forward_push, provider, config=ppr or PPRConfig())

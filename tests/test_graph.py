@@ -21,6 +21,7 @@ from lignn.graph import (
     build_graph,
 )
 from lignn.pipeline import DUMMY_ITEM_ID
+from lignn.service import wire
 
 from conftest import build, edge_row, node_row, random_weighted_digraph, schema
 from oracles import fold_edges, merged_view
@@ -47,6 +48,16 @@ class TestSchema:
     def test_bad_feature_dim_names_its_line(self, value):
         with pytest.raises(SchemaError, match="line 2"):
             GraphSchema.parse(f"edge.0 = affinity\nfeatures.0 = {value}\n")
+
+    @pytest.mark.parametrize("edge_type", ["70000", "65536", "-3"])
+    def test_edge_type_outside_the_wire_names_its_line(self, edge_type):
+        with pytest.raises(SchemaError, match="line 2"):
+            GraphSchema.parse(f"edge.0 = affinity\nedge.{edge_type} = engagement\n")
+
+    def test_largest_edge_type_reaches_the_wire(self):
+        sch = GraphSchema.parse("edge.65535 = engagement\n")
+        [edge_type] = sch.edge_kinds
+        wire.encode_request(wire.TemporalLastNRequest(wire.WireNode(0, 1), edge_type))
 
 
 class TestBuild:

@@ -816,6 +816,7 @@ STRATEGY_ARGS = [
 
 class TestFanOut:
     SEEDS = [(0, i) for i in range(8)]
+    PUSH_ROUND_TRIPS = {(0, 0): 30, (0, 1): 33, (0, 2): 28, (0, 3): 32}  # on wide_cluster
 
     def run_strategy(self, cluster, strategy, **kw):
         client = make_client(cluster.pmap)
@@ -875,6 +876,26 @@ class TestFanOut:
         assert (0, 5) in [e.node.ext() for e in local.entries]
         assert sample_key(remote) == sample_key(local)
 
+    def test_walk_ties_come_out_in_node_order(self):
+        # the remote provider discovers 30 (through 10) before 5 (through
+        # 20); at this seed both two-hop nodes get the same visit count
+        edges = [(1, 10), (1, 20), (10, 30), (20, 5), (30, 1), (5, 1)]
+        graph, _ = build([edge_row(0, u, 0, 0, v, 1.0) for u, v in edges])
+        server = serve(graph, "127.0.0.1:0", PartitionMap(("127.0.0.1:0",)), 0)
+        try:
+            server.pmap = PartitionMap((server.address,))
+            client = make_client(server.pmap)
+            cfg = WalkConfig(num_walks=50, top_k=10, rng_seed=23)
+            [remote] = fan_out_sample(client, [(0, 1)], "ppr-2hop", walk=cfg)
+            client.close()
+        finally:
+            server.stop()
+        by_id = {e.node.node_id: e for e in remote.entries}
+        assert by_id[30].node.index < by_id[5].node.index
+        assert by_id[5].score == by_id[30].score
+        assert [e.node.node_id for e in remote.entries][2:] == [5, 30]
+        assert sample_key(remote) == sample_key(ppr_two_hop_random_walk(graph, (0, 1), cfg))
+
     @pytest.mark.parametrize("strategy,kw", [
         ("random", {"fanouts": [4, 4], "rng_seed": 9}),
         ("ppr-push", {"ppr": PPRConfig(alpha=0.2, r_max=1e-4, top_k=10)}),
@@ -892,7 +913,11 @@ class TestFanOut:
                     assert len(log) <= 1 + cluster.pmap.count
                 else:
                     local = ppr_forward_push(graph, seed, kw["ppr"])
-                    assert 10 * len(log) <= len(views_fetched(log))
+                    # exact: a view read past the client cache, a hop label's
+                    # say, adds a round trip; each of the 400 views comes once
+                    assert {r.opcode for r in log} == {wire.Opcode.NEIGHBORS_BATCH}
+                    assert len(log) == self.PUSH_ROUND_TRIPS[seed]
+                    assert len(views_requested(log)) == len(views_fetched(log)) == 400
                 assert sample_key(result) == sample_key(local)
         finally:
             client.close()

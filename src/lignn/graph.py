@@ -3,8 +3,9 @@
 Nodes are addressed externally by (node_type, node_id) and internally by a
 dense per-type index. Edges live in per (src_type, edge_type) CSR blocks
 whose per-node runs are sorted by timestamp, so temporal prefix queries are
-binary searches. Nodes and edges never change after construction (only a
-memo of derived neighbour views fills in); densification and the nearline
+binary searches. One merged CSR over all edge types holds each node's
+distinct out-neighbours, so a node's view (``merged_neighbors``) is three
+slices. Nothing changes after construction; densification and the nearline
 refresher produce new graph objects through a copy-on-write run overlay
 (see ``with_added_edges``).
 """
@@ -16,7 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -87,7 +88,13 @@ class NodeRef(NamedTuple):
         return (self.node_type, self.node_id)
 
 
-KeyedView = tuple[tuple[list[NodeRef], np.ndarray], np.ndarray]  # (refs, weights), keys
+class NeighborView(NamedTuple):
+    """A node's distinct out-neighbours in (node_type, node_id) order: their
+    NodeRefs (a tuple), summed edge weights and int64 node keys."""
+
+    refs: np.ndarray
+    weights: np.ndarray
+    keys: np.ndarray
 
 
 class EdgeKind(IntEnum):
@@ -140,6 +147,8 @@ class GraphSchema:
                     raise SchemaError(f"line {lineno}: unknown edge kind {value!r}")
                 schema.edge_kinds[ident_i] = _KIND_NAMES[value]
             elif prefix == "features":
+                if not 0 <= ident_i <= MAX_NODE_TYPE:
+                    raise SchemaError(f"line {lineno}: node type {ident_i} is out of range")
                 try:
                     dim = int(value)
                 except ValueError:
@@ -233,17 +242,11 @@ _EMPTY_RUN = AdjacencySlice(
 class HeteroGraph:
     """Typed multi-relation graph, immutable after build.
 
-    Readers may share an instance freely across threads. ``with_added_edges``
-    returns a new instance that shares the base CSR arrays, the id lookup
-    and the node refs, and carries the changed runs in its overlay; swapping
-    to the new instance is the epoch swap.
-
-    Readers fill a per-epoch memo of merged views and their key arrays
-    (``keyed_neighbors``), which the next epoch inherits minus the nodes
-    whose runs changed. Filling it from many threads is safe: a view is a
-    deterministic function of the epoch, so racing readers store equal
-    values, and each store is one atomic dict assignment. The graph is its
-    own adjacency provider (``samplers.AdjacencyProvider``).
+    Nothing fills in after construction, so readers may share an instance
+    freely across threads. ``with_added_edges`` returns a new instance that
+    shares the base and merged CSR arrays and the node refs, and carries the
+    changed runs and their sources' views; swapping to it is the epoch swap.
+    The graph is its own adjacency provider (``samplers.AdjacencyProvider``).
     """
 
     def __init__(
@@ -253,30 +256,34 @@ class HeteroGraph:
         features: dict[int, np.ndarray],
         feature_mask: dict[int, np.ndarray],
         blocks: dict[tuple[int, int], _CSRBlock],
-        overlay: dict[tuple[int, int, int], AdjacencySlice] | None = None,
     ):
         self.schema = schema
         self._node_ids = node_ids
         self._features = features
         self._feature_mask = feature_mask
         self._blocks = blocks
-        self._overlay = overlay or {}
-        # one NodeRef per node; node_ids are sorted ascending per type
-        self._refs = {
-            t: [NodeRef(t, nid, i) for i, nid in enumerate(ids.tolist())]
-            for t, ids in node_ids.items()
-        }
-        self._id_lookup = {
-            t: {ref.node_id: ref.index for ref in refs} for t, refs in self._refs.items()
-        }
-        self._edge_types = tuple(
-            sorted({et for (_, et) in blocks} | {et for (_, et, _) in self._overlay})
-        )
-        # node key = type offset + index, which sorts like (node_type, node_id)
-        sizes = [len(node_ids[t]) for t in sorted(node_ids)]
-        self._key_offset = dict(zip(sorted(node_ids), np.cumsum([0] + sizes).tolist()))
-        # (src_type, index) -> (merged view, its key array) of this epoch
-        self._memo: dict[tuple[int, int], KeyedView] = {}
+        self._overlay: dict[tuple[int, int, int], AdjacencySlice] = {}
+        # merged views of the sources whose runs the overlay changed, by node key
+        self._rows: dict[int, NeighborView] = {}
+        self._edge_types = tuple(sorted({et for (_, et) in blocks}))
+        # node key = type offset + index; node_ids are sorted ascending per type
+        types = sorted(node_ids)
+        offsets = np.cumsum([0] + [len(node_ids[t]) for t in types])
+        self._types, self._offsets = np.array(types, dtype=np.int64), offsets[:-1]
+        self._key_offset = dict(zip(types, offsets.tolist()))
+        # the sorted ids as lists: bisect on a list beats a scalar np.searchsorted 5x
+        self._id_lists = {t: node_ids[t].tolist() for t in types}
+        # one NodeRef per node, by node key; tuple.__new__ skips NodeRef's
+        # Python-level __new__
+        refs = self._refs = np.fromiter(chain.from_iterable(
+            map(tuple.__new__, repeat(NodeRef), zip(repeat(t), self._id_lists[t], count()))
+            for t in types), dtype=object, count=int(offsets[-1]))
+        refs.flags.writeable = False
+        # every node's view, from the CSR blocks in (src type, edge type) order
+        self._views = self._merge([
+            (np.repeat(self._key_offset[st] + np.arange(len(b.indptr) - 1), np.diff(b.indptr)), b)
+            for (st, _), b in sorted(blocks.items())
+        ], len(refs))
 
     # -- node accessors -----------------------------------------------------
 
@@ -302,16 +309,20 @@ class HeteroGraph:
         return int(total)
 
     def has_node(self, node_type: int, node_id: int) -> bool:
-        return node_id in self._id_lookup.get(node_type, ())
+        try:
+            return bool(self.node_ref(node_type, node_id))
+        except MissingNodeError:
+            return False
 
     def node_ref(self, node_type: int, node_id: int) -> NodeRef:
-        try:
-            return self._refs[node_type][self._id_lookup[node_type][node_id]]
-        except KeyError:
-            raise MissingNodeError(f"no node ({node_type}, {node_id})") from None
+        ids = self._id_lists.get(node_type, ())
+        index = bisect_left(ids, node_id)
+        if index < len(ids) and ids[index] == node_id:
+            return self._refs[self._key_offset[node_type] + index]
+        raise MissingNodeError(f"no node ({node_type}, {node_id})")
 
     def node_ref_by_index(self, node_type: int, index: int) -> NodeRef:
-        return self._refs[node_type][index]
+        return self._refs[self._key_offset[node_type] + range(self.num_nodes(node_type))[index]]
 
     def resolve(self, node: NodeRef | tuple[int, int]) -> NodeRef:
         """Re-anchor an external (type, id) pair or foreign NodeRef here."""
@@ -387,52 +398,46 @@ class HeteroGraph:
             total[idx] += len(run.dst_id) - base
         return total
 
-    def merged_neighbors(self, node: NodeRef) -> tuple[list[NodeRef], np.ndarray]:
+    def merged_neighbors(self, node: NodeRef) -> NeighborView:
         """Distinct out-neighbors with aggregated weights.
 
         Parallel edges (across and within edge types) sum their weights,
         which are positive: ``build_graph`` and ``with_added_edges`` admit
         only finite edge weights > 0. Neighbors come back sorted by
         (node_type, node_id) so the ordering is stable across
-        differently-indexed graph shards.
+        differently-indexed graph shards. A node's key is its type's offset
+        plus its index, so keys sort like (node_type, node_id).
 
-        The view is memoized on this epoch together with its key array
-        (``keyed_neighbors``), so callers share the returned list and
-        array: neither may be modified, and the weights are read-only.
+        The view holds read-only slices of the merged CSR, made for every
+        node at build, or of the merged rows of the epoch swap that last
+        changed the node's runs.
         """
-        hit = self._memo.get((node.node_type, node.index))
-        return (hit or self.keyed_neighbors(node))[0]
+        key = self._key_offset[node.node_type] + node.index
+        return self._rows.get(key) or self._views[key]
 
-    def keyed_neighbors(self, node: NodeRef) -> KeyedView:
-        """The memoized ``merged_neighbors`` view and its read-only int64 key
-        array: neighbour i's ``node_keys`` key, ascending like the view."""
-        key = (node.node_type, node.index)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        acc: dict[tuple[int, int], float] = {}
-        idx_of: dict[tuple[int, int], int] = {}
-        for et in self._edge_types:
-            run = self._run(node.node_type, et, node.index)
-            for dt, did, didx, w in zip(
-                run.dst_type.tolist(), run.dst_id.tolist(),
-                run.dst_index.tolist(), run.weight.tolist(),
-            ):
-                nkey = (dt, did)
-                acc[nkey] = acc.get(nkey, 0.0) + w
-                idx_of[nkey] = didx
-        keys = sorted(acc)
-        refs = [self._refs[t][idx_of[(t, i)]] for t, i in keys]
-        weights = np.array([acc[k] for k in keys], dtype=np.float64)
-        node_keys = self.node_keys(refs)
-        weights.flags.writeable = node_keys.flags.writeable = False
-        entry = self._memo[key] = ((refs, weights), node_keys)
-        return entry
-
-    def node_keys(self, nodes: Iterable[NodeRef]) -> np.ndarray:
-        """int64 keys of ``nodes`` of this graph: the node type's offset plus
-        the index, so keys sort like (node_type, node_id)."""
-        return np.array([self._key_offset[n.node_type] + n.index for n in nodes], dtype=np.int64)
+    def _merge(self, parts: list, rows: int) -> list[NeighborView]:
+        """The views of rows ``range(rows)`` from ``parts``, pairs of a row
+        array and a run or CSR block, each row's edges in edge-type order.
+        The stable sort keeps each (row, dst) pair's edges in that order and
+        ``bincount`` sums in it, like a dict merge of the runs. The views are
+        slices of one set of arrays."""
+        parts = parts or [(np.empty(0, dtype=np.int64), _EMPTY_RUN)]
+        src = np.concatenate([row for row, _ in parts])
+        dst = np.concatenate([self._offsets[np.searchsorted(self._types, c.dst_type)] + c.dst_index
+                              for _, c in parts])
+        pair = src * len(self._refs) + dst
+        order = np.argsort(pair, kind="stable")
+        pair, src, dst = pair[order], src[order], dst[order]
+        first = np.ones(len(pair), dtype=bool)  # first edge of each pair
+        first[1:] = pair[1:] != pair[:-1]
+        weight = np.concatenate([c.weight for _, c in parts])[order]
+        # an empty bincount is int64, hence the cast
+        weights = np.bincount(np.cumsum(first) - 1, weight).astype(float, copy=False)
+        refs, keys = tuple(self._refs[dst[first]].tolist()), dst[first]
+        weights.flags.writeable = keys.flags.writeable = False
+        indptr = np.searchsorted(src[first], np.arange(rows + 1)).tolist()
+        return [tuple.__new__(NeighborView, (refs[lo:hi], weights[lo:hi], keys[lo:hi]))
+                for lo, hi in zip(indptr, indptr[1:])]
 
     def ext_order(self, keys: np.ndarray) -> None:
         """Keys already sort like (node_type, node_id): no reordering."""
@@ -469,8 +474,9 @@ class HeteroGraph:
         same timestamp), and a (dst, timestamp) already in the run, earlier
         edges of this call included, keeps the max weight (the build-time
         duplicate policy). Each changed run is copied and merged once. Base
-        arrays, the id lookup and the node refs are shared; the memo is
-        inherited without the views of the changed sources.
+        arrays, the merged CSR and the node refs are shared; each changed
+        source's view is merged again from its runs, in the map beside the
+        overlay.
 
         A weight that is not finite and > 0 (``build_graph``'s
         ``nonpositive_weight`` rule) raises ``ValueError`` before anything
@@ -494,16 +500,19 @@ class HeteroGraph:
         arrays = [np.array(col, dtype=a.dtype) for col, a in zip(cols, _EMPTY_RUN)]
         nxt = copy.copy(self)
         nxt._overlay = dict(self._overlay)
-        nxt._memo = dict(self._memo)
-        dst_type, dst_id, dst_index, weight, timestamp = arrays
         for key, lo, hi in zip(added, bounds, bounds[1:]):
-            nxt._overlay[key] = AdjacencySlice(
-                dst_type[lo:hi], dst_id[lo:hi], dst_index[lo:hi], weight[lo:hi], timestamp[lo:hi]
-            )
-            nxt._memo.pop((key[0], key[2]), None)
+            nxt._overlay[key] = AdjacencySlice(*(a[lo:hi] for a in arrays))
         edge_types = {et for _, et, _ in added}
         if not edge_types <= set(self._edge_types):
             nxt._edge_types = tuple(sorted(edge_types | set(self._edge_types)))
+        sources = list(dict.fromkeys((st, idx) for st, _, idx in added))
+        views = nxt._merge([
+            (np.full(len(run), row), run) for row, (st, idx) in enumerate(sources)
+            for run in (nxt._run(st, et, idx) for et in nxt._edge_types)
+        ], len(sources))
+        nxt._rows = dict(self._rows)
+        for (st, idx), view in zip(sources, views):
+            nxt._rows[self._key_offset[st] + idx] = view
         return nxt
 
     # -- serialization -------------------------------------------------------
@@ -618,17 +627,18 @@ def _accepted(report: GraphBuildReport, alive: np.ndarray, rules) -> np.ndarray:
     return alive
 
 
-def _stamp(token: str) -> int:
-    return int(token.rstrip("\n") or "0")  # an empty timestamp reads 0
-
-
 def _edge_chunk(chunk: list[str], code_of: dict[int, int], is_attr: np.ndarray,
                 report: GraphBuildReport) -> list[np.ndarray]:
     """Columns (src type, src id, edge type code, dst type, dst id, weight,
     timestamp) of the accepted edge rows of one chunk."""
     report.rows_read += len(chunk)
     bad: set[int] = set()
-    cols, rows, odd = _columns(chunk, [int, int, int, int, int, float, _stamp], bad)
+    cols, rows, odd = _columns(chunk, [int, int, int, int, int, float, str], bad)
+    # int in C for every timestamp; an empty one (the int failures whose token
+    # is empty but for the newline) reads 0
+    failed: set[int] = set()
+    stamps, cols[6] = cols[6], _parsed(int, cols[6], failed)
+    bad.update(i for i in failed if stamps[i].rstrip("\n"))
     alive = _unparsed(report, "malformed_edge_row", rows, odd, bad)
     st, st_out = _fitted(cols[0], np.int64, 0, MAX_NODE_TYPE)
     sid, sid_out = _fitted(cols[1], np.uint64, 0, MAX_NODE_ID)

@@ -81,13 +81,13 @@ def build_encode_batch(
         prev_slots: dict[int, list[int]] = {}
         for slot, s in enumerate(level_seed[h]):
             prev_slots.setdefault(s, []).append(slot)
-        # each previous-level slot's view as a set of node keys
-        views = [set(graph.keyed_neighbors(ref)[1].tolist()) for ref in level_refs[h]] if h else []
+        # each previous-level slot's view as a set of NodeRefs
+        views = [set(graph.merged_neighbors(ref).refs) for ref in level_refs[h]] if h else []
         for s in range(len(seeds)):
             entries = hop_lists[s][h] if h < len(hop_lists[s]) else ()
             parents = prev_slots.get(s, [])
-            for ref, key in zip(entries, graph.node_keys(entries).tolist() if h else entries):
-                links = [p for p in parents if key in views[p]] if h else parents
+            for ref in entries:
+                links = [p for p in parents if ref in views[p]] if h else parents
                 if not links:
                     orphans += 1
                     continue

@@ -5,14 +5,14 @@ streams are counter-based (Philox) keyed by ``mix64(rng_seed, node_type,
 node_id, hop)``, never by position in a batch, so batched, threaded, and
 partitioned executions all draw the same samples.
 
-All strategies read one memoized view per node from an adjacency provider
+All strategies read one view per node from an adjacency provider
 (``AdjacencyProvider``): the in-memory ``HeteroGraph`` itself, or the
 fan-out client's network-backed ``service.client.RemoteAdjacency``, which
 reuses these exact code paths. ``merged_neighbors(ref)`` is a node's view
-(distinct out-neighbours sorted by (node_type, node_id), summed positive
-weights); ``keyed_neighbors(ref)`` adds an int64 key per neighbour, which
-sorts like (node_type, node_id) on the graph (type offset + index) but not
-on the remote provider (discovery index), whose ``ext_order`` sorts keys.
+(``graph.NeighborView``): distinct out-neighbours sorted by (node_type,
+node_id), their summed positive weights, and an int64 key per neighbour,
+which sorts like (node_type, node_id) on the graph (type offset + index) but
+not on the remote provider (discovery index), whose ``ext_order`` sorts keys.
 ``prefetch(refs)`` hints that views are needed next (the remote provider
 fetches them in bulk; the graph ignores it, so callers pass a lazy iterable
 the local path never walks); ``resolve(node)`` maps a seed's (node_type,
@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .graph import HeteroGraph, KeyedView, MissingNodeError, NodeRef, mix64
+from .graph import HeteroGraph, MissingNodeError, NeighborView, NodeRef, mix64
 
 
 @dataclass(frozen=True)
@@ -93,18 +93,16 @@ class NeighborSample:
 
 
 class AdjacencyProvider(Protocol):
-    """What the samplers read: ``HeteroGraph`` or ``RemoteAdjacency``. Views
-    and key arrays are shared and never modified; distinct nodes have
-    distinct keys. ``ext_order`` sorts distinct ascending keys by (node_type,
-    node_id), or returns None where they already are so (the graph).
+    """What the samplers read, through these four methods only: ``HeteroGraph``
+    or ``RemoteAdjacency``. Views are shared and never modified; distinct nodes
+    have distinct keys. ``ext_order`` sorts distinct ascending keys by
+    (node_type, node_id), or returns None where they already are so (the graph).
 
     A provider gives each (node_type, node_id) one NodeRef, in views and
     from ``resolve`` alike, so its NodeRefs hash and sort like (node_type,
     node_id): push and the walk key their dicts, sets and heaps by them."""
 
-    def merged_neighbors(self, node: NodeRef) -> tuple[list[NodeRef], np.ndarray]: ...
-
-    def keyed_neighbors(self, node: NodeRef) -> KeyedView: ...
+    def merged_neighbors(self, node: NodeRef) -> NeighborView: ...
 
     def ext_order(self, keys: np.ndarray) -> np.ndarray | None: ...
 
@@ -122,29 +120,27 @@ def _rng_for(rng_seed: int, node: NodeRef, hop: int | None = None) -> np.random.
 
 # -- multi-hop fan-out sampling ------------------------------------------------
 
-_EMPTY_VIEW: KeyedView = (([], np.empty(0)), np.empty(0, dtype=np.int64))
-
-
 def _frontier_union(
     provider: AdjacencyProvider, frontier: list[NodeRef]
-) -> tuple[list[NodeRef], Sequence[int], np.ndarray]:
+) -> tuple[Sequence[NodeRef], Sequence[int], np.ndarray]:
     """Union of the frontier's views in (node_type, node_id) order: candidate
     i is ``refs[pos[i]]`` with summed weight ``weights[i]``, bit-equal to a
     dict merge because ``bincount`` adds in frontier order (and counts an
     empty union in int64, hence the cast). A one-node frontier's is its view."""
     if len(frontier) <= 1:
-        (refs, weights), _ = provider.keyed_neighbors(frontier[0]) if frontier else _EMPTY_VIEW
+        refs, weights, _ = provider.merged_neighbors(frontier[0]) if frontier else ([], np.empty(0), None)
         return refs, range(len(refs)), weights
     provider.prefetch(frontier)
-    views = [provider.keyed_neighbors(node) for node in frontier]
+    views = [provider.merged_neighbors(node) for node in frontier]
     keys, pos, inv = np.unique(
-        np.concatenate([keys for _, keys in views]), return_index=True, return_inverse=True
+        np.concatenate([view.keys for view in views]), return_index=True, return_inverse=True
     )
-    weights = np.bincount(inv, np.concatenate([w for (_, w), _ in views])).astype(float, copy=False)
+    weights = np.bincount(inv, np.concatenate([view.weights for view in views]))
+    weights = weights.astype(float, copy=False)
     order = provider.ext_order(keys)
     if order is not None:
         pos, weights = pos[order], weights[order]
-    return list(chain.from_iterable(refs for (refs, _), _ in views)), pos, weights
+    return list(chain.from_iterable(view.refs for view in views)), pos, weights
 
 
 def _weighted_draw_without_replacement(
@@ -276,7 +272,7 @@ class _PushState:
         """The nodes whose views this seed's next check and pushes need."""
         yield from self.touched
         for node in self.deferred:
-            yield from provider.merged_neighbors(node)[0]
+            yield from provider.merged_neighbors(node).refs
 
     def check(self, provider: AdjacencyProvider, wdeg: dict, config: PPRConfig) -> None:
         """Enqueue the touched nodes that are due; they become ``deferred``.
@@ -286,7 +282,7 @@ class _PushState:
         for node in self.touched:
             d = wdeg.get(node)
             if d is None:
-                d = wdeg[node] = _wdeg(provider.merged_neighbors(node)[1])
+                d = wdeg[node] = _wdeg(provider.merged_neighbors(node).weights)
             if r[node] > r_max * d:
                 heapq.heappush(heap, (-r[node], node))
                 self.deferred.append(node)
@@ -296,7 +292,7 @@ class _PushState:
              config: PPRConfig) -> None:
         r = self.r
         rv = r[node]
-        refs, weights = provider.merged_neighbors(node)
+        refs, weights, _ = provider.merged_neighbors(node)
         self.p[node] = self.p.get(node, 0.0) + config.alpha * rv
         spread = (1.0 - config.alpha) * rv
         self.pushes += 1
@@ -340,7 +336,7 @@ def _hop_labels(
         d += 1
         nxt: list[NodeRef] = []
         for node in frontier:
-            for nref in provider.merged_neighbors(node)[0]:
+            for nref in provider.merged_neighbors(node).refs:
                 if nref in pushed and nref not in depth:
                     depth[nref] = d
                     missing.discard(nref)
@@ -439,11 +435,11 @@ class _Ball:
     indices follow NodeRef order, which is (node_type, node_id) order."""
 
     def __init__(self, provider: AdjacencyProvider, seed_ref: NodeRef):
-        one_hop, _ = provider.merged_neighbors(seed_ref)
+        one_hop = provider.merged_neighbors(seed_ref).refs
         provider.prefetch(one_hop)
         members = {seed_ref, *one_hop}
         for ref in one_hop:
-            members.update(provider.merged_neighbors(ref)[0])
+            members.update(provider.merged_neighbors(ref).refs)
         self.refs = sorted(members)
         self.local = {ref: i for i, ref in enumerate(self.refs)}
         self.seed_local = self.local[seed_ref]
@@ -454,7 +450,7 @@ class _Ball:
         dest: list[int] = []
         cum: list[float] = []
         for i, ref in enumerate(self.refs):
-            refs, weights = provider.merged_neighbors(ref)
+            refs, weights, _ = provider.merged_neighbors(ref)
             if len(refs) == 0:
                 # dangling: self-loop
                 dest.append(i)
@@ -462,8 +458,8 @@ class _Ball:
             else:
                 total = float(weights.sum())
                 c = 0.0
-                for nref, w in zip(refs, weights):
-                    c += float(w) / total
+                for nref, w in zip(refs, weights.tolist()):
+                    c += w / total
                     # leaving the ball restarts the walk at the seed
                     dest.append(self.local.get(nref, self.seed_local))
                     cum.append(min(c, 1.0))

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..graph import KeyedView, MissingNodeError, NodeRef
+from ..graph import MissingNodeError, NeighborView, NodeRef
 from ..samplers import (
     NeighborSample,
     PPRConfig,
@@ -223,18 +223,17 @@ class GraphEngineClient:
 
 class RemoteAdjacency:
     """Adjacency provider backed by the sharded engine: the samplers read it
-    through the same five methods as a local ``HeteroGraph``
-    (``merged_neighbors``, ``keyed_neighbors``, ``ext_order``, ``prefetch``,
-    ``resolve``).
+    through the same four methods as a local ``HeteroGraph``
+    (``merged_neighbors``, ``ext_order``, ``prefetch``, ``resolve``).
 
     ``prefetch`` is the only way a view reaches the client: it fetches the
     uncached nodes it is given with one ``NEIGHBORS_BATCH`` per owning shard
     (and chunk of ``MAX_BATCH_NODES``), which answers each node with the
     shard graph's ``merged_neighbors`` view. ``merged_neighbors`` and
-    ``resolve`` prefetch the one node they need on a miss. A node whose
-    batch result failed (the shard has no such node) is remembered with the
-    server's message, is never requested again, and raises
-    ``MissingNodeError`` on every lookup.
+    ``resolve`` read the cache through ``neighbors_ext``, which prefetches
+    the one node they need on a miss. A node whose batch result failed (the
+    shard has no such node) is remembered with the server's message, is
+    never requested again, and raises ``MissingNodeError`` on every lookup.
 
     NodeRef indices are client-side discovery indices (dense, in fetch
     order) and serve as view keys; orderings that matter for cross-partition
@@ -246,7 +245,7 @@ class RemoteAdjacency:
         self.client = client
         self._registry: dict[tuple[int, int], int] = {}
         self._exts: list[tuple[int, int]] = []  # discovery index -> external key
-        self._cache: dict[tuple[int, int], KeyedView] = {}
+        self._cache: dict[tuple[int, int], NeighborView] = {}
         self._failed: dict[tuple[int, int], str] = {}
 
     def _ref(self, ext: tuple[int, int]) -> NodeRef:
@@ -256,36 +255,30 @@ class RemoteAdjacency:
             self._exts.append(ext)
         return NodeRef(ext[0], ext[1], idx)
 
-    def _view(self, entries) -> KeyedView:
+    def _view(self, entries) -> NeighborView:
         refs = [self._ref((e.node.node_type, e.node.node_id)) for e in entries]
         weights = np.array([e.score for e in entries], dtype=np.float64)
-        return (refs, weights), np.array([r.index for r in refs], dtype=np.int64)
+        keys = np.array([r.index for r in refs], dtype=np.int64)
+        return NeighborView(tuple(refs), weights, keys)
 
     def resolve(self, node) -> NodeRef:
         ext = (node[0], node[1])
         self.neighbors_ext(ext)  # raises MissingNodeError for unknown nodes
         return self._ref(ext)
 
-    def merged_neighbors(self, node: NodeRef) -> tuple[list[NodeRef], np.ndarray]:
+    def merged_neighbors(self, node: NodeRef) -> NeighborView:
         return self.neighbors_ext(node.ext())
 
-    def neighbors_ext(self, ext: tuple[int, int]) -> tuple[list[NodeRef], np.ndarray]:
-        hit = self._cache.get(ext)
-        return (hit or self.keyed_neighbors(ext))[0]
+    def neighbors_ext(self, ext: tuple[int, int]) -> NeighborView:
+        if ext not in self._cache:
+            self.prefetch([ext])
+        if ext in self._failed:
+            raise MissingNodeError(self._failed[ext])
+        return self._cache[ext]
 
     def ext_order(self, keys: np.ndarray) -> np.ndarray:
         exts = [self._exts[k] for k in keys.tolist()]
         return np.array(sorted(range(len(exts)), key=exts.__getitem__), dtype=np.int64)
-
-    def keyed_neighbors(self, node) -> KeyedView:
-        ext = (node[0], node[1])
-        hit = self._cache.get(ext)
-        if hit is None:
-            self.prefetch([ext])
-            hit = self._cache.get(ext)
-            if hit is None:
-                raise MissingNodeError(self._failed[ext])
-        return hit
 
     def prefetch(self, nodes: Iterable[NodeRef | tuple[int, int]]) -> None:
         """Fetch the views of the distinct ``nodes`` not yet fetched, one

@@ -203,8 +203,8 @@ class GraphEngineServer:
         return wire.SampleBatchResponse(req.opcode, wire.Status.OK, results)
 
     def _neighbors_batch(self, req: wire.NeighborsBatchRequest) -> wire.SampleBatchResponse:
-        """Per node, what SAMPLE_NEIGHBORS with strategy 1 and FANOUT_ALL returns:
-        every entry of the node's ``merged_neighbors`` view, at hop 1."""
+        """Per node, its ``merged_neighbors`` view as hop-1 entries scored by
+        summed weight, or a BAD_REQUEST result for a node the shard lacks."""
         if not 0 < len(req.nodes) <= MAX_BATCH_NODES:
             raise ValueError(f"batch of {len(req.nodes)} nodes, not 1 to {MAX_BATCH_NODES}")
         if not all(map(self._owned, req.nodes)):
@@ -212,7 +212,7 @@ class GraphEngineServer:
         op, results = req.opcode, []
         for node in req.nodes:
             try:
-                refs, weights = self.graph.merged_neighbors(self.graph.resolve(node))
+                refs, weights, _ = self.graph.merged_neighbors(self.graph.resolve(node))
             except MissingNodeError as exc:
                 results.append(wire.SampleResponse(op, wire.Status.BAD_REQUEST, error=str(exc)))
                 continue

@@ -428,7 +428,7 @@ def fold_edges(
 def merged_view(graph: HeteroGraph, node: NodeRef) -> tuple[list[NodeRef], np.ndarray]:
     """Distinct out-neighbours of ``node`` sorted by (node_type, node_id), by a
     dict merge over its adjacency runs in edge-type order: parallel edges sum
-    their weights. Never reads the graph's memo."""
+    their weights. Never reads the graph's merged CSR."""
     acc: dict[tuple[int, int], float] = {}
     for et in graph.edge_types:
         run = graph.adjacency(node, et)
@@ -447,7 +447,7 @@ def frontier_union(provider, frontier: Sequence[NodeRef]) -> tuple[list[NodeRef]
     acc: dict[tuple[int, int], float] = {}
     ref_of: dict[tuple[int, int], NodeRef] = {}
     for node in frontier:
-        refs, weights = provider.merged_neighbors(node)
+        refs, weights, _ = provider.merged_neighbors(node)
         for ref, w in zip(refs, weights.tolist()):
             acc[ref.ext()] = acc.get(ref.ext(), 0.0) + w
             ref_of[ref.ext()] = ref

@@ -24,7 +24,7 @@ from lignn.pipeline import DUMMY_ITEM_ID
 from lignn.service import wire
 
 from conftest import build, edge_row, node_row, random_weighted_digraph, schema
-from oracles import fold_edges, merged_view
+from oracles import GlobalIndex, fold_edges, merged_view
 
 
 class TestSchema:
@@ -53,6 +53,12 @@ class TestSchema:
     def test_edge_type_outside_the_wire_names_its_line(self, edge_type):
         with pytest.raises(SchemaError, match="line 2"):
             GraphSchema.parse(f"edge.0 = affinity\nedge.{edge_type} = engagement\n")
+
+    @pytest.mark.parametrize("node_type", ["40000", "32768", "-3"])
+    def test_feature_node_type_out_of_range_names_its_line(self, node_type):
+        with pytest.raises(SchemaError, match="line 2"):
+            GraphSchema.parse(f"edge.0 = affinity\nfeatures.{node_type} = 4\n")
+        assert GraphSchema.parse("features.32767 = 4\n").feature_dims == {32767: 4}
 
     def test_largest_edge_type_reaches_the_wire(self):
         sch = GraphSchema.parse("edge.65535 = engagement\n")
@@ -351,6 +357,17 @@ def _run_bytes(run):
     return [(a.dtype.str, a.tobytes()) for a in run]
 
 
+def _view_bytes(view):
+    return [list(view.refs)] + _run_bytes(view[1:])
+
+
+def _oracle_view_bytes(graph, ref):
+    """``_view_bytes`` of the dict-merge view of ``ref`` (``oracles.merged_view``)."""
+    refs, weights = merged_view(graph, ref)
+    keys = np.array([GlobalIndex(graph).gidx(r) for r in refs], dtype=np.int64)
+    return [refs] + _run_bytes((weights, keys))
+
+
 class TestAddedEdges:
     """``with_added_edges`` equals inserting its edges one at a time."""
 
@@ -386,14 +403,13 @@ class TestAddedEdges:
         changed = {(st_, idx) for st_, _, idx in want}
         for ref in refs:
             view = new.merged_neighbors(ref)
-            if (ref.node_type, ref.index) in changed:
-                assert view is not parent_views[ref]
-                fresh = merged_view(new, ref)
-                assert view[0] == fresh[0]
-                assert view[1].tobytes() == fresh[1].tobytes()
-            else:
-                assert view is parent_views[ref]
+            assert (view is not parent_views[ref]) == ((ref.node_type, ref.index) in changed)
             assert graph.merged_neighbors(ref) is parent_views[ref]
+        # a second swap on the child: the reversed edges, as edge type 5
+        newer = new.with_added_edges([(d, 5, s, w, ts) for s, _, d, w, ts in edges])
+        for epoch in (graph, new, newer):
+            for ref in refs:
+                assert _view_bytes(epoch.merged_neighbors(ref)) == _oracle_view_bytes(epoch, ref)
 
     def test_batch_order_on_equal_timestamps(self):
         graph = _swap_graph([(0, 0, 4, 0.5, 10)])
@@ -414,13 +430,29 @@ class TestAddedEdges:
             for nid in graph.node_ids(t).tolist():
                 assert g2.node_ref(t, nid) is graph.node_ref(t, nid)
 
+    def test_swap_copies_only_changed_runs_and_rows(self):
+        rng = np.random.default_rng(5)
+        graph, _ = build(random_weighted_digraph(rng, 50, 3.0))
+        for i in range(50):
+            graph.merged_neighbors(graph.node_ref(0, i))
+        epoch, runs = graph, set()
+        for k in range(12):
+            src, dst = epoch.node_ref(0, k % 5), epoch.node_ref(0, 20 + k)
+            nxt = epoch.with_updated_run(src, k % 2, dst, 1.0, 100 + k)
+            runs.add((k % 2, src.index))
+            # the containers the child does not share with its parent
+            copied = [v for name, v in vars(nxt).items()
+                      if isinstance(v, dict) and v is not vars(epoch)[name]]
+            assert sum(map(len, copied)) == len(runs) + len({idx for _, idx in runs})
+            epoch = nxt
+
     def test_no_edges_is_the_same_epoch(self, tiny_graph):
         graph, _ = tiny_graph
         assert graph.with_added_edges([]) is graph
 
 
 def _densified(rng):
-    """A multi-type graph with every node's view memoized, then densified."""
+    """A multi-type graph with every node's view read, then densified."""
     lines = random_weighted_digraph(rng, 40, 2.0)
     lines += [edge_row(0, i, 1, 0, (i * 7) % 40, 0.25) for i in range(0, 40, 3)]
     lines += [edge_row(0, i, 2, 1, 900 + i % 6, 1.0) for i in range(0, 40, 2)]
@@ -448,7 +480,7 @@ class TestMergedViewMemo:
         g2 = graph.with_updated_run(src, 9, graph.node_ref(0, 11), 0.8, 70)
         assert graph.merged_neighbors(src) is before
         assert [r.ext() for r in before[0]] == [(1, 100), (1, 101)]
-        refs, weights = g2.merged_neighbors(g2.node_ref(0, 10))
+        refs, weights, _ = g2.merged_neighbors(g2.node_ref(0, 10))
         assert [r.ext() for r in refs] == [(0, 11), (1, 100), (1, 101)]
         np.testing.assert_array_equal(weights, [0.8, 0.7, 0.3])
         assert graph.edge_types == (0, 1, 2)
@@ -473,14 +505,11 @@ class TestMergedViewMemo:
         graph, _ = build(lines)
         for i in range(25):
             ref = graph.node_ref(0, i)
-            refs, weights = graph.merged_neighbors(ref)
-            orefs, oweights = merged_view(graph, ref)
-            assert refs == orefs
-            assert weights.tobytes() == oweights.tobytes()
+            assert _view_bytes(graph.merged_neighbors(ref)) == _oracle_view_bytes(graph, ref)
 
     def test_weights_are_read_only(self, tiny_graph):
         graph, _ = tiny_graph
-        _, weights = graph.merged_neighbors(graph.node_ref(0, 10))
+        _, weights, _ = graph.merged_neighbors(graph.node_ref(0, 10))
         with pytest.raises(ValueError):
             weights[0] = 5.0
 
@@ -493,8 +522,8 @@ class TestMergedViewMemo:
         assert rebuilt.edge_types == graph.edge_types
         for t in graph.node_types:
             for i in range(graph.num_nodes(t)):
-                refs, weights = graph.merged_neighbors(graph.node_ref_by_index(t, i))
-                rrefs, rweights = rebuilt.merged_neighbors(rebuilt.node_ref_by_index(t, i))
+                refs, weights, _ = graph.merged_neighbors(graph.node_ref_by_index(t, i))
+                rrefs, rweights, _ = rebuilt.merged_neighbors(rebuilt.node_ref_by_index(t, i))
                 assert refs == rrefs
                 assert weights.tobytes() == rweights.tobytes()
 
@@ -509,7 +538,7 @@ class TestMergedViewMemo:
         def read(k):
             order = np.random.default_rng(k).permutation(60).tolist() * 3
             for i in order:
-                refs, weights = shared.merged_neighbors(shared.node_ref(0, i))
+                refs, weights, _ = shared.merged_neighbors(shared.node_ref(0, i))
                 results[k].append((i, refs, weights.tobytes()))
 
         old = sys.getswitchinterval()

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lignn.graph import NodeRef
+from lignn.graph import HeteroGraph, NodeRef
 from lignn.samplers import (
+    AdjacencyProvider,
     PPRConfig,
     WalkConfig,
     _frontier_union,
@@ -104,6 +105,13 @@ _UNION_ADDED = st.lists(st.tuples(  # overlay runs, in a new edge type too
 ), max_size=12)
 
 
+@pytest.mark.parametrize("provider", [HeteroGraph, RemoteAdjacency])
+def test_provider_defines_every_protocol_method(provider):
+    methods = {name for name, value in vars(AdjacencyProvider).items()
+               if callable(value) and not name.startswith("_")}
+    assert methods and methods <= set(vars(provider))
+
+
 def union_candidates(provider, frontier):
     """The library's union as (candidate refs, weights)."""
     refs, pos, weights = _frontier_union(provider, frontier)
@@ -144,7 +152,7 @@ class TestFrontierUnion:
         graph = star(4)
         seed = graph.node_ref(0, 0)
         refs, pos, weights = _frontier_union(graph, [seed])
-        view_refs, view_weights = graph.merged_neighbors(seed)
+        view_refs, view_weights, _ = graph.merged_neighbors(seed)
         assert refs is view_refs and weights is view_weights
         assert list(pos) == [0, 1, 2, 3]
 
@@ -413,7 +421,7 @@ def two_hop_ball(graph, seed):
     for _ in range(2):
         nxt = []
         for node in frontier:
-            refs, _ = graph.merged_neighbors(node)
+            refs, _, _ = graph.merged_neighbors(node)
             for r in refs:
                 if r.ext() not in ball:
                     ball.add(r.ext())

@@ -55,10 +55,6 @@ class GroupedBatch:
     mask: tuple[bool, ...]
     timestamps: tuple[int, ...]
 
-    @property
-    def real_count(self) -> int:
-        return sum(self.mask)
-
 
 def group_and_slice(
     records: Iterable[TrainingRecord], group_size: int

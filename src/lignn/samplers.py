@@ -21,10 +21,10 @@ node_id) to the provider's NodeRef or raises ``MissingNodeError``.
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -37,7 +37,9 @@ class PPRConfig:
 
     ``r_max`` bounds residual-per-weighted-degree at termination: pushing
     stops once r(v) <= r_max * wdeg(v) for all v, where wdeg is the sum of
-    out-edge weights.
+    out-edge weights. ``max_pushes`` is a push budget: a round that would
+    pass it pushes only its first due nodes in node order, and the sample is
+    marked truncated.
     """
 
     alpha: float = 0.15
@@ -100,7 +102,8 @@ class AdjacencyProvider(Protocol):
 
     A provider gives each (node_type, node_id) one NodeRef, in views and
     from ``resolve`` alike, so its NodeRefs hash and sort like (node_type,
-    node_id): push and the walk key their dicts, sets and heaps by them."""
+    node_id): push and the walk key their dicts and sets, and order nodes,
+    by them."""
 
     def merged_neighbors(self, node: NodeRef) -> NeighborView: ...
 
@@ -228,94 +231,60 @@ def sample_weighted_multihop(
 
 
 class _PushState:
-    """Per-seed forward-push state, keyed by the provider's NodeRefs.
+    """Per-seed forward-push state: estimates ``p`` and residuals ``r`` keyed
+    by the provider's NodeRefs, and ``touched``, the nodes whose residual
+    changed since the last round. NodeRefs sort like (node_type, node_id),
+    so a round pushes in that order, never by provider indices."""
 
-    One provider gives each (node_type, node_id) one NodeRef, so NodeRefs
-    hash and sort like (node_type, node_id): ``heap`` holds (-residual, node)
-    for the nodes known to be due a push (r > r_max * wdeg), and ties pop in
-    (node_type, node_id) order, never by provider indices. An entry whose
-    residual changed is stale.
-
-    A push does not look up the degrees of the neighbours it changes: it
-    marks them *touched* and keeps ``touched_max``, their largest residual.
-    The touched nodes are *checked* (degree looked up, due ones enqueued)
-    only when one of them could be the next pop, so pops come in the order
-    an immediate check gives. ``deferred`` holds the nodes enqueued at the
-    last check. Their neighbours are prefetched with the next check's
-    touched nodes: residuals only grow until a push, so a node once enqueued
-    stays due, is pushed, and touches its neighbours, whose views the check
-    after that push needs. Nothing prefetched is speculative.
-    """
-
-    __slots__ = ("p", "r", "heap", "touched", "touched_max", "deferred", "pushes",
-                 "truncated", "seed_ref")
+    __slots__ = ("seed_ref", "p", "r", "touched", "pushes", "truncated")
 
     def __init__(self, seed_ref: NodeRef):
         self.seed_ref = seed_ref
         self.p: dict[NodeRef, float] = {}
         self.r: dict[NodeRef, float] = {seed_ref: 1.0}
-        self.heap: list[tuple[float, NodeRef]] = []
         self.touched: set[NodeRef] = {seed_ref}
-        self.touched_max = 1.0
-        self.deferred: list[NodeRef] = []
         self.pushes = 0
         self.truncated = False
 
-    def check_due(self) -> bool:
-        """Drop stale heap tops; True when a touched node could pop next."""
-        heap, r = self.heap, self.r
-        while heap and r[heap[0][1]] != -heap[0][0]:
-            heapq.heappop(heap)
-        return bool(self.touched) and (not heap or self.touched_max >= -heap[0][0])
-
-    def pending(self, provider: AdjacencyProvider) -> Iterator[NodeRef]:
-        """The nodes whose views this seed's next check and pushes need."""
-        yield from self.touched
-        for node in self.deferred:
-            yield from provider.merged_neighbors(node).refs
-
-    def check(self, provider: AdjacencyProvider, wdeg: dict, config: PPRConfig) -> None:
-        """Enqueue the touched nodes that are due; they become ``deferred``.
-        ``wdeg`` caches weighted degrees by node for the whole batch."""
-        r, heap, r_max = self.r, self.heap, config.r_max
-        self.deferred = []
+    def round(self, provider: AdjacencyProvider, wdeg: dict, config: PPRConfig) -> None:
+        """Push every touched node that is due (r > r_max * wdeg) in node
+        order, each with its residual at push time. ``wdeg`` caches weighted
+        degrees by node for the whole batch."""
+        r, p, alpha, r_max = self.r, self.p, config.alpha, config.r_max
+        due = []
         for node in self.touched:
             d = wdeg.get(node)
             if d is None:
                 d = wdeg[node] = _wdeg(provider.merged_neighbors(node).weights)
             if r[node] > r_max * d:
-                heapq.heappush(heap, (-r[node], node))
-                self.deferred.append(node)
-        self.touched, self.touched_max = set(), 0.0
-
-    def push(self, node: NodeRef, provider: AdjacencyProvider, wdeg: dict,
-             config: PPRConfig) -> None:
-        r = self.r
-        rv = r[node]
-        refs, weights, _ = provider.merged_neighbors(node)
-        self.p[node] = self.p.get(node, 0.0) + config.alpha * rv
-        spread = (1.0 - config.alpha) * rv
-        self.pushes += 1
-        if len(refs) == 0:
-            # self-loop: the residual returns to the node, whose degree is known
-            r[node] = spread
-            if spread > config.r_max:
-                heapq.heappush(self.heap, (-spread, node))
-            return
-        r[node] = 0.0
-        total = wdeg[node]  # every node popped with neighbours was checked
-        touched, top = self.touched, self.touched_max
-        for nref, w in zip(refs, weights.tolist()):
-            rn = r[nref] = r.get(nref, 0.0) + spread * w / total
-            touched.add(nref)
-            if rn > top:
-                top = rn
-        self.touched_max = top
+                due.append(node)
+        due.sort()
+        budget = config.max_pushes - self.pushes
+        if len(due) > budget:
+            del due[budget:]
+            self.truncated = True
+        self.pushes += len(due)
+        touched = self.touched = set()
+        for node in due:
+            rv = r[node]
+            refs, weights, _ = provider.merged_neighbors(node)
+            p[node] = p.get(node, 0.0) + alpha * rv
+            if not refs:
+                # dangling: a weight-1 self-loop returns the spread to the node
+                r[node] = (1.0 - alpha) * rv
+                touched.add(node)
+                continue
+            r[node] = 0.0
+            scale = (1.0 - alpha) * rv / wdeg[node]
+            for nref, w in zip(refs, weights.tolist()):
+                r[nref] = r.get(nref, 0.0) + scale * w
+            touched.update(refs)
 
 
 def _wdeg(weights: np.ndarray) -> float:
-    # dangling nodes act as weight-1 self-loops
-    return float(weights.sum()) if len(weights) else 1.0
+    # dangling nodes act as weight-1 self-loops; fsum of a list is 4x faster
+    # than ndarray.sum on views this short
+    return math.fsum(weights.tolist()) if len(weights) else 1.0
 
 
 def _hop_labels(
@@ -352,9 +321,10 @@ def ppr_forward_push(
 ) -> NeighborSample:
     """Forward-push PPR approximation, top_k nodes by estimate.
 
-    Maintains estimate p and residual r with r(seed)=1; repeatedly pushes the
-    max-residual node v with r(v) > r_max*wdeg(v): p(v) += alpha*r(v), the
-    rest spreads over out-neighbors proportional to edge weight. Stops early
+    Maintains estimate p and residual r with r(seed)=1. Each round pushes
+    every node v with r(v) > r_max*wdeg(v), in (node_type, node_id) order:
+    p(v) += alpha*r(v), and the rest spreads over out-neighbors proportional
+    to edge weight (a dangling node keeps it). Stops when no node is due, or
     at max_pushes with the truncated flag set.
     """
     return ppr_forward_push_batch(provider, [seed], config)[0]
@@ -381,10 +351,9 @@ def ppr_forward_push_batch(
     """Forward push for many seeds at once; each seed's result is
     bit-identical to pushing that seed alone (``ppr_forward_push``).
 
-    Each round advances every active seed by one push; the seeds due a
-    check in a round share one ``prefetch``. Per-seed push order (and
-    therefore floating-point arithmetic order) does not depend on the other
-    seeds.
+    A round pushes the due nodes of every active seed after one shared
+    ``prefetch`` of their touched nodes. Per-seed push order (and therefore
+    floating-point arithmetic order) does not depend on the other seeds.
     """
     if not seeds:
         raise ValueError("seeds must be non-empty")
@@ -402,22 +371,10 @@ def ppr_forward_push_batch(
         states.append(_PushState(seed_ref))
     active = [st for st in states if st is not None]
     while active:
-        due = [st for st in active if st.check_due()]
-        if due:
-            provider.prefetch(chain.from_iterable(st.pending(provider) for st in due))
-            for st in due:
-                st.check(provider, wdeg, config)
-        still = []
+        provider.prefetch(chain.from_iterable(st.touched for st in active))
         for st in active:
-            if not st.heap:
-                continue
-            if st.pushes >= config.max_pushes:
-                st.truncated = True
-                continue
-            _, node = heapq.heappop(st.heap)
-            st.push(node, provider, wdeg, config)
-            still.append(st)
-        active = still
+            st.round(provider, wdeg, config)
+        active = [st for st in active if st.touched and not st.truncated]
     out: list[NeighborSample] = []
     for i, st in enumerate(states):
         if st is None:
@@ -435,11 +392,14 @@ class _Ball:
     indices follow NodeRef order, which is (node_type, node_id) order."""
 
     def __init__(self, provider: AdjacencyProvider, seed_ref: NodeRef):
-        one_hop = provider.merged_neighbors(seed_ref).refs
+        views = {seed_ref: provider.merged_neighbors(seed_ref)}
+        one_hop = views[seed_ref].refs
         provider.prefetch(one_hop)
-        members = {seed_ref, *one_hop}
         for ref in one_hop:
-            members.update(provider.merged_neighbors(ref).refs)
+            views[ref] = provider.merged_neighbors(ref)
+        members = set(views)
+        for view in views.values():
+            members.update(view.refs)
         self.refs = sorted(members)
         self.local = {ref: i for i, ref in enumerate(self.refs)}
         self.seed_local = self.local[seed_ref]
@@ -450,7 +410,7 @@ class _Ball:
         dest: list[int] = []
         cum: list[float] = []
         for i, ref in enumerate(self.refs):
-            refs, weights, _ = provider.merged_neighbors(ref)
+            refs, weights, _ = views.get(ref) or provider.merged_neighbors(ref)
             if len(refs) == 0:
                 # dangling: self-loop
                 dest.append(i)

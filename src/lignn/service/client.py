@@ -85,9 +85,6 @@ class RetryPolicy:
             self.max_backoff_ms,
         )
 
-    def schedule_ms(self) -> list[float]:
-        return [self.backoff_ms(k) for k in range(self.max_attempts - 1)]
-
 
 class _TCPTransport:
     """One connection to one address. It is not thread-safe: the client's

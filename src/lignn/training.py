@@ -67,7 +67,10 @@ class GraphSampler:
     ``fetch`` memoizes each (node_type, index, neighbour count) across roles:
     exact, as the graph never changes and a sample is a pure function of
     (rng_seed, node, hop). Callers share the returned tuples. ``memo_hits``
-    and ``truncated`` (pushes cut at ``max_pushes``) count beside ``queries``.
+    and ``truncated`` (push samples whose last round was cut at
+    ``max_pushes``) count beside ``queries``. A ``ppr-push`` entry deeper than
+    ``hops`` is clamped into the last hop, where no sampled node of the hop
+    before links to it, so the encoder counts it as an orphan.
     """
 
     def __init__(

@@ -527,7 +527,7 @@ class TestMergedViewMemo:
                 assert refs == rrefs
                 assert weights.tobytes() == rweights.tobytes()
 
-    def test_threads_fill_memo_with_serial_views(self):
+    def test_threaded_reads_equal_serial_views(self):
         rng = np.random.default_rng(4)
         lines = random_weighted_digraph(rng, 60, 4.0)
         serial, _ = build(lines)

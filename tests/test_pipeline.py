@@ -49,7 +49,7 @@ class TestGroupAndSlice:
         records = [rec(1, 100 + i) for i in range(10)]
         batches = list(group_and_slice(records, 5))
         assert len(batches) == 2
-        assert all(b.real_count == 5 for b in batches)
+        assert all(sum(b.mask) == 5 for b in batches)
 
     def test_three_interactions_padded(self):
         records = [rec(1, 100 + i) for i in range(3)]

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lignn import samplers
 from lignn.graph import HeteroGraph, NodeRef
 from lignn.samplers import (
     AdjacencyProvider,
@@ -294,6 +296,39 @@ class TestForwardPush:
             diff = exact.scores[gi] - approx.get(ref.ext(), 0.0)
             assert diff >= -1e-12  # 0 up to float64 accumulation
             assert diff <= r_max * wdeg + 1e-15
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 7), st.sampled_from([0, 1]), st.integers(0, 7),
+                           _UNION_WEIGHTS), max_size=24),
+        st.integers(0, 7), st.floats(0.1, 0.9), st.floats(1e-6, 0.2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_push_invariant_against_exact(self, edges, seed, alpha, r_max):
+        """Every push keeps pi = p + sum_u r(u) * pi_u, so 0 <= pi - p, the
+        gaps sum to the residual left, and at the end r(u) <= r_max * wdeg(u)."""
+        nodes = [(i % 2, i) for i in range(8)]
+        rows = [edge_row(*nodes[s], et, *nodes[d], w) for s, et, d, w in edges]
+        graph, _ = build(rows, [node_row(*n, [0.0] * 4) for n in nodes])
+        states = []
+        finalize = samplers._finalize_push
+
+        def capture(provider, state, config):
+            states.append(state)
+            return finalize(provider, state, config)
+
+        with mock.patch.object(samplers, "_finalize_push", capture):
+            cfg = PPRConfig(alpha=alpha, r_max=r_max, top_k=100, include_seed=True)
+            sample = ppr_forward_push(graph, nodes[seed], cfg)
+        [state] = states
+        assert not sample.truncated
+        exact = ppr_exact(graph, nodes[seed], alpha=alpha)
+        gap = np.array([exact.scores[exact.index.gidx(ref)] - state.p.get(ref, 0.0)
+                        for ref in map(exact.index.ref, range(exact.index.n))])
+        assert gap.min() >= -1e-12
+        assert gap.sum() == pytest.approx(sum(state.r.values()), abs=1e-12)
+        for ref, res in state.r.items():  # up to the rounding of the degree sum
+            weights = graph.merged_neighbors(ref).weights
+            assert res <= r_max * (weights.sum() if len(weights) else 1.0) * (1 + 1e-12)
 
     def test_truncation_flag(self):
         rng = np.random.default_rng(2)

@@ -333,19 +333,24 @@ class TestFuzz:
         wire.decode_response(frame[4:])
 
 
+def schedule(policy: RetryPolicy) -> list[float]:
+    """The waits between a call's attempts."""
+    return [policy.backoff_ms(k) for k in range(policy.max_attempts - 1)]
+
+
 class TestRetryPolicy:
     def test_default_schedule(self):
         policy = RetryPolicy()
-        assert policy.schedule_ms() == [100.0, 200.0, 400.0, 800.0]
-        assert all(b <= policy.max_backoff_ms for b in policy.schedule_ms())
+        assert schedule(policy) == [100.0, 200.0, 400.0, 800.0]
+        assert all(b <= policy.max_backoff_ms for b in schedule(policy))
 
     def test_cap_applies(self):
         policy = RetryPolicy(max_attempts=8)
-        assert policy.schedule_ms() == [100, 200, 400, 800, 1600, 2000, 2000]
+        assert schedule(policy) == [100, 200, 400, 800, 1600, 2000, 2000]
 
     def test_monotone_non_decreasing(self):
         policy = RetryPolicy(max_attempts=10)
-        sched = policy.schedule_ms()
+        sched = schedule(policy)
         assert all(a <= b for a, b in zip(sched, sched[1:]))
 
 
@@ -816,7 +821,7 @@ STRATEGY_ARGS = [
 
 class TestFanOut:
     SEEDS = [(0, i) for i in range(8)]
-    PUSH_ROUND_TRIPS = {(0, 0): 30, (0, 1): 33, (0, 2): 28, (0, 3): 32}  # on wide_cluster
+    PUSH_ROUND_TRIPS = {(0, 0): 11, (0, 1): 13, (0, 2): 11, (0, 3): 13}  # on wide_cluster
 
     def run_strategy(self, cluster, strategy, **kw):
         client = make_client(cluster.pmap)
@@ -859,21 +864,24 @@ class TestFanOut:
             assert remote_scores == local_scores
 
     def test_push_ties_pop_in_node_order(self):
-        # after two pushes nodes 30 and 5 hold equal residuals; the remote
-        # provider discovers 30 first, the local graph indexes 5 first
-        edges = [(1, 10), (1, 20), (10, 30), (20, 5), (30, 1), (5, 1)]
+        # the second round (pushes 10 and 20) leaves 5 and 30 with equal
+        # residuals; the third has budget for one push and takes 5 in node
+        # order, although the remote provider discovers 30 (through 20) first
+        edges = [(1, 10), (1, 20), (10, 5), (20, 30), (30, 1), (5, 1)]
         graph, _ = build([edge_row(0, u, 0, 0, v, 1.0) for u, v in edges])
         server = serve(graph, "127.0.0.1:0", PartitionMap(("127.0.0.1:0",)), 0)
         try:
             server.pmap = PartitionMap((server.address,))
             client = make_client(server.pmap)
             cfg = PPRConfig(r_max=1e-4, top_k=10, max_pushes=4)
-            [remote] = fan_out_sample(client, [(0, 1)], "ppr-push", ppr=cfg)
+            provider = RemoteAdjacency(client)
+            remote = ppr_forward_push(provider, (0, 1), cfg)
+            assert provider.resolve((0, 30)).index < provider.resolve((0, 5)).index
             client.close()
         finally:
             server.stop()
         local = ppr_forward_push(graph, (0, 1), cfg)
-        assert (0, 5) in [e.node.ext() for e in local.entries]
+        assert [e.node.ext() for e in local.entries] == [(0, 10), (0, 20), (0, 5)]
         assert sample_key(remote) == sample_key(local)
 
     def test_walk_ties_come_out_in_node_order(self):

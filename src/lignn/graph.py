@@ -117,9 +117,6 @@ class GraphSchema:
     edge_kinds: dict[int, EdgeKind] = field(default_factory=dict)
     feature_dims: dict[int, int] = field(default_factory=dict)
 
-    def kind_of(self, edge_type: int) -> EdgeKind | None:
-        return self.edge_kinds.get(edge_type)
-
     @classmethod
     def parse(cls, text: str) -> "GraphSchema":
         """Parse the key=value schema format.

@@ -162,9 +162,6 @@ class ParamStore:
     def items(self):
         return self._arrays.items()
 
-    def total_parameters(self, prefix: str = "") -> int:
-        return sum(a.size for n, a in self._arrays.items() if n.startswith(prefix))
-
     def copy(self) -> "ParamStore":
         out = ParamStore()
         for n, a in self._arrays.items():

@@ -182,8 +182,7 @@ class GraphEngineClient:
             return self._call_push_batch(request)
         if request.opcode in (wire.Opcode.HEALTH, wire.Opcode.NEIGHBORS_BATCH):
             raise ClientError(f"{request.opcode.name} needs an explicit address")
-        node = request.seed if request.opcode == wire.Opcode.SAMPLE_NEIGHBORS else request.node
-        return self.call_address(self.pmap.address_of(node), request)
+        return self.call_address(self.pmap.address_of(request.node), request)
 
     def _call_push_batch(self, request: wire.PPRPushBatchRequest):
         """Split a push batch by owning shard, merge preserving seed order."""
@@ -202,9 +201,6 @@ class GraphEngineClient:
             for i, res in zip(indices, resp.results):
                 merged[i] = res
         return wire.SampleBatchResponse(request.opcode, wire.Status.OK, tuple(merged))
-
-    def health(self, address: str) -> wire.HealthResponse:
-        return self.call_address(address, wire.HealthRequest())
 
     def close(self) -> None:
         with self._lock:

@@ -8,29 +8,12 @@ import socketserver
 import threading
 
 from ..graph import HeteroGraph, MissingNodeError
-from ..samplers import (
-    PPRConfig,
-    WalkConfig,
-    ppr_forward_push_batch,
-    ppr_two_hop_random_walk,
-    sample_random_multihop,
-    sample_temporal_last_n,
-    sample_weighted_multihop,
-)
+from ..samplers import PPRConfig, ppr_forward_push_batch, sample_temporal_last_n
 from . import wire
 from .partition import PartitionMap
 
 logger = logging.getLogger("lignn.server")
 
-# The walk sampler holds one position per walk: bound what a request can ask for.
-MAX_WALKS = 1 << 20
-# Each hop reads the views of the whole previous hop, with FANOUT_ALL up to
-# every view of the shard: bound the hops a request can ask for.
-MAX_HOPS = 8
-# Each weighted draw rescans every candidate, so a strategy-1 hop costs
-# fanout x candidates: bound the fanout a request can ask for. FANOUT_ALL
-# stays allowed, since it takes every candidate without drawing.
-MAX_FANOUT = 1024
 # Nodes one NEIGHBORS_BATCH request may name; clients split larger fetches.
 MAX_BATCH_NODES = 4096
 
@@ -123,21 +106,16 @@ class GraphEngineServer:
 
     def _dispatch(self, request):
         op = request.opcode
-        if op == wire.Opcode.HEALTH:
-            return self._health()
         if op == wire.Opcode.PPR_PUSH_BATCH:
             return self._ppr_push_batch(request)
         if op == wire.Opcode.NEIGHBORS_BATCH:
             return self._neighbors_batch(request)
-        node = request.seed if op == wire.Opcode.SAMPLE_NEIGHBORS else request.node
-        if not self._owned(node):
+        if op == wire.Opcode.HEALTH:
+            return self._health()
+        if not self._owned(request.node):
             return wire.error_response(op, wire.Status.NOT_OWNED, "not owned")
-        if op == wire.Opcode.SAMPLE_NEIGHBORS:
-            return self._sample_neighbors(request)
         if op == wire.Opcode.GET_FEATURES:
             return self._get_features(request)
-        if op == wire.Opcode.PPR_2HOP:
-            return self._ppr_2hop(request)
         if op == wire.Opcode.TEMPORAL_LAST_N:
             return self._temporal(request)
         raise AssertionError(f"unhandled opcode {op}")
@@ -154,40 +132,10 @@ class GraphEngineServer:
             edges.append((et, count))
         return wire.HealthResponse(wire.Status.OK, nodes, tuple(edges))
 
-    def _sample_neighbors(self, req: wire.SampleNeighborsRequest) -> wire.SampleResponse:
-        if not 0 < len(req.fanouts) <= MAX_HOPS:
-            raise ValueError(f"{len(req.fanouts)} hops, not 1 to {MAX_HOPS}")
-        if req.strategy == 1 and any(
-            f > MAX_FANOUT and f != wire.FANOUT_ALL for f in req.fanouts
-        ):
-            raise ValueError(f"weighted fanout over {MAX_FANOUT}")
-        fanouts = [
-            (self.graph.num_nodes() if f == wire.FANOUT_ALL else f) for f in req.fanouts
-        ]
-        if req.strategy == 0:
-            [hops] = sample_random_multihop(self.graph, [req.seed], fanouts, req.rng_seed)
-        elif req.strategy == 1:
-            [hops] = sample_weighted_multihop(self.graph, [req.seed], fanouts, req.rng_seed)
-        else:
-            return wire.error_response(
-                req.opcode, wire.Status.BAD_REQUEST, f"unknown strategy {req.strategy}"
-            )
-        return _sample_reply(req.opcode, hops)
-
     def _get_features(self, req: wire.GetFeaturesRequest) -> wire.FeaturesResponse:
         vec = self.graph.features_of(self.graph.resolve(req.node))
         values = () if vec is None else tuple(float(x) for x in vec)
         return wire.FeaturesResponse(wire.Status.OK, values)
-
-    def _ppr_2hop(self, req: wire.PPR2HopRequest) -> wire.SampleResponse:
-        if req.num_walks > MAX_WALKS:
-            return wire.error_response(
-                req.opcode, wire.Status.BAD_REQUEST, f"num_walks over {MAX_WALKS}"
-            )
-        cfg = WalkConfig(
-            num_walks=req.num_walks, alpha=req.alpha, top_k=req.top_k, rng_seed=req.rng_seed
-        )
-        return _sample_reply(req.opcode, [ppr_two_hop_random_walk(self.graph, req.node, cfg)])
 
     def _ppr_push_batch(self, req: wire.PPRPushBatchRequest) -> wire.SampleBatchResponse:
         if not req.seeds:
@@ -199,7 +147,7 @@ class GraphEngineServer:
             )
         cfg = PPRConfig(alpha=req.alpha, r_max=req.r_max, top_k=req.top_k)
         samples = ppr_forward_push_batch(self.graph, list(req.seeds), cfg)
-        results = tuple(_sample_reply(req.opcode, [sample]) for sample in samples)
+        results = tuple(map(_sample_result, samples))
         return wire.SampleBatchResponse(req.opcode, wire.Status.OK, results)
 
     def _neighbors_batch(self, req: wire.NeighborsBatchRequest) -> wire.SampleBatchResponse:
@@ -214,13 +162,13 @@ class GraphEngineServer:
             try:
                 refs, weights, _ = self.graph.merged_neighbors(self.graph.resolve(node))
             except MissingNodeError as exc:
-                results.append(wire.SampleResponse(op, wire.Status.BAD_REQUEST, error=str(exc)))
+                results.append(wire.SampleResponse(wire.Status.BAD_REQUEST, error=str(exc)))
                 continue
             entries = tuple(
                 wire.WireEntry(wire.WireNode(ref.node_type, ref.node_id), w, 1)
                 for ref, w in zip(refs, weights.tolist())
             )
-            results.append(wire.SampleResponse(op, wire.Status.OK, entries))
+            results.append(wire.SampleResponse(wire.Status.OK, entries))
         return wire.SampleBatchResponse(op, wire.Status.OK, tuple(results))
 
     def _temporal(self, req: wire.TemporalLastNRequest) -> wire.TemporalResponse:
@@ -235,27 +183,22 @@ class GraphEngineServer:
 
 def _unreadable(message: str) -> bytes:
     """The reply to a request that cannot be decoded. Its opcode may be
-    unreadable, so the reply names SAMPLE_NEIGHBORS."""
+    unreadable, so the reply names HEALTH: a non-OK body has the same layout
+    for every opcode."""
     return wire.encode_response(
-        wire.error_response(wire.Opcode.SAMPLE_NEIGHBORS, wire.Status.BAD_REQUEST, message)
+        wire.error_response(wire.Opcode.HEALTH, wire.Status.BAD_REQUEST, message)
     )
 
 
-def _sample_reply(opcode: wire.Opcode, samples) -> wire.SampleResponse:
-    """The reply (or one batch result) for the per-hop samples of one seed.
-
-    A failed seed has one sample carrying the error; otherwise the entries of
-    all hops are concatenated in hop order.
-    """
-    if samples[0].error is not None:
-        return wire.SampleResponse(opcode, wire.Status.BAD_REQUEST, error=samples[0].error)
+def _sample_result(sample) -> wire.SampleResponse:
+    """The batch result for one seed's sample: its error, or its entries."""
+    if sample.error is not None:
+        return wire.SampleResponse(wire.Status.BAD_REQUEST, error=sample.error)
     entries = tuple(
         wire.WireEntry(wire.WireNode(e.node.node_type, e.node.node_id), e.score, min(255, e.hop))
-        for sample in samples
         for e in sample.entries
     )
-    truncated = any(sample.truncated for sample in samples)
-    return wire.SampleResponse(opcode, wire.Status.OK, entries, truncated)
+    return wire.SampleResponse(wire.Status.OK, entries, sample.truncated)
 
 
 def serve(

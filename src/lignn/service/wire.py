@@ -9,8 +9,9 @@ The rest of the payload is laid out by the ``layout`` table of its message
 class: (field name, field codec) pairs in wire order. A field codec is one
 fixed-size struct (``_Struct``: a scalar such as ``_U32``, or ``_NODE``), a
 counted sequence of one fixed-size struct (``_Seq``), or the per-item
-results of a batch reply (``_Results``): one per seed of ``PPR_PUSH_BATCH``
-and one per node of ``NEIGHBORS_BATCH``, both in ``SampleBatchResponse``.
+results of a batch reply (``_Results``): one ``SampleResponse`` per seed of
+``PPR_PUSH_BATCH`` and per node of ``NEIGHBORS_BATCH``, both answered by a
+``SampleBatchResponse``. A ``SampleResponse`` is never a reply of its own.
 One encoder (``_pack``) and one decoder (``_unpack``) walk these tables; no
 message class encodes itself.
 
@@ -28,7 +29,6 @@ from enum import IntEnum
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-FANOUT_ALL = 0xFFFFFFFF  # enumeration sentinel: return every neighbor
 COUNT_ALL = 0xFFFFFFFF
 TS_MAX = (1 << 63) - 1
 # A reader buffers a whole payload before decoding it: bound what a peer can make it hold.
@@ -36,6 +36,9 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 class Opcode(IntEnum):
+    # SAMPLE_NEIGHBORS and PPR_2HOP are retired: no message type has them, so a
+    # request naming one is an unknown opcode. Their numbers are never reused;
+    # the names stay because perfbench/layers.py reads SAMPLE_NEIGHBORS.
     SAMPLE_NEIGHBORS = 0x01
     GET_FEATURES = 0x02
     PPR_2HOP = 0x03
@@ -133,8 +136,7 @@ class _Text:
 
 class _Results:
     """u32 count, then per result: u8 status, u32 body length and the body of
-    a ``SampleResponse`` with that status. A result carries the opcode of the
-    batch reply that holds it, the first byte of the payload."""
+    a ``SampleResponse`` with that status."""
 
     head = struct.Struct("<BI")
 
@@ -149,7 +151,6 @@ class _Results:
     def unpack(self, data, pos: int):
         (n,) = _LEN.unpack_from(data, pos)
         pos += _LEN.size
-        opcode = Opcode(data[0])
         results = []
         for _ in range(n):
             st, size = self.head.unpack_from(data, pos)
@@ -157,11 +158,11 @@ class _Results:
             if pos > len(data):
                 raise WireError("truncated payload")
             sub = data[:pos]  # the body must end exactly at its length
-            results.append(_unpack_reply(SampleResponse, opcode, st, sub, start))
+            results.append(_unpack_reply(SampleResponse, None, st, sub, start))
         return tuple(results), pos
 
 
-_U8, _U16, _U32, _U64, _I64, _F64, _BOOL = map(_Struct, "BHIQqd?")
+_U16, _U32, _I64, _F64, _BOOL = map(_Struct, "HIqd?")
 _NODE = _Struct("HQ", WireNode._make, tuple)
 _COUNT = _Struct("HQ", tuple, tuple)
 _ENTRY = _Struct("HQdB", lambda v: WireEntry(WireNode(v[0], v[1]), v[2], v[3]),
@@ -175,36 +176,11 @@ _ERROR_LAYOUT = (("error", _Text()),)
 
 
 @dataclass(frozen=True)
-class SampleNeighborsRequest:
-    seed: WireNode
-    strategy: int = 0  # 0 uniform, 1 weighted by summed edge weight
-    fanouts: tuple[int, ...] = (FANOUT_ALL,)
-    rng_seed: int = 0
-
-    opcode = Opcode.SAMPLE_NEIGHBORS
-    layout = (("strategy", _U8), ("seed", _NODE), ("rng_seed", _U64),
-              ("fanouts", _Seq("B", _U32)))
-
-
-@dataclass(frozen=True)
 class GetFeaturesRequest:
     node: WireNode
 
     opcode = Opcode.GET_FEATURES
     layout = (("node", _NODE),)
-
-
-@dataclass(frozen=True)
-class PPR2HopRequest:
-    node: WireNode
-    alpha: float = 0.15
-    num_walks: int = 10_000
-    top_k: int = 200
-    rng_seed: int = 0
-
-    opcode = Opcode.PPR_2HOP
-    layout = (("node", _NODE), ("alpha", _F64), ("num_walks", _U32), ("top_k", _U32),
-              ("rng_seed", _U64))
 
 
 @dataclass(frozen=True)
@@ -248,7 +224,8 @@ class HealthRequest:
 
 @dataclass(frozen=True)
 class SampleResponse:
-    opcode: Opcode  # answers SAMPLE_NEIGHBORS, PPR_2HOP and each batch result
+    """One per-seed or per-node result of a ``SampleBatchResponse``."""
+
     status: Status = Status.OK
     entries: tuple[WireEntry, ...] = ()
     truncated: bool = False
@@ -259,7 +236,7 @@ class SampleResponse:
 
 @dataclass(frozen=True)
 class SampleBatchResponse:
-    opcode: Opcode  # answers PPR_PUSH_BATCH and NEIGHBORS_BATCH
+    opcode: Opcode  # PPR_PUSH_BATCH or NEIGHBORS_BATCH, the two requests it answers
     status: Status = Status.OK
     results: tuple[SampleResponse, ...] = ()
     error: str = ""
@@ -299,18 +276,14 @@ class HealthResponse:
 
 
 _REQUEST_TYPES = {
-    Opcode.SAMPLE_NEIGHBORS: SampleNeighborsRequest,
     Opcode.GET_FEATURES: GetFeaturesRequest,
-    Opcode.PPR_2HOP: PPR2HopRequest,
     Opcode.PPR_PUSH_BATCH: PPRPushBatchRequest,
     Opcode.TEMPORAL_LAST_N: TemporalLastNRequest,
     Opcode.HEALTH: HealthRequest,
     Opcode.NEIGHBORS_BATCH: NeighborsBatchRequest,
 }
 _RESPONSE_TYPES = {
-    Opcode.SAMPLE_NEIGHBORS: SampleResponse,
     Opcode.GET_FEATURES: FeaturesResponse,
-    Opcode.PPR_2HOP: SampleResponse,
     Opcode.PPR_PUSH_BATCH: SampleBatchResponse,
     Opcode.TEMPORAL_LAST_N: TemporalResponse,
     Opcode.HEALTH: HealthResponse,
@@ -324,7 +297,7 @@ def error_response(opcode: Opcode, status: Status, message: str):
 
 
 def _reply(cls, opcode: Opcode, **fields):
-    if cls is SampleResponse or cls is SampleBatchResponse:
+    if cls is SampleBatchResponse:
         fields["opcode"] = opcode
     return cls(**fields)
 
@@ -353,7 +326,7 @@ def _unpack(layout, data, pos: int, fields: dict) -> dict:
     return fields
 
 
-def _unpack_reply(cls, opcode: Opcode, st: int, data, pos: int):
+def _unpack_reply(cls, opcode: Opcode | None, st: int, data, pos: int):
     status = _STATUSES.get(st)
     if status is None:
         raise WireError(f"unknown status {st}")

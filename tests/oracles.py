@@ -605,7 +605,7 @@ def build_graph_rowwise(
         if reason:
             report.reject(reason)
             continue
-        kind = schema.kind_of(et)
+        kind = schema.edge_kinds.get(et)
         if kind is None:
             report.reject("unknown_edge_type")
             continue

@@ -40,3 +40,19 @@ def test_instrumentation_installs_and_removes(monkeypatch):
     finally:
         instrumentation.remove()
     assert _bindings() == before
+
+
+def test_client_metrics_read_existing_names(monkeypatch):
+    """The traced ``remote`` run reads wire names (an ``Opcode`` member among
+    them) in ``_client_metrics``; deleting one fails here."""
+    monkeypatch.syspath_prepend(ROOT)
+    from types import SimpleNamespace
+
+    from lignn.service import wire
+    from perfbench import layers
+
+    rpc = SimpleNamespace(latency_s={int(wire.Opcode.NEIGHBORS_BATCH): [0.001]}, rpc_spans=[],
+                          rpcs=1, total_bytes=0, retries=0, backoff_s=0.0)
+    out = layers._client_metrics([], layers.Counters(neighbors_ext_calls=1), rpc, 1)
+    assert out["client.rpcs"] == 1
+    assert out["client.adjacency_hit_ratio"] == 1.0

@@ -30,14 +30,14 @@ from oracles import GlobalIndex, fold_edges, merged_view
 class TestSchema:
     def test_parse(self):
         sch = schema()
-        assert sch.kind_of(0) == EdgeKind.ENGAGEMENT
-        assert sch.kind_of(2) == EdgeKind.ATTRIBUTE
-        assert sch.kind_of(99) is None
+        assert sch.edge_kinds[0] == EdgeKind.ENGAGEMENT
+        assert sch.edge_kinds[2] == EdgeKind.ATTRIBUTE
+        assert 99 not in sch.edge_kinds
         assert sch.feature_dims == {0: 4, 1: 4}
 
     def test_comments_and_blanks(self):
         sch = GraphSchema.parse("# hi\n\nedge.5 = affinity  # trailing\n")
-        assert sch.kind_of(5) == EdgeKind.AFFINITY
+        assert sch.edge_kinds[5] == EdgeKind.AFFINITY
 
     @pytest.mark.parametrize("bad", ["edge.x = affinity", "edge.1 = bogus", "nokey"])
     def test_rejects(self, bad):
@@ -472,7 +472,7 @@ def _densified(rng):
     return densify(graph, table, cfg).graph, nodes, sch
 
 
-class TestMergedViewMemo:
+class TestMergedView:
     def test_swap_leaves_parent_view_and_updates_child(self, tiny_graph):
         graph, _ = tiny_graph
         src = graph.node_ref(0, 10)

@@ -472,7 +472,7 @@ def _densified(rng):
     return densify(graph, table, cfg).graph, nodes, sch
 
 
-class TestMergedView:
+class TestMergedViewMemo:
     def test_swap_leaves_parent_view_and_updates_child(self, tiny_graph):
         graph, _ = tiny_graph
         src = graph.node_ref(0, 10)

@@ -181,9 +181,7 @@ def cmd_sample(args) -> int:
         for seed, sample in zip(seeds, ppr_forward_push_batch(graph, seeds, cfg)):
             emit(seed, sample)
     elif args.strategy == "ppr-2hop":
-        cfg = WalkConfig(
-            num_walks=args.walks, alpha=args.alpha, top_k=args.topk, rng_seed=args.rng_seed
-        )
+        cfg = WalkConfig(alpha=args.alpha, top_k=args.topk)
         for seed in seeds:
             emit(seed, ppr_two_hop_random_walk(graph, seed, cfg))
     elif args.strategy == "temporal":
@@ -296,7 +294,7 @@ def cmd_refresh(args) -> int:
         config = ModelConfig.from_json(fh.read())
     with open(args.events, encoding="utf-8") as fh:
         events = parse_events(fh)
-    walk = WalkConfig(num_walks=args.walks, top_k=args.topk, rng_seed=args.rng_seed)
+    walk = WalkConfig(top_k=args.topk)
     embeddings, _, report = nearline_refresh(
         events, graph, store, config, engagement_edge_type=args.edge_type, walk=walk
     )
@@ -346,10 +344,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.15)
     p.add_argument("--rmax", type=float, default=1e-4)
     p.add_argument("--topk", type=int, default=200)
-    p.add_argument("--walks", type=int, default=100_000)
     p.add_argument("--before-ts", type=int, default=None)
     p.add_argument("--edge-type", type=int, default=0)
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--rng-seed", type=int, default=0,
+                   help="seed of the random and weighted draws; ppr-push and ppr-2hop draw none")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sample)
 
@@ -403,9 +401,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="embedding dump path")
     p.add_argument("--edge-type", type=int, default=0)
-    p.add_argument("--walks", type=int, default=2000)
-    p.add_argument("--topk", type=int, default=50)
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--topk", type=int, default=50,
+                   help="neighbours per refreshed node: top exact PPR scores on its 2-hop ball")
     p.set_defaults(fn=cmd_refresh)
 
     return parser

@@ -1,9 +1,10 @@
 """Neighbor sampling strategies over a HeteroGraph.
 
-Every operation is a pure function of (graph, arguments, rng_seed): RNG
+The fan-out draws are a pure function of (graph, arguments, rng_seed): RNG
 streams are counter-based (Philox) keyed by ``mix64(rng_seed, node_type,
 node_id, hop)``, never by position in a batch, so batched, threaded, and
-partitioned executions all draw the same samples.
+partitioned executions all draw the same samples. The PPR samplers draw
+nothing: their samples are functions of the graph and their arguments.
 
 All strategies read one view per node from an adjacency provider
 (``AdjacencyProvider``): the in-memory ``HeteroGraph`` itself, or the
@@ -22,6 +23,7 @@ node_id) to the provider's NodeRef or raises ``MissingNodeError``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Protocol, Sequence
@@ -59,15 +61,17 @@ class PPRConfig:
 
 @dataclass(frozen=True)
 class WalkConfig:
-    num_walks: int = 100_000
+    """2-hop PPR parameters (``ppr_two_hop_random_walk``)."""
+
     alpha: float = 0.15
     top_k: int = 200
-    rng_seed: int = 0
     include_seed: bool = False
+    # Ignored: perfbench/nearline.py:67 still passes these; they go when the
+    # benchmark stops passing them (ROADMAP item 1).
+    num_walks: int = 0
+    rng_seed: int = 0
 
     def validate(self) -> None:
-        if self.num_walks < 1:
-            raise ValueError("num_walks must be >= 1")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be in (0, 1)")
         if self.top_k < 1:
@@ -102,8 +106,8 @@ class AdjacencyProvider(Protocol):
 
     A provider gives each (node_type, node_id) one NodeRef, in views and
     from ``resolve`` alike, so its NodeRefs hash and sort like (node_type,
-    node_id): push and the walk key their dicts and sets, and order nodes,
-    by them."""
+    node_id): push keys its dicts and sets by them, and push and the 2-hop
+    PPR order nodes by them."""
 
     def merged_neighbors(self, node: NodeRef) -> NeighborView: ...
 
@@ -384,56 +388,9 @@ def ppr_forward_push_batch(
     return out
 
 
-# -- 2-hop random walk PPR -------------------------------------------------------
+# -- 2-hop PPR ---------------------------------------------------------------------
 
-
-class _Ball:
-    """2-hop ball around a seed, flattened to a local CSR for the walk; local
-    indices follow NodeRef order, which is (node_type, node_id) order."""
-
-    def __init__(self, provider: AdjacencyProvider, seed_ref: NodeRef):
-        views = {seed_ref: provider.merged_neighbors(seed_ref)}
-        one_hop = views[seed_ref].refs
-        provider.prefetch(one_hop)
-        for ref in one_hop:
-            views[ref] = provider.merged_neighbors(ref)
-        members = set(views)
-        for view in views.values():
-            members.update(view.refs)
-        self.refs = sorted(members)
-        self.local = {ref: i for i, ref in enumerate(self.refs)}
-        self.seed_local = self.local[seed_ref]
-        self.one_hop = set(one_hop)
-        provider.prefetch(self.refs)
-
-        indptr = [0]
-        dest: list[int] = []
-        cum: list[float] = []
-        for i, ref in enumerate(self.refs):
-            refs, weights, _ = views.get(ref) or provider.merged_neighbors(ref)
-            if len(refs) == 0:
-                # dangling: self-loop
-                dest.append(i)
-                cum.append(1.0)
-            else:
-                total = float(weights.sum())
-                c = 0.0
-                for nref, w in zip(refs, weights.tolist()):
-                    c += w / total
-                    # leaving the ball restarts the walk at the seed
-                    dest.append(self.local.get(nref, self.seed_local))
-                    cum.append(min(c, 1.0))
-                cum[-1] = 1.0
-            indptr.append(len(dest))
-        self.indptr = np.array(indptr, dtype=np.int64)
-        self.dest = np.array(dest, dtype=np.int64)
-        # globally sorted search array: row index + within-row cumulative weight
-        row_of = np.repeat(np.arange(len(self.refs)), np.diff(self.indptr))
-        self.search = row_of.astype(np.float64) + np.array(cum, dtype=np.float64)
-
-    def step(self, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
-        slots = np.searchsorted(self.search, pos.astype(np.float64) + u, side="left")
-        return self.dest[slots]
+PPR_TOLERANCE = 1e-6  # bound on each 2-hop PPR score's error
 
 
 def ppr_two_hop_random_walk(
@@ -441,12 +398,24 @@ def ppr_two_hop_random_walk(
     seed: NodeRef | tuple[int, int],
     config: WalkConfig,
 ) -> NeighborSample:
-    """Restart-walk PPR estimate confined to the seed's 2-hop ball.
+    """Exact personalized PageRank on the seed's 2-hop ball.
 
-    Simulates num_walks alpha-restart walk segments; any step that would
-    leave the 2-hop ball restarts at the seed instead. Scores are visit
-    fractions (they sum to 1 over all visited nodes); the top_k by score
-    among ball nodes are returned, ties in (node_type, node_id) order.
+    The ball is the seed, its out-neighbours (hop 1) and theirs (hop 2). A
+    step leaves a member along an out-edge with probability proportional to
+    the edge's weight; an edge that leaves the ball restarts at the seed, and
+    a dangling member loops on itself. The scores solve
+    pi = alpha*e_seed + (1-alpha)*pi P for that P, by R rounds of power
+    iteration from pi = alpha*e_seed, normalised to sum to 1. Each round
+    adds the next term of the series, so the normalised scores are within
+    (1-alpha)^R of the exact ones; R is the least round count with
+    (1-alpha)^R <= ``PPR_TOLERANCE``. The top_k members by score come back,
+    ties in (node_type, node_id) order, so a sample depends on the graph
+    alone. (The name is that of the restart-walk estimate this replaced;
+    ``perfbench/layers.py`` traces the function by it.)
+
+    Members are ordered by node, so both providers add every score's terms
+    in the same order and give bit-equal results. The work per round is
+    linear in the ball's edges; no n-by-n matrix is built.
     """
     config.validate()
     try:
@@ -454,33 +423,60 @@ def ppr_two_hop_random_walk(
     except MissingNodeError as exc:
         return NeighborSample((seed[0], seed[1]), (), "ppr-2hop", error=str(exc))
 
-    ball = _Ball(provider, seed_ref)
-    gen = _rng_for(config.rng_seed, seed_ref)
-    counts = np.zeros(len(ball.refs), dtype=np.int64)
-    pos = np.full(config.num_walks, ball.seed_local, dtype=np.int64)
-    counts[ball.seed_local] += config.num_walks  # step 0 of every walk
-    total = config.num_walks
-    while len(pos):
-        survive = gen.random(len(pos)) >= config.alpha
-        pos = pos[survive]
-        if not len(pos):
-            break
-        pos = ball.step(pos, gen.random(len(pos)))
-        np.add.at(counts, pos, 1)
-        total += len(pos)
+    read = {seed_ref: provider.merged_neighbors(seed_ref)}
+    one_hop = read[seed_ref].refs
+    provider.prefetch(one_hop)
+    for ref in one_hop:
+        read[ref] = provider.merged_neighbors(ref)
+    inner = list(read.values())
+    keys, pos = np.unique(np.concatenate([view.keys for view in inner]), return_index=True)
+    order = provider.ext_order(keys)
+    order = np.arange(len(keys)) if order is None else order
+    found = list(chain.from_iterable(view.refs for view in inner))
+    refs = [found[i] for i in pos[order].tolist()]
+    local = np.empty(len(keys), dtype=np.int64)  # key position -> member index
+    local[order] = np.arange(len(keys))
+    seed_local = bisect_left(refs, seed_ref)
+    if seed_local == len(refs) or refs[seed_local] != seed_ref:
+        refs.insert(seed_local, seed_ref)
+        local[local >= seed_local] += 1
 
-    scores = counts / float(total)
+    provider.prefetch(refs)
+    _, weights, nbrs = zip(*[read.get(ref) or provider.merged_neighbors(ref) for ref in refs])
+    n = len(refs)
+    lengths = np.fromiter(map(len, nbrs), np.int64, n)
+    row = np.repeat(np.arange(n), lengths)
+    nbr, weight = np.concatenate(nbrs), np.concatenate(weights)
+    at = np.minimum(np.searchsorted(keys, nbr), len(keys) - 1)  # nbr is empty if keys are
+    inside = keys[at] == nbr
+    outside = ~inside
+    # a member's edges that leave the ball become one edge to the seed, a
+    # dangling member gets a weight-1 loop, and an extra node n keeps alpha
+    # on a loop and adds it to the seed every round
+    leave = np.bincount(row[outside], weight[outside], minlength=n)
+    out, dangling = np.flatnonzero(leave), np.flatnonzero(lengths == 0)
+    src = np.concatenate([row[inside], out, dangling, [n, n]])
+    dst = np.concatenate([local[at[inside]], np.full(len(out), seed_local), dangling,
+                          [seed_local, n]])
+    weight = np.concatenate([weight[inside], leave[out], np.ones(len(dangling) + 2)])
+    step = (1.0 - config.alpha) * weight / np.bincount(src, weight)[src]
+    step[-2:] = 1.0
+
+    x = np.zeros(n + 1)
+    x[[seed_local, n]] = config.alpha
+    for _ in range(math.ceil(math.log(PPR_TOLERANCE) / math.log1p(-config.alpha))):
+        x = np.bincount(dst, x[src] * step)
+    scores = x[:n] / x[:n].sum()
+
     entries: list[SampleEntry] = []
     for i in np.argsort(-scores, kind="stable").tolist():
-        if scores[i] <= 0.0:
-            break
-        if i == ball.seed_local:
+        if i == seed_local:
             if not config.include_seed:
                 continue
             hop = 0
         else:
-            hop = 1 if ball.refs[i] in ball.one_hop else 2
-        entries.append(SampleEntry(ball.refs[i], float(scores[i]), hop))
+            hop = 1 if refs[i] in read else 2  # read holds the seed and hop 1
+        entries.append(SampleEntry(refs[i], float(scores[i]), hop))
         if len(entries) == config.top_k:
             break
     return NeighborSample(seed_ref, tuple(entries), "ppr-2hop")

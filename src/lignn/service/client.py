@@ -316,8 +316,10 @@ def fan_out_sample(
 
     The in-process sampler cores run over one RemoteAdjacency for the whole
     call, so a view is fetched once however many seeds read it, and P in
-    {1, 2, 4, ...} all produce identical output. The weighted strategy draws
-    by summed edge weight, as ``sample_weighted_multihop`` does in process.
+    {1, 2, 4, ...} all produce identical output. ``rng_seed`` seeds the
+    random and weighted draws; the weighted strategy draws by summed edge
+    weight, as ``sample_weighted_multihop`` does in process. The PPR
+    strategies draw nothing.
     Seeds run one at a time, so a failure is attributed to the seeds it
     fails: an unknown seed or a ``BAD_REQUEST`` gives that seed an error
     sample, and seeds whose shard is unreachable fail the whole call with a
@@ -334,8 +336,7 @@ def fan_out_sample(
     elif strategy == "ppr-push":
         sample = partial(ppr_forward_push, provider, config=ppr or PPRConfig())
     elif strategy == "ppr-2hop":
-        sample = partial(ppr_two_hop_random_walk, provider,
-                         config=walk or WalkConfig(rng_seed=rng_seed))
+        sample = partial(ppr_two_hop_random_walk, provider, config=walk or WalkConfig())
     else:
         raise ValueError(f"unknown fan-out strategy {strategy}")
 

@@ -2,7 +2,8 @@
 
 Each interaction event inserts/updates an engagement edge of weight 1.0
 through a copy-on-write epoch swap, re-runs inference for the two endpoints
-with the 2-hop random-walk PPR sampler, and writes versioned embeddings.
+on the top PPR scores of each one's 2-hop ball (``ppr_two_hop_random_walk``,
+exact, so no seed is drawn), and writes versioned embeddings.
 Replaying the same event file against the same checkpoint reproduces the
 store dump byte for byte.
 
@@ -137,7 +138,7 @@ class NearlineRefresher:
         self.config = config
         self.embeddings = embeddings
         self.edge_type = engagement_edge_type
-        self.walk = walk or WalkConfig(num_walks=2000, top_k=50)
+        self.walk = walk or WalkConfig(top_k=50)
         self.report = RefreshReport()
         self._last_ts: int | None = None
 

@@ -54,9 +54,6 @@ def binary_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-SAMPLER_WALKS = 2000  # restart walks per ppr-2hop training query
-
-
 class GraphSampler:
     """Neighborhood sampler with per-role query/fetch counters.
 
@@ -66,11 +63,12 @@ class GraphSampler:
 
     ``fetch`` memoizes each (node_type, index, neighbour count) across roles:
     exact, as the graph never changes and a sample is a pure function of
-    (rng_seed, node, hop). Callers share the returned tuples. ``memo_hits``
-    and ``truncated`` (push samples whose last round was cut at
-    ``max_pushes``) count beside ``queries``. A ``ppr-push`` entry deeper than
-    ``hops`` is clamped into the last hop, where no sampled node of the hop
-    before links to it, so the encoder counts it as an orphan.
+    (rng_seed, node, hop), or of the node alone for the PPR strategies.
+    Callers share the returned tuples. ``memo_hits`` and ``truncated`` (push
+    samples whose last round was cut at ``max_pushes``) count beside
+    ``queries``. A ``ppr-push`` entry deeper than ``hops`` is clamped into
+    the last hop, where no sampled node of the hop before links to it, so
+    the encoder counts it as an orphan.
     """
 
     def __init__(
@@ -106,8 +104,7 @@ class GraphSampler:
             elif self.strategy == "ppr-push":
                 sample = ppr_forward_push(self.graph, ref, PPRConfig(top_k=neighbor_count))
             else:  # ppr-2hop
-                cfg = WalkConfig(num_walks=SAMPLER_WALKS, top_k=neighbor_count, rng_seed=self.rng_seed)
-                sample = ppr_two_hop_random_walk(self.graph, ref, cfg)
+                sample = ppr_two_hop_random_walk(self.graph, ref, WalkConfig(top_k=neighbor_count))
             truncated = self.strategy == "ppr-push" and sample.truncated  # only a push stops early
             self._memo[key] = (hops_from_samples(sample, self.hops), truncated)
         out, truncated = self._memo[key]

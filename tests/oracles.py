@@ -3,12 +3,14 @@
 Each function here restates one op of the library without the autograd tape
 (or, for PPR, densely), so tests can check the library against it: the
 aggregators of the SAGE layer, the temporal sequence head and its long-term
-pairing, the link decoders and their losses, exact personalized PageRank,
-the size-weighted aggregation of micro-batch gradients, the merged
-neighbour view, the union of a sampling frontier's views, the parent links
-of an encode batch, the one-edge insert of an epoch swap, the unfused
-tape chains behind each fused op of ``lignn.model.autograd``, and graph
-ingest and shard routing one row at a time.
+pairing, the link decoders and their losses, exact personalized PageRank
+(on the whole graph, and on a seed's 2-hop ball with the restart walk that
+once estimated it), the size-weighted aggregation of micro-batch
+gradients, the merged neighbour view, the union of a sampling frontier's
+views, the parent links of an encode batch, the one-edge insert of an
+epoch swap, the unfused tape chains behind each fused op of
+``lignn.model.autograd``, and graph ingest and shard routing one row at a
+time.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from lignn.graph import (
     GraphBuildReport,
     GraphSchema,
     HeteroGraph,
+    MissingNodeError,
     NodeRef,
     _CSRBlock,
 )
+from lignn.samplers import NeighborSample, SampleEntry, WalkConfig, _rng_for
 from lignn.service.partition import PartitionMap
 from lignn.model import autograd as ag
 from lignn.model.params import TemporalConfig
@@ -341,6 +345,141 @@ def ppr_exact(
         l1 = float(np.abs(nxt - pi).sum())
         pi = nxt
     return PPRExactResult(pi, l1, gindex)
+
+
+def ppr_two_hop_dense(
+    graph: HeteroGraph, seed: tuple[int, int], alpha: float
+) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], int]]:
+    """Exact PPR on the seed's 2-hop ball by a dense solve, with hop labels,
+    both keyed by (node_type, node_id). Reads only ``merged_view``.
+
+    The ball is the seed, its out-neighbours (hop 1) and theirs (hop 2). A
+    step along an edge that leaves the ball restarts at the seed, and a
+    dangling node loops on itself. Solves pi (I - (1-alpha) P) = alpha e_seed.
+    """
+    seed_ref = graph.resolve(seed)
+    hops = {seed_ref.ext(): 0}
+    one_hop = merged_view(graph, seed_ref)[0]
+    for ref in one_hop:
+        hops.setdefault(ref.ext(), 1)
+    for ref in one_hop:
+        for nref in merged_view(graph, ref)[0]:
+            hops.setdefault(nref.ext(), 2)
+    members = sorted(hops)
+    local = {ext: i for i, ext in enumerate(members)}
+    P = np.zeros((len(members), len(members)))
+    for i, ext in enumerate(members):
+        refs, weights = merged_view(graph, graph.resolve(ext))
+        if not refs:
+            P[i, i] = 1.0
+            continue
+        for nref, w in zip(refs, weights / weights.sum()):
+            P[i, local.get(nref.ext(), local[seed_ref.ext()])] += w
+    e = np.zeros(len(members))
+    e[local[seed_ref.ext()]] = alpha
+    pi = np.linalg.solve((np.eye(len(members)) - (1.0 - alpha) * P).T, e)
+    return dict(zip(members, pi.tolist())), hops
+
+
+class _Ball:
+    """2-hop ball around a seed, flattened to a local CSR for the walk; local
+    indices follow NodeRef order, which is (node_type, node_id) order."""
+
+    def __init__(self, provider, seed_ref: NodeRef):
+        views = {seed_ref: provider.merged_neighbors(seed_ref)}
+        one_hop = views[seed_ref].refs
+        provider.prefetch(one_hop)
+        for ref in one_hop:
+            views[ref] = provider.merged_neighbors(ref)
+        members = set(views)
+        for view in views.values():
+            members.update(view.refs)
+        self.refs = sorted(members)
+        self.local = {ref: i for i, ref in enumerate(self.refs)}
+        self.seed_local = self.local[seed_ref]
+        self.one_hop = set(one_hop)
+        provider.prefetch(self.refs)
+
+        indptr = [0]
+        dest: list[int] = []
+        cum: list[float] = []
+        for i, ref in enumerate(self.refs):
+            refs, weights, _ = views.get(ref) or provider.merged_neighbors(ref)
+            if len(refs) == 0:
+                # dangling: self-loop
+                dest.append(i)
+                cum.append(1.0)
+            else:
+                total = float(weights.sum())
+                c = 0.0
+                for nref, w in zip(refs, weights.tolist()):
+                    c += w / total
+                    # leaving the ball restarts the walk at the seed
+                    dest.append(self.local.get(nref, self.seed_local))
+                    cum.append(min(c, 1.0))
+                cum[-1] = 1.0
+            indptr.append(len(dest))
+        self.indptr = np.array(indptr, dtype=np.int64)
+        self.dest = np.array(dest, dtype=np.int64)
+        # globally sorted search array: row index + within-row cumulative weight
+        row_of = np.repeat(np.arange(len(self.refs)), np.diff(self.indptr))
+        self.search = row_of.astype(np.float64) + np.array(cum, dtype=np.float64)
+
+    def step(self, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
+        slots = np.searchsorted(self.search, pos.astype(np.float64) + u, side="left")
+        return self.dest[slots]
+
+
+def ppr_two_hop_walk(
+    provider,
+    seed: NodeRef | tuple[int, int],
+    config: WalkConfig,
+    num_walks: int,
+    rng_seed: int,
+) -> NeighborSample:
+    """Restart-walk PPR estimate confined to the seed's 2-hop ball.
+
+    Simulates num_walks alpha-restart walk segments; any step that would
+    leave the 2-hop ball restarts at the seed instead. Scores are visit
+    fractions (they sum to 1 over all visited nodes); the top_k by score
+    among ball nodes are returned, ties in (node_type, node_id) order.
+    """
+    config.validate()
+    try:
+        seed_ref = provider.resolve(seed)
+    except MissingNodeError as exc:
+        return NeighborSample((seed[0], seed[1]), (), "ppr-2hop", error=str(exc))
+
+    ball = _Ball(provider, seed_ref)
+    gen = _rng_for(rng_seed, seed_ref)
+    counts = np.zeros(len(ball.refs), dtype=np.int64)
+    pos = np.full(num_walks, ball.seed_local, dtype=np.int64)
+    counts[ball.seed_local] += num_walks  # step 0 of every walk
+    total = num_walks
+    while len(pos):
+        survive = gen.random(len(pos)) >= config.alpha
+        pos = pos[survive]
+        if not len(pos):
+            break
+        pos = ball.step(pos, gen.random(len(pos)))
+        np.add.at(counts, pos, 1)
+        total += len(pos)
+
+    scores = counts / float(total)
+    entries: list[SampleEntry] = []
+    for i in np.argsort(-scores, kind="stable").tolist():
+        if scores[i] <= 0.0:
+            break
+        if i == ball.seed_local:
+            if not config.include_seed:
+                continue
+            hop = 0
+        else:
+            hop = 1 if ball.refs[i] in ball.one_hop else 2
+        entries.append(SampleEntry(ball.refs[i], float(scores[i]), hop))
+        if len(entries) == config.top_k:
+            break
+    return NeighborSample(seed_ref, tuple(entries), "ppr-2hop")
 
 
 # -- gradient aggregation -------------------------------------------------------------

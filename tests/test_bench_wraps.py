@@ -56,3 +56,15 @@ def test_client_metrics_read_existing_names(monkeypatch):
     out = layers._client_metrics([], layers.Counters(neighbors_ext_calls=1), rpc, 1)
     assert out["client.rpcs"] == 1
     assert out["client.adjacency_hit_ratio"] == 1.0
+
+
+def test_nearline_walk_config_builds(monkeypatch):
+    """The ``nearline`` workload builds ``WalkConfig`` with the walk count and
+    RNG seed that the exact 2-hop PPR ignores; removing those fields fails
+    here before it breaks the benchmark."""
+    monkeypatch.syspath_prepend(ROOT)
+    from lignn.samplers import WalkConfig
+    from perfbench import nearline
+
+    config = WalkConfig(num_walks=nearline.WALKS, top_k=nearline.TOP_K, rng_seed=1)
+    assert config.top_k == nearline.TOP_K

@@ -80,7 +80,7 @@ class TestSample:
         ("random", ["--fanout", "5,3"]),
         ("weighted", ["--fanout", "5"]),
         ("ppr-push", ["--topk", "10", "--rmax", "1e-4"]),
-        ("ppr-2hop", ["--walks", "2000", "--topk", "10"]),
+        ("ppr-2hop", ["--topk", "10"]),
         ("temporal", ["--edge-type", "0", "--topk", "5"]),
     ])
     def test_strategies(self, workdir, strategy, extra, capsys):
@@ -216,7 +216,7 @@ class TestRefresh:
         out = workdir / "store.tsv"
         rc = main([
             "refresh", *graph_flags(workdir), "--events", str(events),
-            "--checkpoint", str(ckpt), "--out", str(out), "--walks", "500",
+            "--checkpoint", str(ckpt), "--out", str(out),
         ])
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
@@ -240,7 +240,7 @@ class TestRefresh:
             out = workdir / f"store{run}.tsv"
             main([
                 "refresh", *graph_flags(workdir), "--events", str(events),
-                "--checkpoint", str(ckpt), "--out", str(out), "--walks", "300",
+                "--checkpoint", str(ckpt), "--out", str(out),
             ])
             dumps.append(out.read_bytes())
         assert dumps[0] == dumps[1]
@@ -265,7 +265,6 @@ class TestInputFiles:
             main([
                 "refresh", *graph_flags(workdir), "--events", str(events),
                 "--checkpoint", str(ckpt), "--out", str(workdir / "store.tsv"),
-                "--walks", "200",
             ])
             gc.collect()
         assert [u.exc_value for u in unraisable] == []

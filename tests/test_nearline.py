@@ -176,7 +176,7 @@ class TestNearlineRefresh:
         rng = np.random.default_rng(19)
         graph, config, store = bipartite_setup(rng)
         events = make_events(np.random.default_rng(29), 100)
-        walk = WalkConfig(num_walks=500, top_k=20)
+        walk = WalkConfig(top_k=20)
         embeddings, final_graph, _ = nearline_refresh(
             [e for e in events], graph, store, config, walk=walk
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,7 @@ from lignn.samplers import (
 from lignn.service import GraphEngineClient, PartitionMap, RemoteAdjacency, RetryPolicy, serve
 
 from conftest import build, edge_row, node_row, random_weighted_digraph
-from oracles import frontier_union, ppr_exact
+from oracles import frontier_union, ppr_exact, ppr_two_hop_dense, ppr_two_hop_walk
 
 
 def star(n_leaves, weights=None):
@@ -105,6 +106,19 @@ _UNION_ADDED = st.lists(st.tuples(  # overlay runs, in a new edge type too
     st.integers(0, 5), st.sampled_from([0, 1, 5]), st.integers(0, 5), _UNION_WEIGHTS,
     st.sampled_from([0, 10, 20]),
 ), max_size=12)
+
+
+_PPR_NODES = [(i % 2, i) for i in range(8)]  # two node types
+_PPR_EDGES = st.lists(st.tuples(  # three edge types: parallel edges across types
+    st.integers(0, 7), st.sampled_from([0, 1, 2]), st.integers(0, 7), _UNION_WEIGHTS,
+), max_size=24)
+
+
+def ppr_graph(edges):
+    """A graph over ``_PPR_NODES``; a node without out-edges dangles."""
+    rows = [edge_row(*_PPR_NODES[s], et, *_PPR_NODES[d], w) for s, et, d, w in edges]
+    graph, _ = build(rows, [node_row(*n, [0.0] * 4) for n in _PPR_NODES])
+    return graph
 
 
 @pytest.mark.parametrize("provider", [HeteroGraph, RemoteAdjacency])
@@ -306,9 +320,7 @@ class TestForwardPush:
     def test_push_invariant_against_exact(self, edges, seed, alpha, r_max):
         """Every push keeps pi = p + sum_u r(u) * pi_u, so 0 <= pi - p, the
         gaps sum to the residual left, and at the end r(u) <= r_max * wdeg(u)."""
-        nodes = [(i % 2, i) for i in range(8)]
-        rows = [edge_row(*nodes[s], et, *nodes[d], w) for s, et, d, w in edges]
-        graph, _ = build(rows, [node_row(*n, [0.0] * 4) for n in nodes])
+        graph, nodes = ppr_graph(edges), _PPR_NODES
         states = []
         finalize = samplers._finalize_push
 
@@ -388,7 +400,7 @@ class TestForwardPushBatch:
 class TestTwoHopWalk:
     def test_isolated_seed(self):
         graph, _ = build([], ["0\t5\t0,0,0,0\n"])
-        cfg = WalkConfig(num_walks=100, rng_seed=3, include_seed=True)
+        cfg = WalkConfig(include_seed=True)
         sample = ppr_two_hop_random_walk(graph, (0, 5), cfg)
         assert len(sample.entries) == 1
         assert sample.entries[0].score == pytest.approx(1.0)
@@ -400,7 +412,7 @@ class TestTwoHopWalk:
             edge_row(0, 2, 0, 0, 3, 1.0),
         ]
         graph, _ = build(rows)
-        cfg = WalkConfig(num_walks=20_000, alpha=0.15, top_k=10, rng_seed=5)
+        cfg = WalkConfig(alpha=0.15, top_k=10)
         sample = ppr_two_hop_random_walk(graph, (0, 0), cfg)
         ids = {e.node.node_id for e in sample.entries}
         assert 3 not in ids  # three hops away
@@ -409,7 +421,7 @@ class TestTwoHopWalk:
     def test_deterministic(self):
         rng = np.random.default_rng(31)
         graph, _ = build(random_weighted_digraph(rng, 40, 4.0))
-        cfg = WalkConfig(num_walks=5_000, rng_seed=11, top_k=10)
+        cfg = WalkConfig(top_k=10)
         a = ppr_two_hop_random_walk(graph, (0, 0), cfg)
         b = ppr_two_hop_random_walk(graph, (0, 0), cfg)
         assert a.entries == b.entries
@@ -417,52 +429,78 @@ class TestTwoHopWalk:
     def test_scores_form_distribution(self):
         rng = np.random.default_rng(37)
         graph, _ = build(random_weighted_digraph(rng, 40, 4.0))
-        cfg = WalkConfig(num_walks=5_000, rng_seed=13, top_k=10_000, include_seed=True)
+        cfg = WalkConfig(top_k=10_000, include_seed=True)
         sample = ppr_two_hop_random_walk(graph, (0, 0), cfg)
         assert sum(e.score for e in sample.entries) == pytest.approx(1.0, abs=1e-9)
 
     def test_hop_labels(self):
         rows = [edge_row(0, 0, 0, 0, 1, 1.0), edge_row(0, 1, 0, 0, 2, 1.0)]
         graph, _ = build(rows)
-        cfg = WalkConfig(num_walks=5_000, rng_seed=17, top_k=10)
+        cfg = WalkConfig(top_k=10)
         sample = ppr_two_hop_random_walk(graph, (0, 0), cfg)
         by_id = {e.node.node_id: e.hop for e in sample.entries}
         assert by_id[1] == 1
         assert by_id[2] == 2
 
     def test_overlap_with_exact_restricted(self):
-        # single-trial version of the acceptance criterion
         rng = np.random.default_rng(41)
         graph, _ = build(random_weighted_digraph(rng, 60, 6.0))
-        cfg = WalkConfig(num_walks=100_000, alpha=0.15, top_k=10, rng_seed=19)
-        sample = ppr_two_hop_random_walk(graph, (0, 0), cfg)
-        walk_top = [e.node.ext() for e in sample.entries]
+        sample = ppr_two_hop_random_walk(graph, (0, 0), WalkConfig(alpha=0.15, top_k=10))
+        exact, _ = ppr_two_hop_dense(graph, (0, 0), alpha=0.15)
+        ranked = sorted((k for k in exact if k != (0, 0)), key=lambda k: (-exact[k], k))
+        assert [e.node.ext() for e in sample.entries] == ranked[:10]
 
-        exact = ppr_exact(graph, (0, 0), alpha=0.15)
-        ball = two_hop_ball(graph, (0, 0))
-        ranked = sorted(
-            (k for k in ball if k != (0, 0)),
-            key=lambda k: (-exact.score_of(graph.resolve(k)), k),
-        )[:10]
-        overlap = len(set(walk_top) & set(ranked))
-        assert overlap >= 9
+    @given(_PPR_EDGES, st.integers(0, 7), st.floats(0.1, 0.9), st.booleans())
+    @example(  # parallel edges 0 -> 1, 5 dangles, 2 -> 3 leaves the ball, 3 -> 0 lies outside it
+        [(0, 0, 1, 0.7), (0, 1, 1, 0.3), (1, 2, 2, 2.5), (1, 0, 5, 0.1), (2, 0, 3, 1 / 3),
+         (3, 1, 0, 0.2)], 0, 0.15, False,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_scores_within_bound_of_dense_solve(self, edges, seed, alpha, include_seed):
+        """Every ball member comes back (the seed only if asked for) with its
+        hop label and a score within ``PPR_TOLERANCE`` of the dense solve,
+        ranked by score with ties in node order."""
+        graph, node = ppr_graph(edges), _PPR_NODES[seed]
+        cfg = WalkConfig(alpha=alpha, top_k=100, include_seed=include_seed)
+        sample = ppr_two_hop_random_walk(graph, node, cfg)
+        exact, hops = ppr_two_hop_dense(graph, node, alpha)
+        if not include_seed:
+            del exact[node], hops[node]
+        assert {e.node.ext(): e.hop for e in sample.entries} == hops
+        for e in sample.entries:
+            assert abs(e.score - exact[e.node.ext()]) <= samplers.PPR_TOLERANCE
+        assert list(sample.entries) == sorted(sample.entries, key=lambda e: (-e.score, e.node))
 
+    @given(_PPR_EDGES, st.integers(0, 7), st.floats(0.1, 0.9))
+    @settings(max_examples=30, deadline=None)
+    def test_restart_walk_estimates_the_scores(self, edges, seed, alpha):
+        """The restart walk this sampler replaced (``oracles.ppr_two_hop_walk``)
+        estimates the same scores: at 50,000 walks every estimate is within
+        0.02 (the largest error over 1,000 random graphs like these was 0.006)."""
+        graph, node = ppr_graph(edges), _PPR_NODES[seed]
+        cfg = WalkConfig(alpha=alpha, top_k=100, include_seed=True)
+        sample = ppr_two_hop_random_walk(graph, node, cfg)
+        walk = ppr_two_hop_walk(graph, node, cfg, num_walks=50_000, rng_seed=7)
+        estimate = {e.node.ext(): e.score for e in walk.entries}
+        for e in sample.entries:
+            assert abs(estimate.get(e.node.ext(), 0.0) - e.score) <= 0.02
 
-def two_hop_ball(graph, seed):
-    """BFS oracle: external keys of nodes within 2 hops of the seed."""
-    seed_ref = graph.resolve(seed)
-    ball = {seed_ref.ext()}
-    frontier = [seed_ref]
-    for _ in range(2):
-        nxt = []
-        for node in frontier:
-            refs, _, _ = graph.merged_neighbors(node)
-            for r in refs:
-                if r.ext() not in ball:
-                    ball.add(r.ext())
-                    nxt.append(r)
-        frontier = nxt
-    return ball
+    def test_star_leaf_memory_is_bounded(self):
+        # a leaf's ball is the whole star, 5,001 members: a dense 5,001 x
+        # 5,001 matrix alone would take 200 MB
+        leaves = range(1, 5001)
+        graph, _ = build([edge_row(0, 0, 0, 0, i, 1.0) for i in leaves]
+                         + [edge_row(0, i, 0, 0, 0, 1.0) for i in leaves])
+        tracemalloc.start()
+        try:
+            sample = ppr_two_hop_random_walk(graph, (0, 1), WalkConfig(top_k=10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        # the hub, then the other leaves: their scores tie, so node order
+        assert [(e.node.node_id, e.hop) for e in sample.entries] == [(0, 1)] + [
+            (i, 2) for i in range(2, 11)]
 
 
 class TestTemporalLastN:

@@ -740,7 +740,7 @@ def in_process(graph, seeds, strategy, kw) -> list:
 STRATEGY_ARGS = [
     ("random", {"fanouts": [3, 2], "rng_seed": 9}),
     ("weighted", {"fanouts": [3, 2], "rng_seed": 9}),
-    ("ppr-2hop", {"walk": WalkConfig(num_walks=400, top_k=10, rng_seed=5)}),
+    ("ppr-2hop", {"walk": WalkConfig(top_k=10)}),
     ("ppr-push", {"ppr": PPRConfig(alpha=0.2, r_max=1e-4, top_k=10)}),
 ]
 
@@ -771,13 +771,15 @@ class TestFanOut:
         for remote_hops, local_hops in zip(results, local):
             assert sample_key(remote_hops) == sample_key(local_hops)
 
-    def test_p1_2hop_walk_equals_in_process(self, clusters, live_graph):
+    def test_2hop_equals_in_process(self, clusters, live_graph):
+        # both providers order the ball by node, so every score's terms are
+        # added in the same order: bit-equal on every partitioning
         graph, _, _, _ = live_graph
-        cfg = WalkConfig(num_walks=400, top_k=10, rng_seed=5)
-        results = self.run_strategy(clusters[1], "ppr-2hop", walk=cfg)
-        for seed, remote in zip(self.SEEDS, results):
-            local = ppr_two_hop_random_walk(graph, seed, cfg)
-            assert sample_key(remote) == sample_key(local)
+        cfg = WalkConfig(top_k=10)
+        local = [sample_key(ppr_two_hop_random_walk(graph, seed, cfg)) for seed in self.SEEDS]
+        for p, cluster in clusters.items():
+            results = self.run_strategy(cluster, "ppr-2hop", walk=cfg)
+            assert [sample_key(r) for r in results] == local, p
 
     def test_push_scores_match_in_process(self, clusters, live_graph):
         graph, _, _, _ = live_graph
@@ -812,14 +814,14 @@ class TestFanOut:
 
     def test_walk_ties_come_out_in_node_order(self):
         # the remote provider discovers 30 (through 10) before 5 (through
-        # 20); at this seed both two-hop nodes get the same visit count
+        # 20); the two are symmetric, so their scores are bit-equal
         edges = [(1, 10), (1, 20), (10, 30), (20, 5), (30, 1), (5, 1)]
         graph, _ = build([edge_row(0, u, 0, 0, v, 1.0) for u, v in edges])
         server = serve(graph, "127.0.0.1:0", PartitionMap(("127.0.0.1:0",)), 0)
         try:
             server.pmap = PartitionMap((server.address,))
             client = make_client(server.pmap)
-            cfg = WalkConfig(num_walks=50, top_k=10, rng_seed=23)
+            cfg = WalkConfig(top_k=10)
             [remote] = fan_out_sample(client, [(0, 1)], "ppr-2hop", walk=cfg)
             client.close()
         finally:

@@ -32,6 +32,11 @@ import numpy as np
 
 from .graph import HeteroGraph, MissingNodeError, NeighborView, NodeRef, mix64
 
+# The least restart probability: it bounds the work one seed can buy, at most
+# 1,375 rounds of 2-hop PPR (``PPR_TOLERANCE``) and push mass decaying by 1%
+# per step.
+MIN_ALPHA = 0.01
+
 
 @dataclass(frozen=True)
 class PPRConfig:
@@ -51,8 +56,8 @@ class PPRConfig:
     include_seed: bool = False
 
     def validate(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must be in (0, 1)")
+        if not (MIN_ALPHA <= self.alpha < 1.0):
+            raise ValueError(f"alpha must be in [{MIN_ALPHA}, 1)")
         if self.r_max <= 0.0:
             raise ValueError("r_max must be positive")
         if self.top_k < 1:
@@ -72,8 +77,8 @@ class WalkConfig:
     rng_seed: int = 0
 
     def validate(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must be in (0, 1)")
+        if not (MIN_ALPHA <= self.alpha < 1.0):
+            raise ValueError(f"alpha must be in [{MIN_ALPHA}, 1)")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
 

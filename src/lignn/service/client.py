@@ -15,6 +15,8 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate, count, filterfalse, repeat
+from operator import add, itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -185,22 +187,25 @@ class GraphEngineClient:
         return self.call_address(self.pmap.address_of(request.node), request)
 
     def _call_push_batch(self, request: wire.PPRPushBatchRequest):
-        """Split a push batch by owning shard, merge preserving seed order."""
+        """Split a push batch by owning shard and chunk of
+        ``MAX_BATCH_NODES`` seeds, merge preserving seed order."""
         by_owner: dict[int, list[int]] = {}
         for i, seed in enumerate(request.seeds):
             by_owner.setdefault(self.pmap.owner(seed), []).append(i)
         merged: list = [None] * len(request.seeds)
         for owner, indices in sorted(by_owner.items()):
-            sub = wire.PPRPushBatchRequest(
-                tuple(request.seeds[i] for i in indices),
-                request.alpha,
-                request.r_max,
-                request.top_k,
-            )
-            resp = self.call_address(self.pmap.addresses[owner], sub)
-            for i, res in zip(indices, resp.results):
-                merged[i] = res
-        return wire.SampleBatchResponse(request.opcode, wire.Status.OK, tuple(merged))
+            for lo in range(0, len(indices), MAX_BATCH_NODES):
+                chunk = indices[lo : lo + MAX_BATCH_NODES]
+                sub = wire.PPRPushBatchRequest(
+                    tuple(request.seeds[i] for i in chunk),
+                    request.alpha,
+                    request.r_max,
+                    request.top_k,
+                )
+                resp = self.call_address(self.pmap.addresses[owner], sub)
+                for i, res in zip(chunk, resp.results):
+                    merged[i] = res
+        return wire.SampleBatchResponse(wire.Status.OK, tuple(merged))
 
     def close(self) -> None:
         with self._lock:
@@ -228,36 +233,56 @@ class RemoteAdjacency:
     shard has no such node) is remembered with the server's message, is
     never requested again, and raises ``MissingNodeError`` on every lookup.
 
-    NodeRef indices are client-side discovery indices (dense, in fetch
-    order) and serve as view keys; orderings that matter for cross-partition
-    equality use external (node_type, node_id) keys (``ext_order``). Each
-    (node_type, node_id) has one index, so NodeRefs sort by that key.
+    NodeRef indices are client-side discovery indices (dense, in the order
+    nodes are first seen) and serve as view keys; orderings that matter for
+    cross-partition equality use external (node_type, node_id) keys
+    (``ext_order``). The registry maps each (node_type, node_id) to its one
+    NodeRef, so NodeRefs sort by that key. A reply is registered in bulk,
+    with no Python object made per neighbour beyond its (type, id) pair:
+    its unseen nodes enter the registry with one ``dict.update``, one
+    ``map`` over the registry gives every neighbour's NodeRef and one
+    ``np.fromiter`` their keys. Each view is then a slice of the reply's
+    refs, keys and weight column; the weights keep the server's f64 bytes.
     """
 
     def __init__(self, client: GraphEngineClient):
         self.client = client
-        self._registry: dict[tuple[int, int], int] = {}
-        self._exts: list[tuple[int, int]] = []  # discovery index -> external key
+        self._registry: dict[tuple[int, int], NodeRef] = {}
+        self._refs: list[NodeRef] = []  # discovery index -> NodeRef
         self._cache: dict[tuple[int, int], NeighborView] = {}
         self._failed: dict[tuple[int, int], str] = {}
 
-    def _ref(self, ext: tuple[int, int]) -> NodeRef:
-        idx = self._registry.get(ext)
-        if idx is None:
-            idx = self._registry[ext] = len(self._exts)
-            self._exts.append(ext)
-        return NodeRef(ext[0], ext[1], idx)
+    def _register(self, exts: list[tuple[int, int]]) -> tuple[NodeRef, ...]:
+        """The NodeRefs of ``exts``, registering the unseen ones in first-seen order."""
+        registry = self._registry
+        unseen = list(filterfalse(registry.__contains__, dict.fromkeys(exts)))
+        if unseen:
+            # (node_type, node_id) + (index,), built without NodeRef's Python __new__
+            fresh = list(map(tuple.__new__, repeat(NodeRef),
+                             map(add, unseen, zip(count(len(self._refs))))))
+            registry.update(zip(unseen, fresh))
+            self._refs += fresh
+        return tuple(map(registry.__getitem__, exts))
 
-    def _view(self, entries) -> NeighborView:
-        refs = [self._ref((e.node.node_type, e.node.node_id)) for e in entries]
-        weights = np.array([e.score for e in entries], dtype=np.float64)
-        keys = np.array([r.index for r in refs], dtype=np.int64)
-        return NeighborView(tuple(refs), weights, keys)
+    def _store(self, chunk: list[tuple[int, int]], views: wire.WireViews) -> None:
+        """Cache the views, or remember the errors, of one reply to ``chunk``."""
+        if len(views.statuses) != len(chunk):
+            raise ClientError(f"{len(views.statuses)} views for {len(chunk)} nodes")
+        refs = self._register(list(zip(views.node_types.tolist(), views.node_ids.tolist())))
+        keys = np.fromiter(map(itemgetter(2), refs), np.int64, len(refs))
+        weights = views.weights
+        bounds = list(accumulate(views.lengths.tolist(), initial=0))
+        errors = iter(views.errors)
+        for ext, status, lo, hi in zip(chunk, views.statuses.tolist(), bounds, bounds[1:]):
+            if status == wire.Status.OK:
+                self._cache[ext] = NeighborView(refs[lo:hi], weights[lo:hi], keys[lo:hi])
+            else:
+                self._failed[ext] = next(errors)
 
     def resolve(self, node) -> NodeRef:
         ext = (node[0], node[1])
         self.neighbors_ext(ext)  # raises MissingNodeError for unknown nodes
-        return self._ref(ext)
+        return self._register([ext])[0]
 
     def merged_neighbors(self, node: NodeRef) -> NeighborView:
         return self.neighbors_ext(node.ext())
@@ -270,8 +295,8 @@ class RemoteAdjacency:
         return self._cache[ext]
 
     def ext_order(self, keys: np.ndarray) -> np.ndarray:
-        exts = [self._exts[k] for k in keys.tolist()]
-        return np.array(sorted(range(len(exts)), key=exts.__getitem__), dtype=np.int64)
+        refs = [self._refs[k] for k in keys.tolist()]
+        return np.array(sorted(range(len(refs)), key=refs.__getitem__), dtype=np.int64)
 
     def prefetch(self, nodes: Iterable[NodeRef | tuple[int, int]]) -> None:
         """Fetch the views of the distinct ``nodes`` not yet fetched, one
@@ -285,12 +310,7 @@ class RemoteAdjacency:
             for lo in range(0, len(exts), MAX_BATCH_NODES):
                 chunk = exts[lo : lo + MAX_BATCH_NODES]
                 request = wire.NeighborsBatchRequest(tuple(wire.WireNode(*ext) for ext in chunk))
-                response = self.client.call_address(pmap.addresses[owner], request)
-                for ext, result in zip(chunk, response.results):
-                    if result.status == wire.Status.OK:
-                        cache[ext] = self._view(result.entries)
-                    else:
-                        failed[ext] = result.error
+                self._store(chunk, self.client.call_address(pmap.addresses[owner], request).views)
 
 
 # -- fan-out sampling -----------------------------------------------------------------

@@ -7,6 +7,8 @@ import math
 import socketserver
 import threading
 
+import numpy as np
+
 from ..graph import HeteroGraph, MissingNodeError
 from ..samplers import PPRConfig, ppr_forward_push_batch, sample_temporal_last_n
 from . import wire
@@ -14,7 +16,8 @@ from .partition import PartitionMap
 
 logger = logging.getLogger("lignn.server")
 
-# Nodes one NEIGHBORS_BATCH request may name; clients split larger fetches.
+# Nodes one NEIGHBORS_BATCH, or seeds one PPR_PUSH_BATCH, request may name;
+# clients split larger batches.
 MAX_BATCH_NODES = 4096
 
 
@@ -32,6 +35,13 @@ class GraphEngineServer:
         self.graph = graph
         self.pmap = pmap
         self.shard_index = shard_index
+        # node key -> wire node type and id; a key is its type's offset plus
+        # its index, and ids are sorted per type, as in the graph
+        types = graph.node_types
+        self._key_types = np.repeat(np.array(types, dtype="<u2"),
+                                    [graph.num_nodes(t) for t in types])
+        self._key_ids = np.concatenate(
+            [np.empty(0, dtype="<u8"), *map(graph.node_ids, types)]).astype("<u8", copy=False)
         host, port = bind_address.rsplit(":", 1)
         handler = self._make_handler()
         self._server = socketserver.ThreadingTCPServer(
@@ -138,8 +148,7 @@ class GraphEngineServer:
         return wire.FeaturesResponse(wire.Status.OK, values)
 
     def _ppr_push_batch(self, req: wire.PPRPushBatchRequest) -> wire.SampleBatchResponse:
-        if not req.seeds:
-            return wire.error_response(req.opcode, wire.Status.BAD_REQUEST, "empty batch")
+        _check_batch(len(req.seeds), "seeds")
         not_owned = [s for s in req.seeds if not self._owned(s)]
         if not_owned:
             return wire.error_response(
@@ -147,29 +156,34 @@ class GraphEngineServer:
             )
         cfg = PPRConfig(alpha=req.alpha, r_max=req.r_max, top_k=req.top_k)
         samples = ppr_forward_push_batch(self.graph, list(req.seeds), cfg)
-        results = tuple(map(_sample_result, samples))
-        return wire.SampleBatchResponse(req.opcode, wire.Status.OK, results)
+        return wire.SampleBatchResponse(wire.Status.OK, tuple(map(_sample_result, samples)))
 
-    def _neighbors_batch(self, req: wire.NeighborsBatchRequest) -> wire.SampleBatchResponse:
-        """Per node, its ``merged_neighbors`` view as hop-1 entries scored by
-        summed weight, or a BAD_REQUEST result for a node the shard lacks."""
-        if not 0 < len(req.nodes) <= MAX_BATCH_NODES:
-            raise ValueError(f"batch of {len(req.nodes)} nodes, not 1 to {MAX_BATCH_NODES}")
+    def _neighbors_batch(self, req: wire.NeighborsBatchRequest) -> wire.ViewsBatchResponse:
+        """Per node, its ``merged_neighbors`` view as columns, or a
+        BAD_REQUEST status and message for a node the shard lacks."""
+        _check_batch(len(req.nodes), "nodes")
         if not all(map(self._owned, req.nodes)):
             return wire.error_response(req.opcode, wire.Status.NOT_OWNED, "nodes not owned")
-        op, results = req.opcode, []
+        graph, statuses, lengths, found, errors = self.graph, [], [], [], []
+        ok, bad = int(wire.Status.OK), int(wire.Status.BAD_REQUEST)  # ints convert fast
         for node in req.nodes:
             try:
-                refs, weights, _ = self.graph.merged_neighbors(self.graph.resolve(node))
+                view = graph.merged_neighbors(graph.resolve(node))
             except MissingNodeError as exc:
-                results.append(wire.SampleResponse(wire.Status.BAD_REQUEST, error=str(exc)))
+                statuses.append(bad)
+                lengths.append(0)
+                errors.append(str(exc))
                 continue
-            entries = tuple(
-                wire.WireEntry(wire.WireNode(ref.node_type, ref.node_id), w, 1)
-                for ref, w in zip(refs, weights.tolist())
-            )
-            results.append(wire.SampleResponse(wire.Status.OK, entries))
-        return wire.SampleBatchResponse(op, wire.Status.OK, tuple(results))
+            statuses.append(ok)
+            lengths.append(len(view.keys))
+            found.append(view)
+        keys = np.concatenate([np.empty(0, dtype=np.int64)] + [v.keys for v in found])
+        weights = np.concatenate([np.empty(0)] + [v.weights for v in found])
+        views = wire.WireViews(
+            np.array(statuses, dtype=np.uint8), np.array(lengths, dtype=np.uint32),
+            self._key_types[keys], self._key_ids[keys], weights, tuple(errors),
+        )
+        return wire.ViewsBatchResponse(wire.Status.OK, views)
 
     def _temporal(self, req: wire.TemporalLastNRequest) -> wire.TemporalResponse:
         before = math.inf if req.before_ts == wire.TS_MAX else req.before_ts
@@ -179,6 +193,11 @@ class GraphEngineServer:
             wire.WireEvent(wire.WireNode(ref.node_type, ref.node_id), ts) for ref, ts in events
         )
         return wire.TemporalResponse(wire.Status.OK, out)
+
+
+def _check_batch(size: int, what: str) -> None:
+    if not 0 < size <= MAX_BATCH_NODES:
+        raise ValueError(f"batch of {size} {what}, not 1 to {MAX_BATCH_NODES}")
 
 
 def _unreadable(message: str) -> bytes:

@@ -8,16 +8,31 @@ u64 node_id); internal dense indices never cross the wire.
 The rest of the payload is laid out by the ``layout`` table of its message
 class: (field name, field codec) pairs in wire order. A field codec is one
 fixed-size struct (``_Struct``: a scalar such as ``_U32``, or ``_NODE``), a
-counted sequence of one fixed-size struct (``_Seq``), or the per-item
-results of a batch reply (``_Results``): one ``SampleResponse`` per seed of
-``PPR_PUSH_BATCH`` and per node of ``NEIGHBORS_BATCH``, both answered by a
-``SampleBatchResponse``. A ``SampleResponse`` is never a reply of its own.
-One encoder (``_pack``) and one decoder (``_unpack``) walk these tables; no
-message class encodes itself.
+counted sequence of one fixed-size struct (``_Seq``), the per-seed results
+of a push batch (``_Results``), or the packed views of a neighbour batch
+(``_Views``). One encoder (``_pack``) and one decoder (``_unpack``) walk
+these tables; no message class encodes itself.
+
+``PPR_PUSH_BATCH`` is answered by a ``SampleBatchResponse``: one
+``SampleResponse`` per seed, each behind a u8 status and a u32 body length.
+A ``SampleResponse`` is never a reply of its own.
+
+``NEIGHBORS_BATCH`` is answered by a ``ViewsBatchResponse``, whose OK body
+is columns rather than one record per neighbour, so that a client decodes
+it with ``np.frombuffer`` and builds no object per neighbour:
+
+- u32 node count n;
+- n u8 statuses;
+- n u32 view lengths, 0 for a failed node;
+- the OK views' neighbours end to end, as three columns: u16 node types,
+  then u64 node ids, then f64 summed weights;
+- one error message per failed node, in node order.
+
+That is 18 bytes per neighbour and 5 per node.
 
 A response whose status is not OK has no layout body. Its body is the error
 message: ``u32 byte_length`` followed by that many bytes of UTF-8. The rule
-holds for each per-seed result of a batch reply too (``_reply_layout``).
+holds for each per-seed result of a push batch too (``_reply_layout``).
 Decoding raises only ``WireError`` on malformed bytes.
 """
 
@@ -28,6 +43,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from operator import itemgetter
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 COUNT_ALL = 0xFFFFFFFF
 TS_MAX = (1 << 63) - 1
@@ -158,8 +175,66 @@ class _Results:
             if pos > len(data):
                 raise WireError("truncated payload")
             sub = data[:pos]  # the body must end exactly at its length
-            results.append(_unpack_reply(SampleResponse, None, st, sub, start))
+            results.append(_unpack_reply(SampleResponse, st, sub, start))
         return tuple(results), pos
+
+
+class WireViews(NamedTuple):
+    """The columns of a ``NEIGHBORS_BATCH`` OK reply, read-only arrays. Node
+    i's view is its ``lengths[i]`` neighbours after those of the nodes before
+    it; a failed node has length 0, and its message is the next of
+    ``errors``."""
+
+    statuses: np.ndarray  # u8, one per node
+    lengths: np.ndarray  # u32, one per node
+    node_types: np.ndarray  # u16, one per neighbour
+    node_ids: np.ndarray  # u64, one per neighbour
+    weights: np.ndarray  # f64, one per neighbour
+    errors: tuple[str, ...] = ()
+
+
+_NODE_COLUMNS = (np.dtype("u1"), np.dtype("<u4"))
+_VIEW_COLUMNS = (np.dtype("<u2"), np.dtype("<u8"), np.dtype("<f8"))
+# plain ints: comparing an array with an IntEnum member is several times slower
+_OK, _MAX_STATUS = int(Status.OK), int(max(Status))
+
+
+def _columns(data, pos: int, count: int, dtypes) -> tuple[list[np.ndarray], int]:
+    """``count`` values of each of ``dtypes``, one column after another."""
+    if pos + count * sum(d.itemsize for d in dtypes) > len(data):
+        raise WireError("truncated payload")
+    out = []
+    for dtype in dtypes:
+        out.append(np.frombuffer(data, dtype, count, pos))
+        pos += count * dtype.itemsize
+    return out, pos
+
+
+class _Views:
+    """u32 node count, the two per-node columns, the three per-neighbour
+    columns, then one ``_Text`` per failed node (``WireViews``)."""
+
+    def pack(self, views: WireViews, out: list) -> None:
+        out.append(_LEN.pack(len(views.statuses)))
+        columns = zip(views[:5], _NODE_COLUMNS + _VIEW_COLUMNS)
+        out.extend(np.asarray(col, dtype).tobytes() for col, dtype in columns)
+        for error in views.errors:
+            _TEXT.pack(error, out)
+
+    def unpack(self, data, pos: int):
+        (n,) = _LEN.unpack_from(data, pos)
+        (statuses, lengths), pos = _columns(data, pos + _LEN.size, n, _NODE_COLUMNS)
+        if n and statuses.max() > _MAX_STATUS:
+            raise WireError(f"unknown status {statuses.max()}")
+        failed = statuses != _OK
+        if lengths[failed].any():
+            raise WireError("a failed node has a view")
+        columns, pos = _columns(data, pos, int(lengths.sum(dtype=np.uint64)), _VIEW_COLUMNS)
+        errors = []
+        for _ in range(np.count_nonzero(failed)):
+            error, pos = _TEXT.unpack(data, pos)
+            errors.append(error)
+        return WireViews(statuses, lengths, *columns, tuple(errors)), pos
 
 
 _U16, _U32, _I64, _F64, _BOOL = map(_Struct, "HIqd?")
@@ -169,7 +244,9 @@ _ENTRY = _Struct("HQdB", lambda v: WireEntry(WireNode(v[0], v[1]), v[2], v[3]),
                  lambda e: (e.node[0], e.node[1], e.score, e.hop))
 _EVENT = _Struct("HQq", lambda v: WireEvent(WireNode(v[0], v[1]), v[2]),
                  lambda e: (e.node[0], e.node[1], e.timestamp))
-_ERROR_LAYOUT = (("error", _Text()),)
+_TEXT = _Text()
+_ERROR_LAYOUT = (("error", _TEXT),)
+_NO_VIEWS = WireViews(*(np.empty(0, d) for d in _NODE_COLUMNS + _VIEW_COLUMNS))
 
 
 # -- requests --------------------------------------------------------------------
@@ -196,7 +273,7 @@ class PPRPushBatchRequest:
 
 @dataclass(frozen=True)
 class NeighborsBatchRequest:
-    nodes: tuple[WireNode, ...]  # each answered with its merged view, at hop 1
+    nodes: tuple[WireNode, ...]  # each answered with its merged view
 
     opcode = Opcode.NEIGHBORS_BATCH
     layout = (("nodes", _Seq("I", _NODE)),)
@@ -224,7 +301,7 @@ class HealthRequest:
 
 @dataclass(frozen=True)
 class SampleResponse:
-    """One per-seed or per-node result of a ``SampleBatchResponse``."""
+    """One per-seed result of a ``SampleBatchResponse``."""
 
     status: Status = Status.OK
     entries: tuple[WireEntry, ...] = ()
@@ -236,12 +313,25 @@ class SampleResponse:
 
 @dataclass(frozen=True)
 class SampleBatchResponse:
-    opcode: Opcode  # PPR_PUSH_BATCH or NEIGHBORS_BATCH, the two requests it answers
     status: Status = Status.OK
     results: tuple[SampleResponse, ...] = ()
     error: str = ""
 
+    opcode = Opcode.PPR_PUSH_BATCH
     layout = (("results", _Results()),)
+
+
+@dataclass(frozen=True, eq=False)
+class ViewsBatchResponse:
+    """Per requested node, its merged view or its error, as columns. It holds
+    arrays, so it has no ``==``: compare its columns."""
+
+    status: Status = Status.OK
+    views: WireViews = _NO_VIEWS
+    error: str = ""
+
+    opcode = Opcode.NEIGHBORS_BATCH
+    layout = (("views", _Views()),)
 
 
 @dataclass(frozen=True)
@@ -287,19 +377,13 @@ _RESPONSE_TYPES = {
     Opcode.PPR_PUSH_BATCH: SampleBatchResponse,
     Opcode.TEMPORAL_LAST_N: TemporalResponse,
     Opcode.HEALTH: HealthResponse,
-    Opcode.NEIGHBORS_BATCH: SampleBatchResponse,
+    Opcode.NEIGHBORS_BATCH: ViewsBatchResponse,
 }
 
 
 def error_response(opcode: Opcode, status: Status, message: str):
     """The reply to an ``opcode`` request that failed with a non-OK ``status``."""
-    return _reply(_RESPONSE_TYPES[opcode], opcode, status=status, error=message)
-
-
-def _reply(cls, opcode: Opcode, **fields):
-    if cls is SampleBatchResponse:
-        fields["opcode"] = opcode
-    return cls(**fields)
+    return _RESPONSE_TYPES[opcode](status=status, error=message)
 
 
 # -- the codec ---------------------------------------------------------------------
@@ -326,12 +410,11 @@ def _unpack(layout, data, pos: int, fields: dict) -> dict:
     return fields
 
 
-def _unpack_reply(cls, opcode: Opcode | None, st: int, data, pos: int):
+def _unpack_reply(cls, st: int, data, pos: int):
     status = _STATUSES.get(st)
     if status is None:
         raise WireError(f"unknown status {st}")
-    fields = _unpack(_reply_layout(cls, status), data, pos, {"status": status})
-    return _reply(cls, opcode, **fields)
+    return cls(**_unpack(_reply_layout(cls, status), data, pos, {"status": status}))
 
 
 def _frame(head: bytes, msg, layout) -> bytes:
@@ -352,7 +435,7 @@ def encode_response(response) -> bytes:
 
 def decode_request(payload: bytes):
     return _decode(payload, _REQUEST_HEAD, _REQUEST_TYPES,
-                   lambda cls, opcode, data, pos: cls(**_unpack(cls.layout, data, pos, {})))
+                   lambda cls, data, pos: cls(**_unpack(cls.layout, data, pos, {})))
 
 
 def decode_response(payload: bytes):
@@ -360,13 +443,13 @@ def decode_response(payload: bytes):
 
 
 def _decode(payload: bytes, head: struct.Struct, types: dict, build: Callable):
-    """Read the head, then ``build(cls, opcode, *rest_of_head, data, pos)``."""
+    """Read the head, then ``build(cls, *rest_of_head, data, pos)``."""
     data = memoryview(payload)
     try:
         op, *rest = head.unpack_from(data)
         if op not in types:
             raise WireError(f"unknown opcode {op:#x}")
-        return build(types[op], Opcode(op), *rest, data, head.size)
+        return build(types[op], *rest, data, head.size)
     except struct.error:
         raise WireError("truncated payload") from None
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import gc
 import json
 import logging
+import os
+import subprocess
 import sys
 import warnings
 
@@ -52,7 +54,8 @@ class TestBuild:
     def test_logs_rows_and_rejections_at_info(self, workdir, capsys, caplog):
         with open(workdir / "edges.tsv", "a") as fh:
             fh.write("# comment\n0\tx\t0\t1\t5\t1.0\t7\n0\t1\t9\t1\t5\t1.0\t7\n")
-        rows = sum(len(open(workdir / name).readlines()) for name in ("edges.tsv", "nodes.tsv"))
+        rows = sum(len((workdir / name).read_text().splitlines())
+                   for name in ("edges.tsv", "nodes.tsv"))
         main(["build", *graph_flags(workdir)])
         quiet = capsys.readouterr().out
         caplog.set_level(logging.INFO, logger="lignn")
@@ -98,6 +101,18 @@ class TestSample:
             assert ":" in seed and ":" in neighbor
             float(score)
             int(hop)
+
+    @pytest.mark.parametrize("strategy", ["ppr-push", "ppr-2hop"])
+    def test_alpha_below_floor_exits_non_zero(self, workdir, strategy):
+        # at alpha 1e-9, 2-hop PPR would run about 1.4e10 rounds per seed
+        run = subprocess.run(
+            [sys.executable, "-m", "lignn.cli", "sample", *graph_flags(workdir),
+             "--strategy", strategy, "--seeds", str(workdir / "seeds.tsv"), "--alpha", "1e-9"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert run.returncode != 0
+        assert "alpha must be in [0.01, 1)" in run.stderr
 
     def test_deterministic_given_seed(self, workdir):
         outs = []

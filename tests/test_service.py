@@ -35,6 +35,7 @@ from lignn.service import (
     serve,
     shard_edge_lines,
 )
+from lignn.service import client as client_mod
 from lignn.service import server as server_mod
 from lignn.service import wire
 from lignn.service.client import tcp_connector
@@ -51,6 +52,45 @@ entries_st = st.lists(
     st.tuples(nodes_st, scores_st, st.integers(0, 255)).map(lambda t: wire.WireEntry(*t)),
     max_size=8,
 ).map(tuple)
+
+
+# A node's NEIGHBORS_BATCH result: its view as (node_type, node_id, weight)
+# neighbours, or a failed status and its message. Weights are any f64 but
+# NaN, with -0.0 and subnormals among them.
+view_items_st = st.one_of(
+    st.lists(st.tuples(st.integers(0, 0xFFFF), st.integers(0, 2**64 - 1),
+                       st.floats(allow_nan=False, width=64)), max_size=5),
+    st.tuples(st.sampled_from([wire.Status.NOT_OWNED, wire.Status.BAD_REQUEST,
+                               wire.Status.INTERNAL]), st.text(max_size=12)),
+)
+
+
+def wire_views(items) -> wire.WireViews:
+    """The NEIGHBORS_BATCH columns of per-node ``view_items_st`` items."""
+    failed = [item for item in items if isinstance(item, tuple)]
+    found = [nbr for item in items if isinstance(item, list) for nbr in item]
+    return wire.WireViews(
+        np.array([item[0] if isinstance(item, tuple) else wire.Status.OK for item in items],
+                 dtype=np.uint8),
+        np.array([len(item) if isinstance(item, list) else 0 for item in items], dtype=np.uint32),
+        np.array([t for t, _, _ in found], dtype=np.uint16),
+        np.array([i for _, i, _ in found], dtype=np.uint64),
+        np.array([w for _, _, w in found], dtype=np.float64),
+        tuple(message for _, message in failed),
+    )
+
+
+def assert_same_reply(got, want) -> None:
+    """``got == want``; a ViewsBatchResponse, which holds arrays, column by
+    column, with weights compared bit for bit."""
+    if not isinstance(want, wire.ViewsBatchResponse):
+        assert got == want
+        return
+    assert (type(got), got.status, got.error) == (type(want), want.status, want.error)
+    for name in ("statuses", "lengths", "node_types", "node_ids"):
+        assert np.array_equal(getattr(got.views, name), getattr(want.views, name)), name
+    assert np.array_equal(got.views.weights.view(np.uint64), want.views.weights.view(np.uint64))
+    assert got.views.errors == want.views.errors
 
 
 class TestCodec:
@@ -87,18 +127,18 @@ class TestCodec:
     @settings(max_examples=100, deadline=None)
     def test_sample_response_round_trip(self, entries, truncated):
         result = wire.SampleResponse(wire.Status.OK, entries, truncated)
-        resp = wire.SampleBatchResponse(wire.Opcode.PPR_PUSH_BATCH, wire.Status.OK, (result,))
+        resp = wire.SampleBatchResponse(wire.Status.OK, (result,))
         assert wire.decode_response(wire.encode_response(resp)[4:]) == resp
 
     @given(st.sampled_from([wire.Status.NOT_OWNED, wire.Status.BAD_REQUEST, wire.Status.INTERNAL]),
            st.text(max_size=60))
     @settings(max_examples=60, deadline=None)
     def test_error_response_round_trip(self, status, msg):
-        op = wire.Opcode.NEIGHBORS_BATCH
-        for resp in (wire.SampleBatchResponse(op, status, error=msg),
-                     wire.SampleBatchResponse(op, wire.Status.OK,
-                                              (wire.SampleResponse(status, error=msg),))):
-            assert wire.decode_response(wire.encode_response(resp)[4:]) == resp
+        for resp in (wire.SampleBatchResponse(status, error=msg),
+                     wire.SampleBatchResponse(wire.Status.OK,
+                                              (wire.SampleResponse(status, error=msg),)),
+                     wire.ViewsBatchResponse(status, error=msg)):
+            assert_same_reply(wire.decode_response(wire.encode_response(resp)[4:]), resp)
 
     @given(st.lists(entries_st, max_size=4))
     @settings(max_examples=60, deadline=None)
@@ -106,20 +146,20 @@ class TestCodec:
         results = tuple(
             wire.SampleResponse(wire.Status.OK, e) for e in entry_sets
         )
-        resp = wire.SampleBatchResponse(wire.Opcode.PPR_PUSH_BATCH, wire.Status.OK, results)
+        resp = wire.SampleBatchResponse(wire.Status.OK, results)
         assert wire.decode_response(wire.encode_response(resp)[4:]) == resp
 
-    @given(st.lists(st.one_of(entries_st, st.text(max_size=20)), max_size=4))
-    @settings(max_examples=60, deadline=None)
+    @given(st.lists(view_items_st, max_size=6))
+    @example([[], (wire.Status.BAD_REQUEST, "")])
+    @example([[(0xFFFF, 2**64 - 1, -0.0), (0, 0, 5e-324), (1, 2**63, 2.2250738585072014e-308 / 3)],
+              (wire.Status.INTERNAL, "b\u00e4d"), [], [(0xFFFF, 0, -5e-324)]])
+    @settings(max_examples=100, deadline=None)
     def test_neighbors_batch_response_round_trip(self, items):
-        op = wire.Opcode.NEIGHBORS_BATCH
-        results = tuple(
-            wire.SampleResponse(wire.Status.BAD_REQUEST, error=item) if isinstance(item, str)
-            else wire.SampleResponse(wire.Status.OK, item)
-            for item in items
-        )
-        resp = wire.SampleBatchResponse(op, wire.Status.OK, results)
-        assert wire.decode_response(wire.encode_response(resp)[4:]) == resp
+        resp = wire.ViewsBatchResponse(wire.Status.OK, wire_views(items))
+        decoded = wire.decode_response(wire.encode_response(resp)[4:])
+        assert type(decoded) is wire.ViewsBatchResponse
+        assert [c.dtype.str for c in decoded.views[:5]] == ["|u1", "<u4", "<u2", "<u8", "<f8"]
+        assert_same_reply(decoded, resp)
 
     @given(st.lists(scores_st, max_size=8).map(tuple))
     @settings(max_examples=60, deadline=None)
@@ -174,19 +214,19 @@ GOLDEN_REQUESTS = [
 ]
 
 GOLDEN_RESPONSES = [
-    (wire.SampleBatchResponse(OP.PPR_PUSH_BATCH, ST.OK, (
+    (wire.SampleBatchResponse(ST.OK, (
         wire.SampleResponse(ST.OK, (E(W(5, 6), 0.5, 2),), True),
         wire.SampleResponse(ST.BAD_REQUEST, error="no node"),
         wire.SampleResponse(ST.OK, (), False),
     )),
      "3d0000000400030000000018000000010100000005000600000000000000000000000000"
      "e03f02020b000000070000006e6f206e6f646500050000000000000000"),
-    (wire.SampleBatchResponse(OP.PPR_PUSH_BATCH, ST.OK, ()), "06000000040000000000"),
-    (wire.SampleBatchResponse(OP.PPR_PUSH_BATCH, ST.NOT_OWNED, error="2 seeds not owned"),
+    (wire.SampleBatchResponse(ST.OK, ()), "06000000040000000000"),
+    (wire.SampleBatchResponse(ST.NOT_OWNED, error="2 seeds not owned"),
      "1700000004011100000032207365656473206e6f74206f776e6564"),
     # the two results are the bodies of the retired top-level SAMPLE_NEIGHBORS
     # OK and PPR_2HOP INTERNAL rows, byte for byte, each behind a status and a length
-    (wire.SampleBatchResponse(OP.PPR_PUSH_BATCH, ST.OK, (
+    (wire.SampleBatchResponse(ST.OK, (
         wire.SampleResponse(ST.OK, (E(W(1, 2), 0.75, 1), E(W(0, 9), -1.5, 255)), True),
         wire.SampleResponse(ST.INTERNAL, error="b\u00e4d"),
     )),
@@ -206,13 +246,13 @@ GOLDEN_RESPONSES = [
      "240000000600020000003c000000000000000100030000000000000001000000f000000000000000"),
     (wire.HealthResponse(ST.OK, (), ()), "06000000060000000000"),
     (wire.HealthResponse(ST.INTERNAL, error="boom"), "0a000000060304000000626f6f6d"),
-    (wire.SampleBatchResponse(OP.NEIGHBORS_BATCH, ST.OK, (
-        wire.SampleResponse(ST.OK, (E(W(1, 3), 2.0, 1),)),
-        wire.SampleResponse(ST.BAD_REQUEST, error="no node"),
-    )),
-     "330000000700020000000018000000000100000001000300000000000000000000000000004001020b"
-     "000000070000006e6f206e6f6465"),
-    (wire.SampleBatchResponse(OP.NEIGHBORS_BATCH, ST.NOT_OWNED, error="nodes not owned"),
+    # NEIGHBORS_BATCH rows, re-pinned for the columnar reply and checked by
+    # hand: count 2, statuses 00 02, lengths 1 and 0, the one neighbour's
+    # type 1, id 3 and weight 2.0 as columns, then the failed node's message
+    (wire.ViewsBatchResponse(ST.OK, wire_views([[(1, 3, 2.0)], (ST.BAD_REQUEST, "no node")])),
+     "2d000000" "0700" "02000000" "0002" "01000000" "00000000" "0100" "0300000000000000"
+     "0000000000000040" "07000000" "6e6f206e6f6465"),
+    (wire.ViewsBatchResponse(ST.NOT_OWNED, error="nodes not owned"),
      "1500000007010f0000006e6f646573206e6f74206f776e6564"),
 ]
 
@@ -228,7 +268,7 @@ class TestGoldenFrames:
     def test_response_bytes(self, response, hexed):
         frame = bytes.fromhex(hexed)
         assert wire.encode_response(response) == frame
-        assert wire.decode_response(frame[4:]) == response
+        assert_same_reply(wire.decode_response(frame[4:]), response)
 
 
 # Malformed replies a peer can send, each with the cause the client names: a
@@ -274,6 +314,14 @@ class TestMalformedReplies:
             client.call_address("fake:1", wire.HealthRequest())
         client.close()
 
+    def test_views_for_fewer_nodes_raise_client_error(self):
+        reply = wire.encode_response(wire.ViewsBatchResponse(ST.OK, wire_views([[]])))[4:]
+        client = GraphEngineClient(PartitionMap(("fake:1",)), RetryPolicy(max_attempts=1),
+                                   connector=lambda address: FakeTransport(reply))
+        with pytest.raises(ClientError, match="1 views for 2 nodes"):
+            RemoteAdjacency(client).prefetch([(0, 1), (0, 2)])
+        client.close()
+
 
 # Arbitrary bytes, and arbitrary bytes behind a valid opcode and a small status
 # so that most payloads get past the header.
@@ -307,6 +355,26 @@ class TestFuzz:
                 decode(payload)
             except wire.WireError:
                 pass
+
+    @pytest.mark.parametrize("items", [
+        [[(1, 3, 2.0)], (ST.BAD_REQUEST, "no node")],
+        [[(0, 7, 0.5), (2, 2**64 - 1, -0.0)], [], [(0xFFFF, 0, 5e-324)]],
+        [(ST.INTERNAL, "boom"), (ST.NOT_OWNED, "")],
+    ])
+    def test_views_reply_cut_or_inflated_raises_wire_error(self, items):
+        payload = wire.encode_response(wire.ViewsBatchResponse(ST.OK, wire_views(items)))[4:]
+        n = len(items)
+        for end in range(len(payload)):
+            with pytest.raises(wire.WireError):
+                wire.decode_response(payload[:end])
+        # the count, then each view length, grown by one and set to its maximum
+        fields = [2] + [2 + 4 + n + 4 * i for i in range(n)]
+        for at in fields:
+            value = int.from_bytes(payload[at:at + 4], "little")
+            for bad in (value + 1, 0xFFFFFFFF):
+                inflated = payload[:at] + bad.to_bytes(4, "little") + payload[at + 4:]
+                with pytest.raises(wire.WireError):
+                    wire.decode_response(inflated)
 
     @given(payloads_st)
     @settings(max_examples=200, deadline=None)
@@ -392,9 +460,7 @@ class TestServer:
         )
         assert [r.status for r in results] == [wire.Status.OK, wire.Status.BAD_REQUEST,
                                                wire.Status.OK]
-        expected = wire.encode_response(
-            wire.SampleBatchResponse(wire.Opcode.PPR_PUSH_BATCH, wire.Status.OK, results)
-        )
+        expected = wire.encode_response(wire.SampleBatchResponse(wire.Status.OK, results))
         assert over_wire == expected
 
     def test_unknown_node_bad_request(self, single_server):
@@ -440,15 +506,15 @@ class TestServer:
         graph, _, server, pmap = single_server
         client = make_client(pmap)
         nodes = tuple(wire.WireNode(0, i) for i in range(60))
-        resp = client.call_address(server.address, wire.NeighborsBatchRequest(nodes))
-        assert resp.opcode == wire.Opcode.NEIGHBORS_BATCH and len(resp.results) == 60
-        for node, result in zip(nodes, resp.results):
+        views = client.call_address(server.address, wire.NeighborsBatchRequest(nodes)).views
+        assert views.statuses.tolist() == [wire.Status.OK] * 60 and views.errors == ()
+        bounds = np.cumsum(views.lengths).tolist()
+        for node, lo, hi in zip(nodes, [0] + bounds, bounds):
             refs, weights, _ = graph.merged_neighbors(graph.resolve(node))
-            assert result.status == wire.Status.OK
-            assert result.entries == tuple(
-                wire.WireEntry(wire.WireNode(ref.node_type, ref.node_id), w, 1)
-                for ref, w in zip(refs, weights.tolist())
-            )
+            got = list(zip(views.node_types[lo:hi].tolist(), views.node_ids[lo:hi].tolist()))
+            assert got == [ref.ext() for ref in refs]
+            assert np.array_equal(views.weights[lo:hi].view(np.uint64), weights.view(np.uint64))
+        assert bounds[-1] == len(views.weights)
         client.close()
 
     def test_neighbors_batch_unknown_node_fails_alone(self, single_server):
@@ -456,10 +522,31 @@ class TestServer:
         client = make_client(pmap)
         request = wire.NeighborsBatchRequest((wire.WireNode(0, 9999), wire.WireNode(0, 5)))
         resp = client.call_address(server.address, request)
-        missing, known = resp.results
-        assert resp.status == known.status == wire.Status.OK and known.entries
-        assert missing.status == wire.Status.BAD_REQUEST and "no node" in missing.error
+        views = resp.views
+        assert resp.status == wire.Status.OK
+        assert views.statuses.tolist() == [wire.Status.BAD_REQUEST, wire.Status.OK]
+        assert views.lengths[0] == 0 and views.lengths[1] == len(views.node_ids) > 0
+        [error] = views.errors
+        assert "no node" in error
         client.close()
+
+    def test_push_batch_split_into_chunks(self, single_server, monkeypatch):
+        graph, _, server, pmap = single_server
+        monkeypatch.setattr(client_mod, "MAX_BATCH_NODES", 2)
+        log: list = []
+        client = recording_client(pmap, log)
+        seeds = tuple(wire.WireNode(0, i) for i in (4, 9999, 1, 7, 4))
+        try:
+            resp = client.call(wire.PPRPushBatchRequest(seeds, 0.2, 1e-4, 10))
+        finally:
+            client.close()
+        assert [req.seeds for req in log] == [seeds[:2], seeds[2:4], seeds[4:]]
+        cfg = PPRConfig(alpha=0.2, r_max=1e-4, top_k=10)
+        local = ppr_forward_push_batch(graph, list(seeds), cfg)
+        assert [r.status for r in resp.results] == [
+            wire.Status.OK if s.error is None else wire.Status.BAD_REQUEST for s in local]
+        assert [[(e.node, e.score) for e in r.entries] for r in resp.results] == [
+            [(e.node.ext(), e.score) for e in s.entries] for s in local]
 
     def test_temporal_over_wire(self, single_server):
         graph, _, server, pmap = single_server
@@ -476,6 +563,8 @@ INVALID_REQUESTS = {
     "push-top_k-0": wire.PPRPushBatchRequest((SEED,), top_k=0),
     "batch-empty": wire.NeighborsBatchRequest(()),
     "batch-too-many-nodes": wire.NeighborsBatchRequest((SEED,) * (server_mod.MAX_BATCH_NODES + 1)),
+    "push-alpha-below-floor": wire.PPRPushBatchRequest((SEED,), alpha=0.009),
+    "push-too-many-seeds": wire.PPRPushBatchRequest((SEED,) * (server_mod.MAX_BATCH_NODES + 1)),
 }
 # The golden request payloads of the retired SAMPLE_NEIGHBORS and PPR_2HOP opcodes.
 RETIRED_REQUESTS = {

@@ -4,7 +4,7 @@
     python3 tools/bench.py --root ../other --out BENCH_0.json
 
 For each workload, ``perfbench/run.py`` runs once per seed in ``SEEDS``,
-untraced, for ``--seconds`` seconds, then once traced on the first seed. Each
+untraced, for ``SECONDS`` seconds, then once traced on the first seed. Each
 run is a subprocess started from the root of the checkout under test, so the
 benchmark measures that checkout's sources. The file holds, per workload and
 end-to-end metric, the median, first and third quartiles and the value of
@@ -27,12 +27,13 @@ import numpy as np
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("offline", "nearline", "remote")
 SEEDS = (11, 12, 13, 14, 15)
+SECONDS = 30.0  # the run length BENCHMARK.json sets
 
 
-def run_one(root: str, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+def run_one(root: str, workload: str, seed: int, trace: bool) -> dict:
     """One ``perfbench/run.py`` result: its last output line, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(int(trace))]
+           "--seconds", str(SECONDS), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -42,16 +43,15 @@ def run_one(root: str, workload: str, seed: int, seconds: float, trace: bool) ->
 
 def summary(values: dict[int, float], unit: str) -> dict:
     """Median and quartiles over the seeds, with each seed's value."""
-    v = list(values.values())
-    q1, median, q3 = statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
+    q1, median, q3 = statistics.quantiles(values.values(), n=4, method="inclusive")
     return {"unit": unit, "median": median, "q1": q1, "q3": q3,
             "values": {str(seed): x for seed, x in values.items()}}
 
 
-def bench_workload(root: str, workload: str, seconds: float) -> dict:
+def bench_workload(root: str, workload: str) -> dict:
     runs = {}
     for seed in SEEDS:
-        runs[seed] = run_one(root, workload, seed, seconds, trace=False)
+        runs[seed] = run_one(root, workload, seed, trace=False)
         print(f"{workload} seed {seed}: correct {runs[seed]['correct']}", file=sys.stderr)
     names = runs[SEEDS[0]]["metrics"]
     end_to_end = {
@@ -59,7 +59,7 @@ def bench_workload(root: str, workload: str, seconds: float) -> dict:
                       names[name]["unit"])
         for name in names
     }
-    traced = run_one(root, workload, SEEDS[0], seconds, trace=True)
+    traced = run_one(root, workload, SEEDS[0], trace=True)
     return {
         "correct": {str(seed): r["correct"] for seed, r in runs.items()},
         "failed": {str(seed): r["failed"] for seed, r in runs.items()},
@@ -91,7 +91,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--root", default=HERE, help="checkout whose sources are measured")
     p.add_argument("--out", help="file to write (default: the next free BENCH_<n>.json here)")
-    p.add_argument("--seconds", type=float, default=30.0, help="length of each run")
     args = p.parse_args(argv)
     root = os.path.abspath(args.root)
     result = {
@@ -100,9 +99,9 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "blas": blas(),
         "cpu_count": os.cpu_count(),
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "seeds": list(SEEDS),
-        "workloads": {w: bench_workload(root, w, args.seconds) for w in WORKLOADS},
+        "workloads": {w: bench_workload(root, w) for w in WORKLOADS},
     }
     out = args.out or next_out(HERE)
     with open(out, "w", encoding="utf-8") as fh:

@@ -24,11 +24,10 @@ from .pipeline import AdaptiveState, parse_records
 from .samplers import (
     PPRConfig,
     WalkConfig,
+    multihop_sample_core,
     ppr_forward_push_batch,
     ppr_two_hop_random_walk,
-    sample_random_multihop,
     sample_temporal_last_n,
-    sample_weighted_multihop,
 )
 from .service import PartitionMap, nearline_refresh, parse_events, serve
 from .training import Trainer, TrainSettings
@@ -154,44 +153,40 @@ def _read_seeds(path: str) -> list[tuple[int, int]]:
 
 
 def cmd_sample(args) -> int:
+    cfg = None
+    if args.strategy == "ppr-push":
+        cfg = PPRConfig(alpha=args.alpha, r_max=args.rmax, top_k=args.topk)
+    elif args.strategy == "ppr-2hop":
+        cfg = WalkConfig(alpha=args.alpha, top_k=args.topk)
+    elif args.strategy not in ("random", "weighted", "temporal"):
+        raise SystemExit(f"unknown strategy {args.strategy}")
+    if cfg is not None:
+        try:
+            cfg.validate()
+        except ValueError as exc:  # one line on stderr, not a traceback
+            raise SystemExit(str(exc)) from None
     graph, _ = _load(args)
     seeds = _read_seeds(args.seeds)
     fanouts = [int(x) for x in args.fanout.split(",") if x] if args.fanout else [args.topk]
     rows: list[tuple[tuple[int, int], tuple[int, int], float, int]] = []
-
-    def emit(seed, sample_or_hops):
-        hops = sample_or_hops if isinstance(sample_or_hops, list) else [sample_or_hops]
-        for hop in hops:
-            if hop.error is not None:
-                logger.warning("seed %s: %s", seed, hop.error)
-                continue
-            for e in hop.entries:
-                rows.append((seed, e.node.ext(), e.score, e.hop))
-
-    if args.strategy == "random":
-        for seed, hops in zip(seeds, sample_random_multihop(graph, seeds, fanouts, args.rng_seed)):
-            emit(seed, hops)
-    elif args.strategy == "weighted":
-        for seed, hops in zip(
-            seeds, sample_weighted_multihop(graph, seeds, fanouts, args.rng_seed)
-        ):
-            emit(seed, hops)
-    elif args.strategy == "ppr-push":
-        cfg = PPRConfig(alpha=args.alpha, r_max=args.rmax, top_k=args.topk)
-        for seed, sample in zip(seeds, ppr_forward_push_batch(graph, seeds, cfg)):
-            emit(seed, sample)
-    elif args.strategy == "ppr-2hop":
-        cfg = WalkConfig(alpha=args.alpha, top_k=args.topk)
-        for seed in seeds:
-            emit(seed, ppr_two_hop_random_walk(graph, seed, cfg))
-    elif args.strategy == "temporal":
+    if args.strategy == "temporal":
         before = math.inf if args.before_ts is None else args.before_ts
         for seed in seeds:
             events = sample_temporal_last_n(graph, seed, args.edge_type, before, args.topk)
-            for ref, ts in events:
-                rows.append((seed, ref.ext(), float(ts), 1))
+            rows.extend((seed, ref.ext(), float(ts), 1) for ref, ts in events)
     else:
-        raise SystemExit(f"unknown strategy {args.strategy}")
+        if args.strategy == "ppr-push":
+            samples = ppr_forward_push_batch(graph, seeds, cfg)
+        elif args.strategy == "ppr-2hop":
+            samples = [ppr_two_hop_random_walk(graph, seed, cfg) for seed in seeds]
+        else:
+            samples = multihop_sample_core(graph, seeds, fanouts, args.rng_seed, args.strategy)
+        for seed, sample in zip(seeds, samples):
+            for hop in sample if isinstance(sample, list) else [sample]:
+                if hop.error is not None:
+                    logger.warning("seed %s: %s", seed, hop.error)
+                    continue
+                rows.extend((seed, e.node.ext(), e.score, e.hop) for e in hop.entries)
 
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:

@@ -4,7 +4,7 @@ Nodes are addressed externally by (node_type, node_id) and internally by a
 dense per-type index. Edges live in per (src_type, edge_type) CSR blocks
 whose per-node runs are sorted by timestamp, so temporal prefix queries are
 binary searches. One merged CSR over all edge types holds each node's
-distinct out-neighbours, so a node's view (``merged_neighbors``) is three
+distinct out-neighbours, so a node's view (``merged_neighbors``) is two
 slices. Nothing changes after construction; densification and the nearline
 refresher produce new graph objects through a copy-on-write run overlay
 (see ``with_added_edges``).
@@ -90,11 +90,10 @@ class NodeRef(NamedTuple):
 
 class NeighborView(NamedTuple):
     """A node's distinct out-neighbours in (node_type, node_id) order: their
-    NodeRefs (a tuple), summed edge weights and int64 node keys."""
+    int64 node keys and summed edge weights."""
 
-    refs: np.ndarray
-    weights: np.ndarray
     keys: np.ndarray
+    weights: np.ndarray
 
 
 class EdgeKind(IntEnum):
@@ -243,7 +242,9 @@ class HeteroGraph:
     freely across threads. ``with_added_edges`` returns a new instance that
     shares the base and merged CSR arrays and the node refs, and carries the
     changed runs and their sources' views; swapping to it is the epoch swap.
-    The graph is its own adjacency provider (``samplers.AdjacencyProvider``).
+    The graph is its own adjacency provider (``samplers.AdjacencyProvider``),
+    whose node keys are a type's offset plus the node's index: they sort like
+    (node_type, node_id), because ids are sorted per type.
     """
 
     def __init__(
@@ -265,9 +266,13 @@ class HeteroGraph:
         self._edge_types = tuple(sorted({et for (_, et) in blocks}))
         # node key = type offset + index; node_ids are sorted ascending per type
         types = sorted(node_ids)
-        offsets = np.cumsum([0] + [len(node_ids[t]) for t in types])
+        counts = [len(node_ids[t]) for t in types]
+        offsets = np.cumsum([0] + counts)
         self._types, self._offsets = np.array(types, dtype=np.int64), offsets[:-1]
         self._key_offset = dict(zip(types, offsets.tolist()))
+        # each key's wire type and id (``key_exts``)
+        self._key_types = np.repeat(self._types.astype(np.uint16), counts)
+        self._key_ids = np.concatenate([np.empty(0, np.uint64)] + [node_ids[t] for t in types])
         # the sorted ids as lists: bisect on a list beats a scalar np.searchsorted 5x
         self._id_lists = {t: node_ids[t].tolist() for t in types}
         # one NodeRef per node, by node key; tuple.__new__ skips NodeRef's
@@ -312,18 +317,31 @@ class HeteroGraph:
             return False
 
     def node_ref(self, node_type: int, node_id: int) -> NodeRef:
-        ids = self._id_lists.get(node_type, ())
-        index = bisect_left(ids, node_id)
-        if index < len(ids) and ids[index] == node_id:
-            return self._refs[self._key_offset[node_type] + index]
-        raise MissingNodeError(f"no node ({node_type}, {node_id})")
+        return self._refs[self.key((node_type, node_id))]
 
     def node_ref_by_index(self, node_type: int, index: int) -> NodeRef:
         return self._refs[self._key_offset[node_type] + range(self.num_nodes(node_type))[index]]
 
     def resolve(self, node: NodeRef | tuple[int, int]) -> NodeRef:
         """Re-anchor an external (type, id) pair or foreign NodeRef here."""
-        return self.node_ref(node[0], node[1])
+        return self._refs[self.key(node)]
+
+    def key(self, node: NodeRef | tuple[int, int]) -> int:
+        """The node key of an external (type, id) pair or foreign NodeRef."""
+        ids = self._id_lists.get(node[0], ())
+        index = bisect_left(ids, node[1])
+        if index < len(ids) and ids[index] == node[1]:
+            return self._key_offset[node[0]] + index
+        raise MissingNodeError(f"no node ({node[0]}, {node[1]})")
+
+    def refs(self, keys: list[int]) -> list[NodeRef]:
+        """The NodeRefs of node keys; the graph holds one per node."""
+        return self._refs[keys].tolist()
+
+    def key_exts(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (node_type, node_id) of each of ``keys``, as uint16 and
+        uint64 columns."""
+        return self._key_types[keys], self._key_ids[keys]
 
     def node_ids(self, node_type: int) -> np.ndarray:
         return self._node_ids[node_type]
@@ -395,21 +413,19 @@ class HeteroGraph:
             total[idx] += len(run.dst_id) - base
         return total
 
-    def merged_neighbors(self, node: NodeRef) -> NeighborView:
-        """Distinct out-neighbors with aggregated weights.
+    def merged_neighbors(self, key: int) -> NeighborView:
+        """Distinct out-neighbors of node ``key`` with aggregated weights.
 
         Parallel edges (across and within edge types) sum their weights,
         which are positive: ``build_graph`` and ``with_added_edges`` admit
         only finite edge weights > 0. Neighbors come back sorted by
         (node_type, node_id) so the ordering is stable across
-        differently-indexed graph shards. A node's key is its type's offset
-        plus its index, so keys sort like (node_type, node_id).
+        differently-indexed graph shards.
 
         The view holds read-only slices of the merged CSR, made for every
         node at build, or of the merged rows of the epoch swap that last
         changed the node's runs.
         """
-        key = self._key_offset[node.node_type] + node.index
         return self._rows.get(key) or self._views[key]
 
     def _merge(self, parts: list, rows: int) -> list[NeighborView]:
@@ -430,18 +446,18 @@ class HeteroGraph:
         weight = np.concatenate([c.weight for _, c in parts])[order]
         # an empty bincount is int64, hence the cast
         weights = np.bincount(np.cumsum(first) - 1, weight).astype(float, copy=False)
-        refs, keys = tuple(self._refs[dst[first]].tolist()), dst[first]
+        keys = dst[first]
         weights.flags.writeable = keys.flags.writeable = False
         indptr = np.searchsorted(src[first], np.arange(rows + 1)).tolist()
-        return [tuple.__new__(NeighborView, (refs[lo:hi], weights[lo:hi], keys[lo:hi]))
+        return [tuple.__new__(NeighborView, (keys[lo:hi], weights[lo:hi]))
                 for lo, hi in zip(indptr, indptr[1:])]
 
     def ext_order(self, keys: np.ndarray) -> None:
         """Keys already sort like (node_type, node_id): no reordering."""
 
-    def prefetch(self, nodes: Iterable[NodeRef]) -> None:
+    def prefetch(self, keys: Iterable[int]) -> None:
         """Sampler hint that these views are needed next; every view is in
-        memory, so it does nothing and never walks ``nodes``."""
+        memory, so it does nothing and never walks ``keys``."""
 
     # -- epoch swap ----------------------------------------------------------
 

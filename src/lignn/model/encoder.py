@@ -82,7 +82,8 @@ def build_encode_batch(
         for slot, s in enumerate(level_seed[h]):
             prev_slots.setdefault(s, []).append(slot)
         # each previous-level slot's view as a set of NodeRefs
-        views = [set(graph.merged_neighbors(ref).refs) for ref in level_refs[h]] if h else []
+        views = [set(graph.refs(graph.merged_neighbors(graph.key(ref)).keys))
+                 for ref in level_refs[h]] if h else []
         for s in range(len(seeds)):
             entries = hop_lists[s][h] if h < len(hop_lists[s]) else ()
             parents = prev_slots.get(s, [])

@@ -8,24 +8,23 @@ nothing: their samples are functions of the graph and their arguments.
 
 All strategies read one view per node from an adjacency provider
 (``AdjacencyProvider``): the in-memory ``HeteroGraph`` itself, or the
-fan-out client's network-backed ``service.client.RemoteAdjacency``, which
-reuses these exact code paths. ``merged_neighbors(ref)`` is a node's view
-(``graph.NeighborView``): distinct out-neighbours sorted by (node_type,
-node_id), their summed positive weights, and an int64 key per neighbour,
-which sorts like (node_type, node_id) on the graph (type offset + index) but
-not on the remote provider (discovery index), whose ``ext_order`` sorts keys.
-``prefetch(refs)`` hints that views are needed next (the remote provider
+fan-out client's network-backed ``service.client.RemoteAdjacency``. Inside a
+sampler a node is its provider's int64 key (``key(node)``); NodeRefs are made
+only for what a sample returns (``refs(keys)``). A view
+(``merged_neighbors(key)``, a ``graph.NeighborView``) holds a node's distinct
+out-neighbours' keys in (node_type, node_id) order and their summed positive
+weights. Keys sort like (node_type, node_id) on the graph but not on the
+remote provider, so every order a sample shows goes through ``ext_order``.
+``prefetch(keys)`` hints that views are needed next (the remote provider
 fetches them in bulk; the graph ignores it, so callers pass a lazy iterable
-the local path never walks); ``resolve(node)`` maps a seed's (node_type,
-node_id) to the provider's NodeRef or raises ``MissingNodeError``.
+the local path never walks).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
@@ -104,23 +103,21 @@ class NeighborSample:
 
 
 class AdjacencyProvider(Protocol):
-    """What the samplers read, through these four methods only: ``HeteroGraph``
-    or ``RemoteAdjacency``. Views are shared and never modified; distinct nodes
-    have distinct keys. ``ext_order`` sorts distinct ascending keys by
-    (node_type, node_id), or returns None where they already are so (the graph).
+    """What the samplers read, through these five methods only: ``HeteroGraph``
+    or ``RemoteAdjacency``. A node is an int64 key, and distinct nodes have
+    distinct keys. Views are shared and never modified. ``ext_order`` sorts
+    distinct ascending keys by (node_type, node_id), or returns None where
+    they already are so (the graph)."""
 
-    A provider gives each (node_type, node_id) one NodeRef, in views and
-    from ``resolve`` alike, so its NodeRefs hash and sort like (node_type,
-    node_id): push keys its dicts and sets by them, and push and the 2-hop
-    PPR order nodes by them."""
+    def key(self, node: NodeRef | tuple[int, int]) -> int: ...
 
-    def merged_neighbors(self, node: NodeRef) -> NeighborView: ...
+    def refs(self, keys: list[int]) -> list[NodeRef]: ...
+
+    def merged_neighbors(self, key: int) -> NeighborView: ...
 
     def ext_order(self, keys: np.ndarray) -> np.ndarray | None: ...
 
-    def prefetch(self, nodes: Iterable[NodeRef]) -> None: ...
-
-    def resolve(self, node: NodeRef | tuple[int, int]) -> NodeRef: ...
+    def prefetch(self, keys: Iterable[int]) -> None: ...
 
 
 def _rng_for(rng_seed: int, node: NodeRef, hop: int | None = None) -> np.random.Generator:
@@ -132,27 +129,25 @@ def _rng_for(rng_seed: int, node: NodeRef, hop: int | None = None) -> np.random.
 
 # -- multi-hop fan-out sampling ------------------------------------------------
 
-def _frontier_union(
-    provider: AdjacencyProvider, frontier: list[NodeRef]
-) -> tuple[Sequence[NodeRef], Sequence[int], np.ndarray]:
-    """Union of the frontier's views in (node_type, node_id) order: candidate
-    i is ``refs[pos[i]]`` with summed weight ``weights[i]``, bit-equal to a
-    dict merge because ``bincount`` adds in frontier order (and counts an
-    empty union in int64, hence the cast). A one-node frontier's is its view."""
+def _frontier_union(provider: AdjacencyProvider, frontier: list[int]) -> NeighborView:
+    """Union of the frontier's views in (node_type, node_id) order, with
+    summed weights, bit-equal to a dict merge because ``bincount`` adds in
+    frontier order (and counts an empty union in int64, hence the cast). A
+    one-node frontier's is its view."""
     if len(frontier) <= 1:
-        refs, weights, _ = provider.merged_neighbors(frontier[0]) if frontier else ([], np.empty(0), None)
-        return refs, range(len(refs)), weights
+        return provider.merged_neighbors(frontier[0]) if frontier else _EMPTY_VIEW
     provider.prefetch(frontier)
-    views = [provider.merged_neighbors(node) for node in frontier]
-    keys, pos, inv = np.unique(
-        np.concatenate([view.keys for view in views]), return_index=True, return_inverse=True
-    )
+    views = [provider.merged_neighbors(key) for key in frontier]
+    keys, inv = np.unique(np.concatenate([view.keys for view in views]), return_inverse=True)
     weights = np.bincount(inv, np.concatenate([view.weights for view in views]))
     weights = weights.astype(float, copy=False)
     order = provider.ext_order(keys)
     if order is not None:
-        pos, weights = pos[order], weights[order]
-    return list(chain.from_iterable(view.refs for view in views)), pos, weights
+        keys, weights = keys[order], weights[order]
+    return NeighborView(keys, weights)
+
+
+_EMPTY_VIEW = NeighborView(np.empty(0, dtype=np.int64), np.empty(0))
 
 
 def _weighted_draw_without_replacement(
@@ -184,14 +179,15 @@ def multihop_sample_core(
     out: list[list[NeighborSample]] = []
     for seed in seeds:
         try:
-            seed_ref = provider.resolve(seed)
+            seed_key = provider.key(seed)
         except MissingNodeError as exc:
             out.append([NeighborSample((seed[0], seed[1]), (), strategy, error=str(exc))])
             continue
+        [seed_ref] = provider.refs([seed_key])
         hops: list[NeighborSample] = []
-        frontier = [seed_ref]
+        frontier = [seed_key]
         for h, fanout in enumerate(fanouts):
-            refs, pos, weights = _frontier_union(provider, frontier)
+            keys, weights = _frontier_union(provider, frontier)
             gen = _rng_for(rng_seed, seed_ref, h)
             if fanout <= 0:
                 chosen: list[int] = []
@@ -201,11 +197,10 @@ def multihop_sample_core(
                 chosen = sorted(gen.choice(len(weights), size=fanout, replace=False).tolist())
             else:
                 chosen = sorted(_weighted_draw_without_replacement(gen, weights, fanout))
-            entries = tuple(
-                SampleEntry(refs[pos[i]], float(weights[i]), h + 1) for i in chosen
-            )
+            frontier = keys[chosen].tolist()
+            entries = tuple(map(SampleEntry, provider.refs(frontier), weights[chosen].tolist(),
+                                repeat(h + 1)))
             hops.append(NeighborSample(seed_ref, entries, strategy))
-            frontier = [e.node for e in entries]
         out.append(hops)
     return out
 
@@ -241,17 +236,17 @@ def sample_weighted_multihop(
 
 class _PushState:
     """Per-seed forward-push state: estimates ``p`` and residuals ``r`` keyed
-    by the provider's NodeRefs, and ``touched``, the nodes whose residual
-    changed since the last round. NodeRefs sort like (node_type, node_id),
-    so a round pushes in that order, never by provider indices."""
+    by the provider's node keys, and ``touched``, the nodes whose residual
+    changed since the last round. A round pushes in (node_type, node_id)
+    order (``ext_order``), never in key order."""
 
-    __slots__ = ("seed_ref", "p", "r", "touched", "pushes", "truncated")
+    __slots__ = ("seed_key", "p", "r", "touched", "pushes", "truncated")
 
-    def __init__(self, seed_ref: NodeRef):
-        self.seed_ref = seed_ref
-        self.p: dict[NodeRef, float] = {}
-        self.r: dict[NodeRef, float] = {seed_ref: 1.0}
-        self.touched: set[NodeRef] = {seed_ref}
+    def __init__(self, seed_key: int):
+        self.seed_key = seed_key
+        self.p: dict[int, float] = {}
+        self.r: dict[int, float] = {seed_key: 1.0}
+        self.touched: set[int] = {seed_key}
         self.pushes = 0
         self.truncated = False
 
@@ -267,7 +262,7 @@ class _PushState:
                 d = wdeg[node] = _wdeg(provider.merged_neighbors(node).weights)
             if r[node] > r_max * d:
                 due.append(node)
-        due.sort()
+        due = _ext_sorted(provider, due)
         budget = config.max_pushes - self.pushes
         if len(due) > budget:
             del due[budget:]
@@ -276,18 +271,26 @@ class _PushState:
         touched = self.touched = set()
         for node in due:
             rv = r[node]
-            refs, weights, _ = provider.merged_neighbors(node)
+            keys, weights = provider.merged_neighbors(node)
+            keys = keys.tolist()
             p[node] = p.get(node, 0.0) + alpha * rv
-            if not refs:
+            if not keys:
                 # dangling: a weight-1 self-loop returns the spread to the node
                 r[node] = (1.0 - alpha) * rv
                 touched.add(node)
                 continue
             r[node] = 0.0
             scale = (1.0 - alpha) * rv / wdeg[node]
-            for nref, w in zip(refs, weights.tolist()):
-                r[nref] = r.get(nref, 0.0) + scale * w
-            touched.update(refs)
+            for nkey, w in zip(keys, weights.tolist()):
+                r[nkey] = r.get(nkey, 0.0) + scale * w
+            touched.update(keys)
+
+
+def _ext_sorted(provider: AdjacencyProvider, keys: list[int]) -> list[int]:
+    """Distinct ``keys`` in (node_type, node_id) order."""
+    keys.sort()
+    order = provider.ext_order(np.array(keys, dtype=np.int64))
+    return keys if order is None else [keys[i] for i in order.tolist()]
 
 
 def _wdeg(weights: np.ndarray) -> float:
@@ -297,8 +300,8 @@ def _wdeg(weights: np.ndarray) -> float:
 
 
 def _hop_labels(
-    provider: AdjacencyProvider, state: _PushState, nodes: list[NodeRef]
-) -> dict[NodeRef, int]:
+    provider: AdjacencyProvider, state: _PushState, nodes: list[int]
+) -> dict[int, int]:
     """BFS depth from the seed over the pushed nodes, until ``nodes`` are labelled.
 
     A node has an estimate only once pushed, and gets residual only from a
@@ -306,19 +309,19 @@ def _hop_labels(
     pushed nodes' views, which the provider already holds.
     """
     pushed = state.p
-    depth = {state.seed_ref: 0}
+    depth = {state.seed_key: 0}
     missing = set(nodes) - depth.keys()
-    frontier = [state.seed_ref]
+    frontier = [state.seed_key]
     d = 0
     while frontier and missing:
         d += 1
-        nxt: list[NodeRef] = []
+        nxt: list[int] = []
         for node in frontier:
-            for nref in provider.merged_neighbors(node).refs:
-                if nref in pushed and nref not in depth:
-                    depth[nref] = d
-                    missing.discard(nref)
-                    nxt.append(nref)
+            for nkey in provider.merged_neighbors(node).keys.tolist():
+                if nkey in pushed and nkey not in depth:
+                    depth[nkey] = d
+                    missing.discard(nkey)
+                    nxt.append(nkey)
         frontier = nxt
     return depth
 
@@ -342,14 +345,15 @@ def ppr_forward_push(
 def _finalize_push(
     provider: AdjacencyProvider, state: _PushState, config: PPRConfig
 ) -> NeighborSample:
-    ranked = sorted(state.p.items(), key=lambda kv: (-kv[1], kv[0]))
-    keep = [(n, s) for n, s in ranked if config.include_seed or n != state.seed_ref]
-    keep = keep[: config.top_k]
-    hops = _hop_labels(provider, state, [n for n, _ in keep])
-    entries = tuple(SampleEntry(n, float(s), hops[n]) for n, s in keep)
-    return NeighborSample(
-        state.seed_ref, entries, "ppr-push", truncated=state.truncated
-    )
+    """The top_k by estimate, ties in (node_type, node_id) order: the sort by
+    score is stable over the nodes in that order."""
+    p, seed_key = state.p, state.seed_key
+    ranked = sorted(_ext_sorted(provider, list(p)), key=lambda n: -p[n])
+    keep = [n for n in ranked if config.include_seed or n != seed_key][: config.top_k]
+    hops = _hop_labels(provider, state, keep)
+    refs = provider.refs([seed_key] + keep)
+    entries = tuple(SampleEntry(ref, float(p[n]), hops[n]) for ref, n in zip(refs[1:], keep))
+    return NeighborSample(refs[0], entries, "ppr-push", truncated=state.truncated)
 
 
 def ppr_forward_push_batch(
@@ -369,15 +373,15 @@ def ppr_forward_push_batch(
     config.validate()
     states: list[_PushState | None] = []
     errors: dict[int, NeighborSample] = {}
-    wdeg: dict[NodeRef, float] = {}
+    wdeg: dict[int, float] = {}
     for i, seed in enumerate(seeds):
         try:
-            seed_ref = provider.resolve(seed)
+            seed_key = provider.key(seed)
         except MissingNodeError as exc:
             errors[i] = NeighborSample((seed[0], seed[1]), (), "ppr-push", error=str(exc))
             states.append(None)
             continue
-        states.append(_PushState(seed_ref))
+        states.append(_PushState(seed_key))
     active = [st for st in states if st is not None]
     while active:
         provider.prefetch(chain.from_iterable(st.touched for st in active))
@@ -424,35 +428,29 @@ def ppr_two_hop_random_walk(
     """
     config.validate()
     try:
-        seed_ref = provider.resolve(seed)
+        seed_key = provider.key(seed)
     except MissingNodeError as exc:
         return NeighborSample((seed[0], seed[1]), (), "ppr-2hop", error=str(exc))
 
-    read = {seed_ref: provider.merged_neighbors(seed_ref)}
-    one_hop = read[seed_ref].refs
+    seed_view = provider.merged_neighbors(seed_key)
+    one_hop = seed_view.keys.tolist()
     provider.prefetch(one_hop)
-    for ref in one_hop:
-        read[ref] = provider.merged_neighbors(ref)
-    inner = list(read.values())
-    keys, pos = np.unique(np.concatenate([view.keys for view in inner]), return_index=True)
+    read = {seed_key: seed_view} | {key: provider.merged_neighbors(key) for key in one_hop}
+    keys = np.unique(np.concatenate([[seed_key]] + [view.keys for view in read.values()]))
     order = provider.ext_order(keys)
     order = np.arange(len(keys)) if order is None else order
-    found = list(chain.from_iterable(view.refs for view in inner))
-    refs = [found[i] for i in pos[order].tolist()]
+    members = keys[order].tolist()  # in node order
     local = np.empty(len(keys), dtype=np.int64)  # key position -> member index
     local[order] = np.arange(len(keys))
-    seed_local = bisect_left(refs, seed_ref)
-    if seed_local == len(refs) or refs[seed_local] != seed_ref:
-        refs.insert(seed_local, seed_ref)
-        local[local >= seed_local] += 1
+    seed_local = int(local[np.searchsorted(keys, seed_key)])
 
-    provider.prefetch(refs)
-    _, weights, nbrs = zip(*[read.get(ref) or provider.merged_neighbors(ref) for ref in refs])
-    n = len(refs)
+    provider.prefetch(members)
+    nbrs, weights = zip(*[read.get(key) or provider.merged_neighbors(key) for key in members])
+    n = len(members)
     lengths = np.fromiter(map(len, nbrs), np.int64, n)
     row = np.repeat(np.arange(n), lengths)
     nbr, weight = np.concatenate(nbrs), np.concatenate(weights)
-    at = np.minimum(np.searchsorted(keys, nbr), len(keys) - 1)  # nbr is empty if keys are
+    at = np.minimum(np.searchsorted(keys, nbr), len(keys) - 1)
     inside = keys[at] == nbr
     outside = ~inside
     # a member's edges that leave the ball become one edge to the seed, a
@@ -473,18 +471,14 @@ def ppr_two_hop_random_walk(
         x = np.bincount(dst, x[src] * step)
     scores = x[:n] / x[:n].sum()
 
-    entries: list[SampleEntry] = []
-    for i in np.argsort(-scores, kind="stable").tolist():
-        if i == seed_local:
-            if not config.include_seed:
-                continue
-            hop = 0
-        else:
-            hop = 1 if refs[i] in read else 2  # read holds the seed and hop 1
-        entries.append(SampleEntry(refs[i], float(scores[i]), hop))
-        if len(entries) == config.top_k:
-            break
-    return NeighborSample(seed_ref, tuple(entries), "ppr-2hop")
+    ranked = np.argsort(-scores, kind="stable").tolist()
+    if not config.include_seed:
+        ranked.remove(seed_local)
+    top = [members[i] for i in ranked[: config.top_k]]
+    hops = [0 if key == seed_key else 1 if key in read else 2 for key in top]  # read: hops 0, 1
+    refs = provider.refs([seed_key] + top)
+    entries = tuple(map(SampleEntry, refs[1:], scores[ranked[: config.top_k]].tolist(), hops))
+    return NeighborSample(refs[0], entries, "ppr-2hop")
 
 
 # -- temporal sampling -----------------------------------------------------------

@@ -15,8 +15,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, count, filterfalse, repeat
-from operator import add, itemgetter
+from itertools import accumulate, count, filterfalse
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -221,94 +220,91 @@ class GraphEngineClient:
 
 class RemoteAdjacency:
     """Adjacency provider backed by the sharded engine: the samplers read it
-    through the same four methods as a local ``HeteroGraph``
-    (``merged_neighbors``, ``ext_order``, ``prefetch``, ``resolve``).
+    through the same five methods as a local ``HeteroGraph``. Node keys are
+    discovery indices, dense in the order nodes are first seen: ``_keys``
+    maps (node_type, node_id) to its key and ``_exts`` a key back, which
+    ``ext_order`` sorts by and ``refs`` makes NodeRefs of (index = key).
 
     ``prefetch`` is the only way a view reaches the client: it fetches the
     uncached nodes it is given with one ``NEIGHBORS_BATCH`` per owning shard
     (and chunk of ``MAX_BATCH_NODES``), which answers each node with the
-    shard graph's ``merged_neighbors`` view. ``merged_neighbors`` and
-    ``resolve`` read the cache through ``neighbors_ext``, which prefetches
-    the one node they need on a miss. A node whose batch result failed (the
-    shard has no such node) is remembered with the server's message, is
-    never requested again, and raises ``MissingNodeError`` on every lookup.
+    shard graph's ``merged_neighbors`` view. ``merged_neighbors`` and ``key``
+    read the cache through ``neighbors_ext``, which fetches the one node
+    they need on a miss. A node whose batch result failed (the shard has no
+    such node) is remembered with the server's message, is never requested
+    again, and raises ``MissingNodeError`` on every lookup.
 
-    NodeRef indices are client-side discovery indices (dense, in the order
-    nodes are first seen) and serve as view keys; orderings that matter for
-    cross-partition equality use external (node_type, node_id) keys
-    (``ext_order``). The registry maps each (node_type, node_id) to its one
-    NodeRef, so NodeRefs sort by that key. A reply is registered in bulk,
-    with no Python object made per neighbour beyond its (type, id) pair:
-    its unseen nodes enter the registry with one ``dict.update``, one
-    ``map`` over the registry gives every neighbour's NodeRef and one
-    ``np.fromiter`` their keys. Each view is then a slice of the reply's
-    refs, keys and weight column; the weights keep the server's f64 bytes.
+    A reply is keyed in bulk, with no Python object made per neighbour
+    beyond its (type, id) pair; each view is a slice of the reply's keys and
+    weight column, and the weights keep the server's f64 bytes.
     """
 
     def __init__(self, client: GraphEngineClient):
         self.client = client
-        self._registry: dict[tuple[int, int], NodeRef] = {}
-        self._refs: list[NodeRef] = []  # discovery index -> NodeRef
+        self._keys: dict[tuple[int, int], int] = {}
+        self._exts: list[tuple[int, int]] = []  # key -> (node_type, node_id)
         self._cache: dict[tuple[int, int], NeighborView] = {}
         self._failed: dict[tuple[int, int], str] = {}
 
-    def _register(self, exts: list[tuple[int, int]]) -> tuple[NodeRef, ...]:
-        """The NodeRefs of ``exts``, registering the unseen ones in first-seen order."""
-        registry = self._registry
-        unseen = list(filterfalse(registry.__contains__, dict.fromkeys(exts)))
+    def _key_all(self, exts: list[tuple[int, int]]) -> np.ndarray:
+        """The keys of ``exts``, giving the unseen ones keys in first-seen order."""
+        keys = self._keys
+        unseen = list(filterfalse(keys.__contains__, dict.fromkeys(exts)))
         if unseen:
-            # (node_type, node_id) + (index,), built without NodeRef's Python __new__
-            fresh = list(map(tuple.__new__, repeat(NodeRef),
-                             map(add, unseen, zip(count(len(self._refs))))))
-            registry.update(zip(unseen, fresh))
-            self._refs += fresh
-        return tuple(map(registry.__getitem__, exts))
+            keys.update(zip(unseen, count(len(self._exts))))
+            self._exts += unseen
+        return np.fromiter(map(keys.__getitem__, exts), np.int64, len(exts))
 
     def _store(self, chunk: list[tuple[int, int]], views: wire.WireViews) -> None:
         """Cache the views, or remember the errors, of one reply to ``chunk``."""
         if len(views.statuses) != len(chunk):
             raise ClientError(f"{len(views.statuses)} views for {len(chunk)} nodes")
-        refs = self._register(list(zip(views.node_types.tolist(), views.node_ids.tolist())))
-        keys = np.fromiter(map(itemgetter(2), refs), np.int64, len(refs))
+        keys = self._key_all(list(zip(views.node_types.tolist(), views.node_ids.tolist())))
         weights = views.weights
         bounds = list(accumulate(views.lengths.tolist(), initial=0))
         errors = iter(views.errors)
         for ext, status, lo, hi in zip(chunk, views.statuses.tolist(), bounds, bounds[1:]):
             if status == wire.Status.OK:
-                self._cache[ext] = NeighborView(refs[lo:hi], weights[lo:hi], keys[lo:hi])
+                self._cache[ext] = NeighborView(keys[lo:hi], weights[lo:hi])
             else:
                 self._failed[ext] = next(errors)
 
-    def resolve(self, node) -> NodeRef:
+    def key(self, node) -> int:
         ext = (node[0], node[1])
         self.neighbors_ext(ext)  # raises MissingNodeError for unknown nodes
-        return self._register([ext])[0]
+        return int(self._key_all([ext])[0])
 
-    def merged_neighbors(self, node: NodeRef) -> NeighborView:
-        return self.neighbors_ext(node.ext())
+    def refs(self, keys: list[int]) -> list[NodeRef]:
+        return [NodeRef(*self._exts[k], k) for k in keys]
+
+    def merged_neighbors(self, key: int) -> NeighborView:
+        return self.neighbors_ext(self._exts[key])
 
     def neighbors_ext(self, ext: tuple[int, int]) -> NeighborView:
         if ext not in self._cache:
-            self.prefetch([ext])
+            self._fetch([ext])
         if ext in self._failed:
             raise MissingNodeError(self._failed[ext])
         return self._cache[ext]
 
     def ext_order(self, keys: np.ndarray) -> np.ndarray:
-        refs = [self._refs[k] for k in keys.tolist()]
-        return np.array(sorted(range(len(refs)), key=refs.__getitem__), dtype=np.int64)
+        exts = list(map(self._exts.__getitem__, keys.tolist()))
+        return np.array(sorted(range(len(exts)), key=exts.__getitem__), dtype=np.int64)
 
-    def prefetch(self, nodes: Iterable[NodeRef | tuple[int, int]]) -> None:
-        """Fetch the views of the distinct ``nodes`` not yet fetched, one
+    def prefetch(self, keys: Iterable[int]) -> None:
+        self._fetch(map(self._exts.__getitem__, keys))
+
+    def _fetch(self, exts: Iterable[tuple[int, int]]) -> None:
+        """Fetch the views of the distinct ``exts`` not yet fetched, one
         round trip per owning shard and chunk of ``MAX_BATCH_NODES``."""
         pmap, cache, failed = self.client.pmap, self._cache, self._failed
         by_owner: dict[int, list[tuple[int, int]]] = {}
-        for ext in dict.fromkeys((node[0], node[1]) for node in nodes):
+        for ext in dict.fromkeys(exts):
             if ext not in cache and ext not in failed:
                 by_owner.setdefault(pmap.owner(ext), []).append(ext)
-        for owner, exts in sorted(by_owner.items()):
-            for lo in range(0, len(exts), MAX_BATCH_NODES):
-                chunk = exts[lo : lo + MAX_BATCH_NODES]
+        for owner, chunk_exts in sorted(by_owner.items()):
+            for lo in range(0, len(chunk_exts), MAX_BATCH_NODES):
+                chunk = chunk_exts[lo : lo + MAX_BATCH_NODES]
                 request = wire.NeighborsBatchRequest(tuple(wire.WireNode(*ext) for ext in chunk))
                 self._store(chunk, self.client.call_address(pmap.addresses[owner], request).views)
 

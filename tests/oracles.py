@@ -381,30 +381,31 @@ def ppr_two_hop_dense(
     return dict(zip(members, pi.tolist())), hops
 
 
+def neighbor_refs(provider, node) -> list[NodeRef]:
+    """The NodeRefs of ``node``'s out-neighbours in its provider view."""
+    return provider.refs(provider.merged_neighbors(provider.key(node)).keys.tolist())
+
+
 class _Ball:
     """2-hop ball around a seed, flattened to a local CSR for the walk; local
-    indices follow NodeRef order, which is (node_type, node_id) order."""
+    indices follow (node_type, node_id) order."""
 
     def __init__(self, provider, seed_ref: NodeRef):
-        views = {seed_ref: provider.merged_neighbors(seed_ref)}
-        one_hop = views[seed_ref].refs
-        provider.prefetch(one_hop)
-        for ref in one_hop:
-            views[ref] = provider.merged_neighbors(ref)
-        members = set(views)
-        for view in views.values():
-            members.update(view.refs)
-        self.refs = sorted(members)
-        self.local = {ref: i for i, ref in enumerate(self.refs)}
-        self.seed_local = self.local[seed_ref]
-        self.one_hop = set(one_hop)
-        provider.prefetch(self.refs)
+        one_hop = neighbor_refs(provider, seed_ref)
+        members = {seed_ref.ext(): seed_ref}
+        for ref in [seed_ref] + one_hop:
+            members.update((r.ext(), r) for r in neighbor_refs(provider, ref))
+        self.refs = [members[ext] for ext in sorted(members)]
+        self.local = {ref.ext(): i for i, ref in enumerate(self.refs)}
+        self.seed_local = self.local[seed_ref.ext()]
+        self.one_hop = {ref.ext() for ref in one_hop}
 
         indptr = [0]
         dest: list[int] = []
         cum: list[float] = []
         for i, ref in enumerate(self.refs):
-            refs, weights, _ = views.get(ref) or provider.merged_neighbors(ref)
+            weights = provider.merged_neighbors(provider.key(ref)).weights
+            refs = neighbor_refs(provider, ref)
             if len(refs) == 0:
                 # dangling: self-loop
                 dest.append(i)
@@ -415,7 +416,7 @@ class _Ball:
                 for nref, w in zip(refs, weights.tolist()):
                     c += w / total
                     # leaving the ball restarts the walk at the seed
-                    dest.append(self.local.get(nref, self.seed_local))
+                    dest.append(self.local.get(nref.ext(), self.seed_local))
                     cum.append(min(c, 1.0))
                 cum[-1] = 1.0
             indptr.append(len(dest))
@@ -446,7 +447,7 @@ def ppr_two_hop_walk(
     """
     config.validate()
     try:
-        seed_ref = provider.resolve(seed)
+        [seed_ref] = provider.refs([provider.key(seed)])
     except MissingNodeError as exc:
         return NeighborSample((seed[0], seed[1]), (), "ppr-2hop", error=str(exc))
 
@@ -475,7 +476,7 @@ def ppr_two_hop_walk(
                 continue
             hop = 0
         else:
-            hop = 1 if ball.refs[i] in ball.one_hop else 2
+            hop = 1 if ball.refs[i].ext() in ball.one_hop else 2
         entries.append(SampleEntry(ball.refs[i], float(scores[i]), hop))
         if len(entries) == config.top_k:
             break
@@ -581,13 +582,13 @@ def frontier_union(provider, frontier: Sequence[NodeRef]) -> tuple[list[NodeRef]
     """Distinct neighbours of the ``frontier`` nodes sorted by (node_type,
     node_id), by a dict merge over their ``merged_neighbors`` views in
     frontier order: a neighbour of several frontier nodes sums its weights
-    in that order. Reads only ``merged_neighbors``, never the samplers'
-    union or the key arrays."""
+    in that order. Reads each view's NodeRefs (``neighbor_refs``), never the
+    samplers' union or an ordering of keys."""
     acc: dict[tuple[int, int], float] = {}
     ref_of: dict[tuple[int, int], NodeRef] = {}
     for node in frontier:
-        refs, weights, _ = provider.merged_neighbors(node)
-        for ref, w in zip(refs, weights.tolist()):
+        weights = provider.merged_neighbors(provider.key(node)).weights
+        for ref, w in zip(neighbor_refs(provider, node), weights.tolist()):
             acc[ref.ext()] = acc.get(ref.ext(), 0.0) + w
             ref_of[ref.ext()] = ref
     keys = sorted(acc)
@@ -611,7 +612,7 @@ def encode_links(graph: HeteroGraph, seeds, hop_lists, depth: int):
             for ref in (hop_lists[s][h] if h < len(hop_lists[s]) else ()):
                 links = parents if h == 0 else [
                     p for p in parents
-                    if ref.ext() in {r.ext() for r in graph.merged_neighbors(level_refs[h][p])[0]}
+                    if ref.ext() in {r.ext() for r in neighbor_refs(graph, level_refs[h][p])}
                 ]
                 if not links:
                     orphans += 1

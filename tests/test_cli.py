@@ -113,6 +113,7 @@ class TestSample:
         )
         assert run.returncode != 0
         assert "alpha must be in [0.01, 1)" in run.stderr
+        assert "Traceback" not in run.stderr
 
     def test_deterministic_given_seed(self, workdir):
         outs = []

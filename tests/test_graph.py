@@ -321,13 +321,13 @@ class TestEpochSwap:
     def test_nonpositive_or_nonfinite_weight_raises(self, tiny_graph, weight):
         graph, _ = tiny_graph
         src, dst = graph.node_ref(0, 10), graph.node_ref(1, 101)
-        view, edges = graph.merged_neighbors(src), graph.num_edges()
+        view, edges = view_of(graph, src), graph.num_edges()
         run = _run_bytes(graph.adjacency(src, 0))
         with pytest.raises(ValueError, match="weight"):
             graph.with_updated_run(src, 0, dst, weight, 70)
         with pytest.raises(ValueError, match="weight"):
             graph.with_added_edges([(src, 0, dst, 1.0, 70), (src, 0, dst, weight, 80)])
-        assert graph.merged_neighbors(src) is view
+        assert view_of(graph, src) is view
         assert graph.num_edges() == edges
         assert _run_bytes(graph.adjacency(src, 0)) == run
 
@@ -357,15 +357,22 @@ def _run_bytes(run):
     return [(a.dtype.str, a.tobytes()) for a in run]
 
 
-def _view_bytes(view):
-    return [list(view.refs)] + _run_bytes(view[1:])
+def view_of(graph, ref):
+    """The merged view of the node ``ref`` names."""
+    return graph.merged_neighbors(graph.key(ref))
+
+
+def view_refs(graph, view):
+    """The NodeRefs of a view's neighbours."""
+    return graph.refs(view.keys.tolist())
 
 
 def _oracle_view_bytes(graph, ref):
-    """``_view_bytes`` of the dict-merge view of ``ref`` (``oracles.merged_view``)."""
+    """``_run_bytes`` of the dict-merge view of ``ref`` (``oracles.merged_view``):
+    the keys are flat (type, index) positions, which sort like (type, id)."""
     refs, weights = merged_view(graph, ref)
     keys = np.array([GlobalIndex(graph).gidx(r) for r in refs], dtype=np.int64)
-    return [refs] + _run_bytes((weights, keys))
+    return _run_bytes((keys, weights))
 
 
 class TestAddedEdges:
@@ -382,7 +389,7 @@ class TestAddedEdges:
     def test_equals_one_edge_fold(self, base_edges, added):
         graph = _swap_graph(base_edges)
         refs = [graph.node_ref(nt, nid) for nt, nid in _SWAP_NODES]
-        parent_views = {ref: graph.merged_neighbors(ref) for ref in refs}
+        parent_views = {ref: view_of(graph, ref) for ref in refs}
         parent_runs = {(ref, et): _run_bytes(graph.adjacency(ref, et))
                        for ref in refs for et in (0, 1, 5)}
         edges = [(refs[s], et, refs[d], w, ts) for s, et, d, w, ts in added]
@@ -402,14 +409,14 @@ class TestAddedEdges:
         )
         changed = {(st_, idx) for st_, _, idx in want}
         for ref in refs:
-            view = new.merged_neighbors(ref)
+            view = view_of(new, ref)
             assert (view is not parent_views[ref]) == ((ref.node_type, ref.index) in changed)
-            assert graph.merged_neighbors(ref) is parent_views[ref]
+            assert view_of(graph, ref) is parent_views[ref]
         # a second swap on the child: the reversed edges, as edge type 5
         newer = new.with_added_edges([(d, 5, s, w, ts) for s, _, d, w, ts in edges])
         for epoch in (graph, new, newer):
             for ref in refs:
-                assert _view_bytes(epoch.merged_neighbors(ref)) == _oracle_view_bytes(epoch, ref)
+                assert _run_bytes(view_of(epoch, ref)) == _oracle_view_bytes(epoch, ref)
 
     def test_batch_order_on_equal_timestamps(self):
         graph = _swap_graph([(0, 0, 4, 0.5, 10)])
@@ -434,7 +441,7 @@ class TestAddedEdges:
         rng = np.random.default_rng(5)
         graph, _ = build(random_weighted_digraph(rng, 50, 3.0))
         for i in range(50):
-            graph.merged_neighbors(graph.node_ref(0, i))
+            view_of(graph, graph.node_ref(0, i))
         epoch, runs = graph, set()
         for k in range(12):
             src, dst = epoch.node_ref(0, k % 5), epoch.node_ref(0, 20 + k)
@@ -463,7 +470,7 @@ def _densified(rng):
     graph, _ = build_graph(lines, nodes, sch)
     for t in graph.node_types:
         for i in range(graph.num_nodes(t)):
-            graph.merged_neighbors(graph.node_ref_by_index(t, i))
+            view_of(graph, graph.node_ref_by_index(t, i))
     table = ExternalEmbeddingTable(3)
     for t in graph.node_types:
         for nid in graph.node_ids(t).tolist():
@@ -472,27 +479,27 @@ def _densified(rng):
     return densify(graph, table, cfg).graph, nodes, sch
 
 
-class TestMergedViewMemo:
+class TestMergedView:
     def test_swap_leaves_parent_view_and_updates_child(self, tiny_graph):
         graph, _ = tiny_graph
         src = graph.node_ref(0, 10)
-        before = graph.merged_neighbors(src)
+        before = view_of(graph, src)
         g2 = graph.with_updated_run(src, 9, graph.node_ref(0, 11), 0.8, 70)
-        assert graph.merged_neighbors(src) is before
-        assert [r.ext() for r in before[0]] == [(1, 100), (1, 101)]
-        refs, weights, _ = g2.merged_neighbors(g2.node_ref(0, 10))
-        assert [r.ext() for r in refs] == [(0, 11), (1, 100), (1, 101)]
-        np.testing.assert_array_equal(weights, [0.8, 0.7, 0.3])
+        assert view_of(graph, src) is before
+        assert [r.ext() for r in view_refs(graph, before)] == [(1, 100), (1, 101)]
+        view = view_of(g2, g2.node_ref(0, 10))
+        assert [r.ext() for r in view_refs(g2, view)] == [(0, 11), (1, 100), (1, 101)]
+        np.testing.assert_array_equal(view.weights, [0.8, 0.7, 0.3])
         assert graph.edge_types == (0, 1, 2)
         assert g2.edge_types == (0, 1, 2, 9)
 
     def test_untouched_node_view_is_shared(self, tiny_graph):
         graph, _ = tiny_graph
         other = graph.node_ref(0, 11)
-        view = graph.merged_neighbors(other)
+        view = view_of(graph, other)
         g2 = graph.with_updated_run(graph.node_ref(0, 10), 0, graph.node_ref(1, 101), 0.8, 70)
-        assert g2.merged_neighbors(g2.node_ref(0, 11)) is view
-        assert g2.merged_neighbors(g2.node_ref(0, 11))[0][0] is g2.node_ref(0, 10)
+        assert view_of(g2, g2.node_ref(0, 11)) is view
+        assert view_refs(g2, view)[0] is g2.node_ref(0, 10)
 
     @pytest.mark.parametrize("extra_dst_type", [None, 0, 1],
                              ids=["one-edge-type", "parallel-edge-types", "cross-node-types"])
@@ -505,13 +512,29 @@ class TestMergedViewMemo:
         graph, _ = build(lines)
         for i in range(25):
             ref = graph.node_ref(0, i)
-            assert _view_bytes(graph.merged_neighbors(ref)) == _oracle_view_bytes(graph, ref)
+            assert _run_bytes(view_of(graph, ref)) == _oracle_view_bytes(graph, ref)
 
     def test_weights_are_read_only(self, tiny_graph):
         graph, _ = tiny_graph
-        _, weights, _ = graph.merged_neighbors(graph.node_ref(0, 10))
+        keys, weights = view_of(graph, graph.node_ref(0, 10))
         with pytest.raises(ValueError):
             weights[0] = 5.0
+        with pytest.raises(ValueError):
+            keys[0] = 0
+
+    def test_keys_name_nodes_and_their_wire_identity(self, tiny_graph):
+        graph, _ = tiny_graph
+        refs = [graph.node_ref_by_index(t, i)
+                for t in graph.node_types for i in range(graph.num_nodes(t))]
+        keys = [graph.key(ref) for ref in refs]
+        assert keys == list(range(len(refs)))  # sorted like (node_type, node_id)
+        assert graph.key(tuple(refs[3].ext())) == 3
+        assert graph.refs(keys) == refs and graph.refs(keys)[3] is refs[3]
+        types, ids = graph.key_exts(np.array(keys[::-1]))
+        assert (types.dtype, ids.dtype) == (np.uint16, np.uint64)
+        assert list(zip(types.tolist(), ids.tolist())) == [r.ext() for r in refs[::-1]]
+        with pytest.raises(MissingNodeError):
+            graph.key((0, 999))
 
     def test_densified_views_equal_rebuilt_graph(self, tmp_path):
         graph, nodes, sch = _densified(np.random.default_rng(12))
@@ -522,24 +545,24 @@ class TestMergedViewMemo:
         assert rebuilt.edge_types == graph.edge_types
         for t in graph.node_types:
             for i in range(graph.num_nodes(t)):
-                refs, weights, _ = graph.merged_neighbors(graph.node_ref_by_index(t, i))
-                rrefs, rweights, _ = rebuilt.merged_neighbors(rebuilt.node_ref_by_index(t, i))
-                assert refs == rrefs
-                assert weights.tobytes() == rweights.tobytes()
+                view = view_of(graph, graph.node_ref_by_index(t, i))
+                rview = view_of(rebuilt, rebuilt.node_ref_by_index(t, i))
+                assert view_refs(graph, view) == view_refs(rebuilt, rview)
+                assert view.weights.tobytes() == rview.weights.tobytes()
 
     def test_threaded_reads_equal_serial_views(self):
         rng = np.random.default_rng(4)
         lines = random_weighted_digraph(rng, 60, 4.0)
         serial, _ = build(lines)
-        expect = [serial.merged_neighbors(serial.node_ref(0, i)) for i in range(60)]
+        expect = [view_of(serial, serial.node_ref(0, i)) for i in range(60)]
         shared, _ = build(lines)
         results: list[list] = [[] for _ in range(8)]
 
         def read(k):
             order = np.random.default_rng(k).permutation(60).tolist() * 3
             for i in order:
-                refs, weights, _ = shared.merged_neighbors(shared.node_ref(0, i))
-                results[k].append((i, refs, weights.tobytes()))
+                keys, weights = view_of(shared, shared.node_ref(0, i))
+                results[k].append((i, keys.tobytes(), weights.tobytes()))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -554,5 +577,5 @@ class TestMergedViewMemo:
         assert not any(th.is_alive() for th in threads)
         for rows in results:
             assert len(rows) == 180
-            for i, refs, wbytes in rows:
-                assert refs == expect[i][0] and wbytes == expect[i][1].tobytes()
+            for i, kbytes, wbytes in rows:
+                assert kbytes == expect[i].keys.tobytes() and wbytes == expect[i].weights.tobytes()

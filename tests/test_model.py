@@ -39,6 +39,7 @@ from oracles import (
     long_term_target_pairs,
     masked_attention_forward,
     mean_aggregate,
+    neighbor_refs,
 )
 
 
@@ -187,7 +188,7 @@ class TestSageEncode:
             return graph.features_of(ref) @ store["enc/proj/0/W"] + store["enc/proj/0/b"][0]
 
         def children_of(ref, next_hop):
-            outs = {r.ext() for r in graph.merged_neighbors(ref)[0]}
+            outs = {r.ext() for r in neighbor_refs(graph, ref)}
             return [c for c in next_hop if c.ext() in outs]
 
         def encode(ref, depth, layer):
@@ -226,7 +227,7 @@ class TestLevelOneLinks:
     """Level-1 nodes hang under their seed without an adjacency check."""
 
     def _assert_level_one_in_seed_view(self, graph, seed, hops):
-        view = {r.ext() for r in graph.merged_neighbors(seed)[0]}
+        view = {r.ext() for r in neighbor_refs(graph, seed)}
         assert {r.ext() for r in (hops[0] if hops else [])} <= view
         return len(hops[0]) if hops else 0
 
@@ -247,7 +248,7 @@ class TestLevelOneLinks:
         graph, _ = build([edge_row(0, 0, 0, 0, 1, 1.0), edge_row(0, 1, 0, 0, 2, 1.0),
                           edge_row(0, 5, 0, 0, 4, 1.0), edge_row(0, 3, 0, 0, 4, 1.0)])
         seed, n1, n2, n3, n5 = (graph.node_ref(0, i) for i in (0, 1, 2, 3, 5))
-        assert n5 not in graph.merged_neighbors(seed)[0]
+        assert n5 not in neighbor_refs(graph, seed)
         batch = build_encode_batch(graph, [seed], [[[n5, n1], [n2, n3]]], 2)
         assert batch.level_refs[1] == [n5, n1]
         assert batch.edges[0][0].tolist() == [0, 0]

@@ -129,9 +129,10 @@ def test_provider_defines_every_protocol_method(provider):
 
 
 def union_candidates(provider, frontier):
-    """The library's union as (candidate refs, weights)."""
-    refs, pos, weights = _frontier_union(provider, frontier)
-    return [refs[p] for p in pos], weights
+    """The library's union of the ``frontier`` NodeRefs' views as (candidate
+    refs, weights)."""
+    keys, weights = _frontier_union(provider, [provider.key(node) for node in frontier])
+    return provider.refs(keys.tolist()), weights
 
 
 def assert_union_equals_oracle(provider, frontier):
@@ -166,11 +167,8 @@ class TestFrontierUnion:
 
     def test_one_node_frontier_is_its_view(self):
         graph = star(4)
-        seed = graph.node_ref(0, 0)
-        refs, pos, weights = _frontier_union(graph, [seed])
-        view_refs, view_weights, _ = graph.merged_neighbors(seed)
-        assert refs is view_refs and weights is view_weights
-        assert list(pos) == [0, 1, 2, 3]
+        seed = graph.key((0, 0))
+        assert _frontier_union(graph, [seed]) is graph.merged_neighbors(seed)
 
     @given(st.permutations(range(30)), st.lists(st.integers(0, 29), max_size=6))
     @settings(max_examples=60, deadline=None)
@@ -181,7 +179,7 @@ class TestFrontierUnion:
             provider = RemoteAdjacency(client)
             # discovery indices, the remote keys, in an order unlike (node_type, node_id)
             nodes = [graph.node_ref_by_index(*_union_server_node(i)) for i in discovery]
-            remote = [provider.resolve(n.ext()) for n in nodes]
+            remote = provider.refs([provider.key(n.ext()) for n in nodes])
             frontier = [remote[discovery.index(i)] for i in frontier]
             refs, weights = assert_union_equals_oracle(provider, frontier)
             local, lweights = union_candidates(graph, [graph.resolve(n) for n in frontier])
@@ -306,7 +304,7 @@ class TestForwardPush:
         approx = {e.node.ext(): e.score for e in sample.entries}
         for gi in range(exact.index.n):
             ref = exact.index.ref(gi)
-            wdeg = graph.merged_neighbors(ref)[1].sum() or 1.0
+            wdeg = graph.merged_neighbors(graph.key(ref)).weights.sum() or 1.0
             diff = exact.scores[gi] - approx.get(ref.ext(), 0.0)
             assert diff >= -1e-12  # 0 up to float64 accumulation
             assert diff <= r_max * wdeg + 1e-15
@@ -334,12 +332,12 @@ class TestForwardPush:
         [state] = states
         assert not sample.truncated
         exact = ppr_exact(graph, nodes[seed], alpha=alpha)
-        gap = np.array([exact.scores[exact.index.gidx(ref)] - state.p.get(ref, 0.0)
+        gap = np.array([exact.scores[exact.index.gidx(ref)] - state.p.get(graph.key(ref), 0.0)
                         for ref in map(exact.index.ref, range(exact.index.n))])
         assert gap.min() >= -1e-12
         assert gap.sum() == pytest.approx(sum(state.r.values()), abs=1e-12)
-        for ref, res in state.r.items():  # up to the rounding of the degree sum
-            weights = graph.merged_neighbors(ref).weights
+        for key, res in state.r.items():  # up to the rounding of the degree sum
+            weights = graph.merged_neighbors(key).weights
             assert res <= r_max * (weights.sum() if len(weights) else 1.0) * (1 + 1e-12)
 
     def test_truncation_flag(self):

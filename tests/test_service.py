@@ -315,11 +315,16 @@ class TestMalformedReplies:
         client.close()
 
     def test_views_for_fewer_nodes_raise_client_error(self):
-        reply = wire.encode_response(wire.ViewsBatchResponse(ST.OK, wire_views([[]])))[4:]
+        # every request gets one view, of two neighbours: right for the
+        # seed's, one short for the prefetch of those two neighbours
+        reply = wire.encode_response(
+            wire.ViewsBatchResponse(ST.OK, wire_views([[(0, 2, 1.0), (0, 3, 1.0)]])))[4:]
         client = GraphEngineClient(PartitionMap(("fake:1",)), RetryPolicy(max_attempts=1),
                                    connector=lambda address: FakeTransport(reply))
+        provider = RemoteAdjacency(client)
+        neighbours = provider.merged_neighbors(provider.key((0, 1))).keys.tolist()
         with pytest.raises(ClientError, match="1 views for 2 nodes"):
-            RemoteAdjacency(client).prefetch([(0, 1), (0, 2)])
+            provider.prefetch(neighbours)
         client.close()
 
 
@@ -510,9 +515,9 @@ class TestServer:
         assert views.statuses.tolist() == [wire.Status.OK] * 60 and views.errors == ()
         bounds = np.cumsum(views.lengths).tolist()
         for node, lo, hi in zip(nodes, [0] + bounds, bounds):
-            refs, weights, _ = graph.merged_neighbors(graph.resolve(node))
+            keys, weights = graph.merged_neighbors(graph.key(node))
             got = list(zip(views.node_types[lo:hi].tolist(), views.node_ids[lo:hi].tolist()))
-            assert got == [ref.ext() for ref in refs]
+            assert got == [ref.ext() for ref in graph.refs(keys.tolist())]
             assert np.array_equal(views.weights[lo:hi].view(np.uint64), weights.view(np.uint64))
         assert bounds[-1] == len(views.weights)
         client.close()
@@ -545,6 +550,22 @@ class TestServer:
         local = ppr_forward_push_batch(graph, list(seeds), cfg)
         assert [r.status for r in resp.results] == [
             wire.Status.OK if s.error is None else wire.Status.BAD_REQUEST for s in local]
+        assert [[(e.node, e.score) for e in r.entries] for r in resp.results] == [
+            [(e.node.ext(), e.score) for e in s.entries] for s in local]
+
+    def test_push_budget_truncates_over_the_wire(self, single_server, monkeypatch):
+        graph, _, server, pmap = single_server
+        monkeypatch.setattr(server_mod, "MAX_PUSHES_PER_SEED", 5)
+        seeds = (wire.WireNode(0, 4), wire.WireNode(0, 7))
+        client = make_client(pmap)
+        try:
+            resp = client.call(wire.PPRPushBatchRequest(seeds, 0.2, 1e-9, 10))
+        finally:
+            client.close()
+        # the server pushed exactly as a local push with a budget of 5 pushes
+        cfg = PPRConfig(alpha=0.2, r_max=1e-9, top_k=10, max_pushes=5)
+        local = ppr_forward_push_batch(graph, list(seeds), cfg)
+        assert [r.truncated for r in resp.results] == [True, True]
         assert [[(e.node, e.score) for e in r.entries] for r in resp.results] == [
             [(e.node.ext(), e.score) for e in s.entries] for s in local]
 
@@ -778,11 +799,11 @@ def wide_cluster():
 
 
 def sample_key(result):
+    """A sample's seed, truncation flag and entries, scores as exact bits."""
     if isinstance(result, list):  # multihop: per-hop samples
-        return [
-            [(e.node.ext(), e.score, e.hop) for e in hop.entries] for hop in result
-        ]
-    return [(e.node.ext(), e.score, e.hop) for e in result.entries]
+        return [sample_key(hop) for hop in result]
+    return (tuple(result.seed[:2]), result.truncated,
+            [(e.node.ext(), float(e.score).hex(), e.hop) for e in result.entries])
 
 
 class RecordingTransport:
@@ -853,6 +874,13 @@ class TestFanOut:
             keys[p] = [sample_key(r) for r in results]
         assert keys[1] == keys[2] == keys[4]
 
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("strategy,kw", STRATEGY_ARGS)
+    def test_equals_in_process(self, clusters, live_graph, strategy, kw, shards):
+        results = self.run_strategy(clusters[shards], strategy, **kw)
+        local = in_process(live_graph[0], self.SEEDS, strategy, kw)
+        assert [sample_key(r) for r in results] == [sample_key(r) for r in local]
+
     def test_p1_random_equals_in_process(self, clusters, live_graph):
         graph, _, _, _ = live_graph
         results = self.run_strategy(clusters[1], "random", fanouts=[3, 2], rng_seed=9)
@@ -883,8 +911,8 @@ class TestFanOut:
     def test_push_ties_pop_in_node_order(self):
         # the second round (pushes 10 and 20) leaves 5 and 30 with equal
         # residuals; the third has budget for one push and takes 5 in node
-        # order, although the remote provider discovers 30 (through 20) first
-        edges = [(1, 10), (1, 20), (10, 5), (20, 30), (30, 1), (5, 1)]
+        # order, although the remote provider discovers 30 (through 10) first
+        edges = [(1, 10), (1, 20), (10, 30), (20, 5), (30, 1), (5, 1)]
         graph, _ = build([edge_row(0, u, 0, 0, v, 1.0) for u, v in edges])
         server = serve(graph, "127.0.0.1:0", PartitionMap(("127.0.0.1:0",)), 0)
         try:
@@ -893,7 +921,7 @@ class TestFanOut:
             cfg = PPRConfig(r_max=1e-4, top_k=10, max_pushes=4)
             provider = RemoteAdjacency(client)
             remote = ppr_forward_push(provider, (0, 1), cfg)
-            assert provider.resolve((0, 30)).index < provider.resolve((0, 5)).index
+            assert provider.key((0, 30)) < provider.key((0, 5))
             client.close()
         finally:
             server.stop()
@@ -981,7 +1009,7 @@ class TestFanOut:
         client = make_client(clusters[2].pmap)
         try:
             with pytest.raises(MissingNodeError, match=r"\(0, 999\)"):
-                RemoteAdjacency(client).resolve((0, 999))
+                RemoteAdjacency(client).key((0, 999))
         finally:
             client.close()
 
